@@ -3,7 +3,8 @@
 Subcommands: generate (write a seeded instance file), solve (one method
 on one instance at one fee), bench (sweep fees x seeds x methods to a
 CSV), gap (equilibrium diagnostics for a point file). Exit codes:
-0 success, 1 solver non-convergence, 2 usage or validation error.
+0 success, 1 solver non-convergence (bench: a failed cell), 2 usage or
+validation error.
 
 The environment variable NZS_THREADS caps bench parallelism (default:
 all cores); each cell is serial, so reruns are reproducible cell-wise.
@@ -18,7 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .instances import (fee_game, gen_sparse_experiment, reformulate_bilinear)
+from .instances import (fee_game, gen_sparse_experiment, reformulate_bilinear,
+                        require_monotone_coupling)
 from .diagnostics import gap_report
 from .icl import solve_icl
 from .serialize import (read_instance, read_point, write_instance,
@@ -48,10 +50,15 @@ def run_method(M, meta, rho, method, eps):
     displacement certificate (stepsize 1/(2L), modulus min(mu, nu)/2):
     the baselines poll it every SolverConfig.certificate_period
     iterations, ICL after every outer iteration (stop="certificate").
+    That modulus holds only while the coupling norm bound
+    beta = rho norm_abs/2 <= sqrt(mu nu)/2, so every method raises
+    ValueError beyond it.
     """
     mu, nu = float(meta["mu"]), float(meta["nu"])
     norm = float(meta.get("norm", 1.0))
     norm_abs = float(meta["norm_abs"])
+    beta = 0.5 * rho * norm_abs  # = |(A+B)/2| for fee games
+    require_monotone_coupling(beta, mu, nu)
     game = fee_game(M, rho, mu, nu)
     # smoothness bound that varies smoothly in rho, so baseline stepsizes
     # and certificates are fee-stable
@@ -62,7 +69,6 @@ def run_method(M, meta, rho, method, eps):
         solver = solve_eg if method == "eg" else solve_ogda
         rep = solver(spec, SolverConfig(epsilon=eps))
     elif method == "icl":
-        beta = 0.5 * rho * norm_abs  # = |(A+B)/2| for fee games
         ref = reformulate_bilinear(game, beta)
         spec = ref.game_spec(L=L + 2 * max(ref.beta1, ref.beta2))
         rep = solve_icl(spec, eps, stop="certificate")
@@ -115,23 +121,41 @@ def cmd_solve(args):
     return 0 if rep.status == "converged" else 1
 
 
-def _bench_cell(cell):
-    n, m, nnz, seed, mu, nu, rho, method, eps = cell
+def _bench_instance(n, m, nnz, seed, mu, nu):
+    """(M, metadata) of one seed's instance, or the text of the error
+    that generating it raised."""
     try:
         _, data = gen_sparse_experiment(n, m, nnz, seed, mu, nu,
                                         normalize=True)
-        M = data.pop("M")
-        _, row = run_method(M, data, rho, method, eps)
-        return row
-    except Exception as exc:  # mark the cell failed, keep sweeping
-        return {"method": method, "rho": rho, "seed": seed,
-                "queries_h": "", "queries_g": "", "queries_cert": "",
-                "iterations": "", "certified_sq_distance": "",
-                "wall_ms": "", "error": str(exc)}
+    except Exception as exc:  # fail the seed's cells, keep sweeping
+        return str(exc)
+    return data.pop("M"), data
+
+
+def _bench_cell(cell):
+    seed, instance, rho, method, eps = cell
+    if isinstance(instance, str):
+        error = instance
+    else:
+        try:
+            return run_method(*instance, rho, method, eps)[1]
+        except Exception as exc:  # mark the cell failed, keep sweeping
+            error = str(exc)
+    return {"method": method, "rho": rho, "seed": seed,
+            "queries_h": "", "queries_g": "", "queries_cert": "",
+            "iterations": "", "certified_sq_distance": "",
+            "wall_ms": "", "error": error}
 
 
 def bench_rows(n, m, nnz, seeds, rhos, methods, mu, nu, eps, threads=None):
-    cells = [(n, m, nnz, seed, mu, nu, rho, method, eps)
+    """One row per (seed, fee, method) cell, sorted by method, fee, seed.
+
+    Each seed's instance is generated once and shared by its cells; each
+    cell is still its own task, so threads spreads cells over processes.
+    """
+    instances = {seed: _bench_instance(n, m, nnz, seed, mu, nu)
+                 for seed in seeds}
+    cells = [(seed, instances[seed], rho, method, eps)
              for seed in seeds for rho in rhos for method in methods]
     threads = threads or _threads()
     if threads > 1 and len(cells) > 1:
@@ -187,7 +211,7 @@ def cmd_bench(args):
     for r in failed:
         print(f"  FAILED {r['method']} rho={r['rho']} seed={r['seed']}: "
               f"{r['error']}", file=sys.stderr)
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_gap(args):

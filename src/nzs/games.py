@@ -12,6 +12,7 @@ computed from those partials, so the identities
 hold by construction.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,18 +69,6 @@ class JointPoint:
         return float(np.sqrt(dx @ dx + dy @ dy))
 
 
-def _w_matvec(W, x):
-    if isinstance(W, SparseMatrix):
-        return spmv(W, x)
-    return W @ x
-
-
-def _w_rmatvec(W, y):
-    if isinstance(W, SparseMatrix):
-        return spmv_transpose(W, y)
-    return W.T @ y
-
-
 def _w_norm(W):
     if isinstance(W, SparseMatrix):
         return spectral_norm(W)
@@ -94,7 +83,8 @@ class BilinearSaddleForm:
                            - (ay/2)|y|^2 - <by, y> + const
 
     with isotropic quadratics, which is all the inner solver needs for
-    proximal maps realized as shifted projections.
+    proximal maps realized as shifted projections. matvec(x) = W x and
+    rmatvec(y) = W' y are bound once, when the form is built.
     """
 
     W: object                 # SparseMatrix or dense ndarray
@@ -104,6 +94,8 @@ class BilinearSaddleForm:
     by: np.ndarray = None
     const: float = 0.0
     _w_norm_cache: float = field(default=None, repr=False)
+    matvec: callable = field(init=False, repr=False, compare=False)
+    rmatvec: callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_y, n_x = (self.W.shape if self.W is not None else (0, 0))
@@ -111,6 +103,12 @@ class BilinearSaddleForm:
             self.bx = np.zeros(n_x)
         if self.by is None:
             self.by = np.zeros(n_y)
+        if isinstance(self.W, SparseMatrix):
+            self.matvec = functools.partial(spmv, self.W)
+            self.rmatvec = functools.partial(spmv_transpose, self.W)
+        elif self.W is not None:
+            self.matvec = functools.partial(np.matmul, self.W)
+            self.rmatvec = functools.partial(np.matmul, self.W.T)
 
     def w_norm(self):
         if self._w_norm_cache is None:
@@ -118,15 +116,15 @@ class BilinearSaddleForm:
         return self._w_norm_cache
 
     def value(self, x, y):
-        return float(y @ _w_matvec(self.W, x)
+        return float(y @ self.matvec(x)
                      + 0.5 * self.ax * (x @ x) + self.bx @ x
                      - 0.5 * self.ay * (y @ y) - self.by @ y + self.const)
 
     def grad_x(self, x, y):
-        return _w_rmatvec(self.W, y) + self.ax * x + self.bx
+        return self.rmatvec(y) + self.ax * x + self.bx
 
     def grad_y(self, x, y):
-        return _w_matvec(self.W, x) - self.ay * y - self.by
+        return self.matvec(x) - self.ay * y - self.by
 
     def shifted(self, d_ax=0.0, d_ay=0.0, d_bx=None, d_by=None):
         return BilinearSaddleForm(

@@ -150,15 +150,13 @@ def _solve_zero_coupling(game, z, eps, sched, ledger, certificate):
     return JointPoint(kern.x.copy(), kern.y.copy()), bound
 
 
-def solve_icl(game, eps, inner="auto", check_period=4, eps_t_slack=1.0,
-              init=None, keep_trace=False, max_outer=None, stop="schedule"):
+def solve_icl(game, eps, inner="auto", check_period=4, init=None,
+              keep_trace=False, max_outer=None, stop="schedule"):
     """Outer loop of iterative coupling linearization.
 
     Every subproblem is solved until an extracted candidate passes the
     inexactness check at tolerance eps_t (early exit), with the
-    distance-certified route as a backstop. eps_t_slack <= 1 optionally
-    tightens the per-iteration tolerance (any tolerance at most the
-    scheduled one keeps the guarantee).
+    distance-certified route as a backstop.
 
     stop selects when the outer loop ends:
 
@@ -180,13 +178,11 @@ def solve_icl(game, eps, inner="auto", check_period=4, eps_t_slack=1.0,
     inner: "apd" (structured primal-dual), "eg" (operator extragradient),
     or "auto" (apd when bilinear structure is available).
     """
-    if not 0 < eps_t_slack <= 1.0:
-        raise ValueError("eps_t_slack must lie in (0, 1]")
     if stop not in ("schedule", "certificate"):
         raise ValueError("stop must be 'schedule' or 'certificate'")
     sched = schedule_params(game.mu, game.nu, game.delta, game.L, eps,
                             game.X.diameter(), game.Y.diameter())
-    eps_t = sched.eps_t * eps_t_slack
+    eps_t = sched.eps_t
     L_sub = 2.0 * game.L
     gamma_ex = 1.0 / (np.sqrt(2.0) * L_sub)
     ledger = QueryLedger()

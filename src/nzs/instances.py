@@ -208,6 +208,19 @@ class ReformulatedGame:
         )
 
 
+def require_monotone_coupling(beta, mu, nu):
+    """Raise ValueError unless the coupling norm beta is at most
+    sqrt(mu nu)/2, the bound under which a fee game is certifiably
+    monotone (and its bilinear reformulation jointly convex)."""
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
+    if beta > 0.5 * np.sqrt(mu * nu) * (1 + 1e-12):
+        raise ValueError(
+            f"coupling norm {beta:.3e} exceeds sqrt(mu*nu)/2 = "
+            f"{0.5 * np.sqrt(mu * nu):.3e}; the game is not certifiably "
+            "monotone under this reformulation")
+
+
 def reformulate_bilinear(game, beta):
     """Choose (beta1, beta2) from (2*beta vs mu, nu) and reformulate.
 
@@ -219,13 +232,7 @@ def reformulate_bilinear(game, beta):
     and beta1*beta2 = beta^2.
     """
     mu, nu = game.reg_mu, game.reg_nu
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    if beta > 0.5 * np.sqrt(mu * nu) * (1 + 1e-12):
-        raise ValueError(
-            f"coupling norm {beta:.3e} exceeds sqrt(mu*nu)/2 = "
-            f"{0.5 * np.sqrt(mu * nu):.3e}; the game is not certifiably "
-            "monotone under this reformulation")
+    require_monotone_coupling(beta, mu, nu)
     if 2 * beta <= mu and 2 * beta <= nu:
         b1 = b2 = beta
     elif mu <= 2 * beta <= nu:

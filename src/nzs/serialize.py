@@ -18,10 +18,43 @@ from .vecmat import SparseMatrix
 MAGIC = b"NZSINST1"
 
 _DTYPES = {"int64": "<i8", "float64": "<f8"}
+_ARRAYS = ("row_offsets", "col_indices", "values")
 
 
 class FormatError(ValueError):
     pass
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_header(header):
+    """Raise FormatError unless the header has the keys read_instance and
+    the solvers use, with the right types."""
+    if not isinstance(header, dict):
+        raise FormatError("instance header is not a JSON object")
+    shape = header.get("shape")
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(_is_int(d) and d > 0 for d in shape)):
+        raise FormatError("instance header: 'shape' must be two positive "
+                          "integers")
+    arrays = header.get("arrays")
+    if not (isinstance(arrays, list) and all(
+            isinstance(a, dict) and a.get("name") in _ARRAYS
+            and a.get("dtype") in _DTYPES
+            and _is_int(a.get("length")) and a["length"] >= 0
+            for a in arrays)
+            and sorted(a["name"] for a in arrays) == sorted(_ARRAYS)):
+        raise FormatError("instance header: 'arrays' must describe "
+                          + ", ".join(_ARRAYS) + " by name, dtype and length")
+    for key in ("mu", "nu", "norm_abs"):
+        if not _is_real(header.get(key)):
+            raise FormatError(f"instance header: {key!r} must be a number")
 
 
 def write_instance(path, M, meta):
@@ -52,8 +85,12 @@ def read_instance(path):
         magic = fh.read(8)
         if magic != MAGIC:
             raise FormatError(f"not an instance file (magic {magic!r})")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
+        raw = fh.read(8)
+        if len(raw) != 8:
+            raise FormatError("instance file truncated in its header")
+        (hlen,) = struct.unpack("<Q", raw)
         header = json.loads(fh.read(hlen).decode("utf-8"))
+        _check_header(header)
         data = {}
         for spec in header["arrays"]:
             raw = fh.read(spec["length"] * 8)

@@ -9,21 +9,33 @@ rule.
 import numpy as np
 
 
-def project_simplex(v):
+def project_simplex(v, ranks=None):
     """Euclidean projection of v onto the probability simplex.
 
     Points already feasible within 1e-12 mass slack are returned
-    unchanged, which makes the projection exactly idempotent.
+    unchanged, which makes the projection exactly idempotent. ``ranks``
+    is the vector 1.0, ..., n; Simplex passes a cached copy.
+
+    Sort-and-threshold rule (Duchi et al. 2008): u is v sorted in
+    descending order, cs[j] = u[0] + ... + u[j] - 1 summed left to right,
+    k + 1 counts the j with u[j] (j + 1) > cs[j], and the result is
+    max(v - cs[k]/(k + 1), 0). Solver iterates, and so query counts, are
+    pinned bit for bit, so this operation order must not change.
     """
     n = v.shape[0]
     if n == 1:
         return np.ones(1)
     if v.min() >= 0.0 and abs(v.sum() - 1.0) <= 1e-12:
         return v.copy()
-    u = np.sort(v)[::-1]
-    cs = np.cumsum(u)
-    k = np.count_nonzero(u * np.arange(1.0, n + 1) > cs - 1.0) - 1
-    tau = (cs[k] - 1.0) / (k + 1)
+    if ranks is None:
+        ranks = np.arange(1.0, n + 1)
+    u = v.copy()
+    u.sort()  # what np.sort(v) does, without its wrapper
+    u = u[::-1]
+    cs = np.add.accumulate(u)
+    cs -= 1.0
+    k = np.count_nonzero(u * ranks > cs) - 1
+    tau = cs[k] / (k + 1)
     w = v - tau
     np.maximum(w, 0.0, out=w)
     return w
@@ -65,9 +77,10 @@ class Simplex(FeasibleSet):
         if n < 1:
             raise ValueError("simplex dimension must be >= 1")
         self.dimension = int(n)
+        self._ranks = np.arange(1.0, self.dimension + 1)
 
     def project(self, v):
-        return project_simplex(self._check_dim(v))
+        return project_simplex(self._check_dim(v), self._ranks)
 
     def lmo(self, c):
         c = self._check_dim(c)

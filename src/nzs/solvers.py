@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import (BilinearSaddleForm, JointPoint, QueryLedger,
-                    _w_matvec, _w_rmatvec)
+from .games import BilinearSaddleForm, JointPoint, QueryLedger
 
 
 class StructureError(RuntimeError):
@@ -125,8 +124,9 @@ class _JointProblem:
     def F(self, z, bucket="f"):
         x = z[:self.nx]
         y = z[self.nx:]
-        out = np.concatenate([-self.game.grad_u1_x(x, y),
-                              -self.game.grad_u2_y(x, y)])
+        out = np.empty(z.shape[0])
+        np.negative(self.game.grad_u1_x(x, y), out=out[:self.nx])
+        np.negative(self.game.grad_u2_y(x, y), out=out[self.nx:])
         if bucket == "f":
             self.ledger.f_queries += 1
         else:
@@ -141,10 +141,16 @@ class _JointProblem:
         return np.concatenate([self.X.canonical_point(),
                                self.Y.canonical_point()])
 
+    def step(self, z, gamma, d):
+        """P(z - gamma d), computed in d's buffer; d must not escape."""
+        d *= gamma
+        np.subtract(z, d, out=d)
+        return self.project(d)
+
     def certificate(self, z, gamma_c, mu_min):
-        zh = self.project(z - gamma_c * self.F(z, "cert"))
-        zp = self.project(z - gamma_c * self.F(zh, "cert"))
-        d = zp - z
+        zh = self.step(z, gamma_c, self.F(z, "cert"))
+        d = self.step(z, gamma_c, self.F(zh, "cert"))
+        d -= z
         return certificate_coefficient(mu_min, gamma_c) * float(d @ d)
 
 
@@ -169,13 +175,15 @@ def _baseline_solve(game, config, method):
     f_prev = None
     while it < config.max_iter:
         if method == "eg":
-            zh = prob.project(z - gamma * prob.F(z))
-            z = prob.project(z - gamma * prob.F(zh))
+            zh = prob.step(z, gamma, prob.F(z))
+            z = prob.step(z, gamma, prob.F(zh))
         else:  # optimistic: reuse the previous operator value
             f_cur = prob.F(z)
             if f_prev is None:
                 f_prev = f_cur
-            z = prob.project(z - gamma * (2.0 * f_cur - f_prev))
+            d = 2.0 * f_cur
+            d -= f_prev
+            z = prob.step(z, gamma, d)
             f_prev = f_cur
         it += 1
         if certified and it % period == 0:
@@ -253,8 +261,12 @@ class SaddleSubproblem:
     def operator(self, x, y, ledger=None, bucket="h"):
         if self.phi_form is not None:
             f = self.phi_form
-            gx = _w_rmatvec(f.W, y) + f.ax * x + f.bx
-            gy = f.ay * y + f.by - _w_matvec(f.W, x)
+            gx = f.rmatvec(y)
+            gx += f.ax * x
+            gx += f.bx
+            gy = f.ay * y
+            gy += f.by
+            gy -= f.matvec(x)
         else:
             hx, hy = self.h_grad(x, y)
             gx = hx + self.c_x + (x - self.x_center) / self.eta
@@ -316,16 +328,30 @@ class PdhgKernel:
             self.tau = s / (2.0 * form.ax)
             self.sigma = s / (2.0 * form.ay)
             self.theta = 1.0 / (1.0 + s)
+        self._x_scale = 1.0 + self.tau * form.ax
+        self._y_scale = 1.0 + self.sigma * form.ay
 
     def step(self, ledger=None):
+        # x+ = P((x - tau (W'y + bx)) / (1 + tau ax)) and
+        # y+ = P((y + sigma (W x_bar - by)) / (1 + sigma ay)), each built in
+        # one fresh buffer; self.x and self.y are rebound, never written
+        # into, since stop_check callers and reports hold them
         f = self.form
-        x_new = self.X.project(
-            (self.x - self.tau * (_w_rmatvec(f.W, self.y) + f.bx))
-            / (1.0 + self.tau * f.ax))
-        x_bar = x_new + self.theta * (x_new - self.x)
-        self.y = self.Y.project(
-            (self.y + self.sigma * (_w_matvec(f.W, x_bar) - f.by))
-            / (1.0 + self.sigma * f.ay))
+        t = f.rmatvec(self.y)
+        t += f.bx
+        t *= self.tau
+        np.subtract(self.x, t, out=t)
+        t /= self._x_scale
+        x_new = self.X.project(t)
+        x_bar = x_new - self.x
+        x_bar *= self.theta
+        x_bar += x_new
+        t = f.matvec(x_bar)
+        t -= f.by
+        t *= self.sigma
+        t += self.y
+        t /= self._y_scale
+        self.y = self.Y.project(t)
         self.x = x_new
         if ledger is not None:
             ledger.h_queries += 1

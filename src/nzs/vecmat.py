@@ -4,10 +4,18 @@ Every oracle in the library reduces to the three kernels here: CSR
 matrix-vector products (forward and transposed) and a power-iteration
 spectral norm. Products run row-sequentially so serial runs are
 bitwise reproducible.
+
+The products call scipy's compiled CSR kernel (``csr_matvec``, the
+routine that ``csr_matrix @ x`` ends in) directly on cached CSR arrays,
+skipping scipy's operator dispatch. It is the same loop on the same
+arrays into the same zeroed output, so every product is bitwise equal to
+``csr_matrix @ x``; ``tests/test_vecmat.py`` holds that, since
+``_sparsetools`` is private to scipy.
 """
 
 import numpy as np
 import scipy.sparse as _sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 
 class SpectralNormError(RuntimeError):
@@ -171,6 +179,13 @@ class SparseMatrix:
                             validate=False)
 
 
+def _csr_product(n_rows, n_cols, csr, v):
+    out = np.zeros(n_rows)
+    _csr_matvec(n_rows, n_cols, csr.indptr, csr.indices, csr.data,
+                np.ascontiguousarray(v), out)
+    return out
+
+
 def spmv(A, x):
     """Row-sequential product A @ x.
 
@@ -181,7 +196,7 @@ def spmv(A, x):
     if x.shape != (A.n_cols,):
         raise ValueError(f"dimension mismatch: matrix is {A.shape}, vector has "
                          f"length {x.shape}")
-    return A._scipy() @ x
+    return _csr_product(A.n_rows, A.n_cols, A._scipy(), x)
 
 
 def spmv_transpose(A, y):
@@ -190,7 +205,7 @@ def spmv_transpose(A, y):
     if y.shape != (A.n_rows,):
         raise ValueError(f"dimension mismatch: matrix is {A.shape}, vector has "
                          f"length {y.shape}")
-    return A._scipy_t() @ y
+    return _csr_product(A.n_cols, A.n_rows, A._scipy_t(), y)
 
 
 def spectral_norm(A, tol=1e-8, max_iter=10000, seed=0):

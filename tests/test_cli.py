@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from nzs.cli import main
+from nzs.cli import main, run_method
 from nzs.games import JointPoint
-from nzs.serialize import read_instance, write_point
+from nzs.instances import gen_sparse_experiment
+from nzs.serialize import read_instance, write_instance, write_point
 
 
 @pytest.fixture()
@@ -105,6 +106,39 @@ class TestSolve:
         assert report["status"] != "converged"
         assert report["certified_sq_distance"] > 1e-12
         assert rc == 1
+
+
+    def test_header_without_norm_abs_exits_2(self, instance_file, tmp_path,
+                                              capsys):
+        M, meta = read_instance(instance_file)
+        del meta["norm_abs"]
+        bad = tmp_path / "bad.nzs"
+        write_instance(bad, M, meta)
+        rc = main(["solve", "--method", "ogda", "--instance", str(bad),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "norm_abs" in capsys.readouterr().err
+
+
+class TestMonotoneRange:
+    @pytest.mark.parametrize("method", ["icl", "ogda", "eg"])
+    def test_run_method_rejects_fee_beyond_monotone_range(self, method):
+        # beta = 0.003 |M+| / 2 >= 1.5e-3 > sqrt(1e-4 * 0.01) / 2 = 5e-4
+        _, meta = gen_sparse_experiment(40, 40, 200, 0, 1e-4, 0.01)
+        M = meta.pop("M")
+        with pytest.raises(ValueError, match="not certifiably monotone"):
+            run_method(M, meta, 0.003, method, 1e-7)
+
+    def test_bench_with_failed_cells_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "t4.csv"
+        rc = main(["bench", "--table", "t4", "--seeds", "0",
+                   "--rho-list", "0.003", "--threads", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 3
+        assert all(r["queries_h"] == "" for r in rows)
+        assert "3 failed cells" in capsys.readouterr().out
 
 
 class TestBench:

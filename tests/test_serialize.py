@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,36 @@ class TestInstanceFile:
         M, meta = make_instance(seed=4)
         write_instance(p2, M, meta)
         assert p1.read_bytes() != p2.read_bytes()
+
+    MISSING = object()
+
+    @pytest.mark.parametrize("key,value", [
+        ("norm_abs", MISSING), ("mu", MISSING), ("shape", MISSING),
+        ("arrays", MISSING), ("norm_abs", "1.0"), ("nu", True),
+        ("shape", [30]), ("shape", [30, 0]), ("arrays", []),
+        ("arrays", [{"name": "values", "dtype": "float64", "length": 1}])])
+    def test_bad_header_rejected(self, tmp_path, key, value):
+        M, meta = make_instance()
+        path = tmp_path / "inst.nzs"
+        write_instance(path, M, meta)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + hlen])
+        if value is self.MISSING:
+            del header[key]
+        else:
+            header[key] = value
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                         + raw[16 + hlen:])
+        with pytest.raises(FormatError, match=key):
+            read_instance(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "short.nzs"
+        path.write_bytes(b"NZSINST1\x05")
+        with pytest.raises(FormatError):
+            read_instance(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.nzs"

@@ -149,7 +149,52 @@ class TestDiameter:
         assert P.diameter() == pytest.approx(np.sqrt(4.0 + 1.0))
 
 
+def reference_project_simplex(v):
+    """The sort-and-threshold rule as first written (sort, np.cumsum,
+    np.arange per call); project_simplex must match it bit for bit."""
+    n = v.shape[0]
+    if n == 1:
+        return np.ones(1)
+    if v.min() >= 0.0 and abs(v.sum() - 1.0) <= 1e-12:
+        return v.copy()
+    u = np.sort(v)[::-1]
+    cs = np.cumsum(u)
+    k = np.count_nonzero(u * np.arange(1.0, n + 1) > cs - 1.0) - 1
+    tau = (cs[k] - 1.0) / (k + 1)
+    w = v - tau
+    np.maximum(w, 0.0, out=w)
+    return w
+
+
+def bitwise_cases():
+    rng = np.random.default_rng(27)
+    cases = [rng.standard_normal(rng.integers(2, 300)) * s
+             for s in (1e-3, 1.0, 4.0) for _ in range(20)]
+    cases += [rng.integers(-3, 4, size=50).astype(float) / 4  # many ties
+              for _ in range(10)]
+    cases += [np.full(7, 0.3), np.array([0.5, 0.5, 0.5, -0.5]),
+              np.zeros(5), np.array([-0.0, 0.0, 1.0])]
+    cases += [rng.dirichlet(np.ones(n)) for n in (2, 10, 100)]  # feasible
+    cases += [rng.dirichlet(np.ones(40)) + 1e-13,                 # near it
+              np.array([2.5]), np.array([-7.0])]                  # n = 1
+    cases += [rng.standard_normal(100) * 1e12,                    # large
+              rng.standard_normal(1000) * 1e-2 + 1e-3]
+    return cases
+
+
 class TestSimplexProjectionFunction:
+    def test_bitwise_equal_to_reference(self):
+        for v in bitwise_cases():
+            ref = reference_project_simplex(v)
+            assert np.array_equal(project_simplex(v), ref)
+            assert np.array_equal(Simplex(v.shape[0]).project(v), ref)
+
+    def test_input_untouched(self):
+        for v in bitwise_cases():
+            before = v.copy()
+            Simplex(v.shape[0]).project(v)
+            assert np.array_equal(v, before)
+
     def test_mass_one(self):
         rng = np.random.default_rng(26)
         for _ in range(200):

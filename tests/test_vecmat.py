@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nzs.vecmat import (SparseMatrix, SpectralNormError, as_vector,
                         spectral_norm, spmv, spmv_transpose)
@@ -103,6 +104,54 @@ class TestSpmv:
         A = random_csr(rng, 100, 80, 400)
         x = rng.standard_normal(80)
         assert np.array_equal(spmv(A, x), spmv(A, x))
+
+
+class TestScipyBitwise:
+    """The products call scipy's private CSR kernel directly; they must
+    stay bitwise equal to scipy's public csr_matrix @ x."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(11)
+        # rows 0, 3 and 4 and columns 1 and 5 are empty
+        gappy = SparseMatrix.from_coo([1, 1, 2, 2, 5], [0, 4, 2, 3, 0],
+                                      rng.standard_normal(5), (6, 6))
+        return [gappy, random_csr(rng, 60, 45, 500),
+                random_csr(rng, 1, 30, 12), random_csr(rng, 30, 1, 9)]
+
+    def test_spmv(self):
+        rng = np.random.default_rng(12)
+        for A in self.cases():
+            ref = sp.csr_matrix((A.values, A.col_indices, A.row_offsets),
+                                shape=A.shape)
+            x = rng.standard_normal(A.n_cols) * 1e3
+            assert np.array_equal(spmv(A, x), ref @ x)
+
+    def test_spmv_transpose(self):
+        rng = np.random.default_rng(13)
+        for A in self.cases():
+            ref = sp.csr_matrix((A.values, A.col_indices, A.row_offsets),
+                                shape=A.shape)
+            y = rng.standard_normal(A.n_rows) * 1e3
+            assert np.array_equal(spmv_transpose(A, y),
+                                  sp.csr_matrix(ref.T) @ y)
+
+    def test_non_contiguous_and_integer_inputs(self):
+        rng = np.random.default_rng(14)
+        A = random_csr(rng, 20, 15, 90)
+        ref = sp.csr_matrix((A.values, A.col_indices, A.row_offsets),
+                            shape=A.shape)
+        x = rng.standard_normal(30)[::2]
+        y = rng.standard_normal(60)[::3]
+        assert not x.flags.c_contiguous and not y.flags.c_contiguous
+        assert np.array_equal(spmv(A, x), ref @ x)
+        assert np.array_equal(spmv_transpose(A, y), sp.csr_matrix(ref.T) @ y)
+        k = np.arange(15)
+        assert np.array_equal(spmv(A, k), ref @ k.astype(np.float64))
+
+    def test_scalar_rejected(self):
+        with pytest.raises(ValueError):
+            spmv(SparseMatrix.identity(1), np.float64(2.0))
 
 
 class TestSpmvTranspose:
