@@ -75,7 +75,8 @@ class MatrixGame:
         nu-strongly concave, but the coupling part -<C x, y> is bilinear,
         not jointly convex, so delta here is only its smoothness bound and
         monotone_modulus defaults to min(mu, nu)/2, which is certified
-        whenever |C| <= sqrt(mu nu)/2.
+        whenever |C| <= sqrt(mu nu)/2. Beyond that range it defaults to 0:
+        no certificate.
         """
         A, B, mu, nu = self.A, self.B, self.reg_mu, self.reg_nu
         if L is None:
@@ -83,7 +84,12 @@ class MatrixGame:
         K = self.competitive_matrix()
         beta = self.coupling_norm()
         if monotone_modulus is None:
-            monotone_modulus = (min(mu, nu) / 2 if beta > 0 else min(mu, nu))
+            if beta == 0:
+                monotone_modulus = min(mu, nu)
+            elif _certifiably_monotone(beta, mu, nu):
+                monotone_modulus = min(mu, nu) / 2
+            else:
+                monotone_modulus = 0.0
         Wm = K.scaled(-1.0)
 
         def u1(x, y):
@@ -208,13 +214,18 @@ class ReformulatedGame:
         )
 
 
+def _certifiably_monotone(beta, mu, nu):
+    """beta <= sqrt(mu nu)/2, the bound under which a fee game is
+    certifiably monotone (and its bilinear reformulation jointly convex)."""
+    return beta <= 0.5 * np.sqrt(mu * nu) * (1 + 1e-12)
+
+
 def require_monotone_coupling(beta, mu, nu):
-    """Raise ValueError unless the coupling norm beta is at most
-    sqrt(mu nu)/2, the bound under which a fee game is certifiably
-    monotone (and its bilinear reformulation jointly convex)."""
+    """Raise ValueError unless the coupling norm beta is in the certified
+    range of ``_certifiably_monotone``."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    if beta > 0.5 * np.sqrt(mu * nu) * (1 + 1e-12):
+    if not _certifiably_monotone(beta, mu, nu):
         raise ValueError(
             f"coupling norm {beta:.3e} exceeds sqrt(mu*nu)/2 = "
             f"{0.5 * np.sqrt(mu * nu):.3e}; the game is not certifiably "

@@ -25,16 +25,21 @@ def project_simplex(v, ranks=None):
     n = v.shape[0]
     if n == 1:
         return np.ones(1)
-    if v.min() >= 0.0 and abs(v.sum() - 1.0) <= 1e-12:
+    u = np.negative(v)
+    u.sort()
+    np.negative(u, out=u)  # v in descending order
+    if u[-1] >= 0.0 and abs(v.sum() - 1.0) <= 1e-12:
         return v.copy()
     if ranks is None:
         ranks = np.arange(1.0, n + 1)
-    u = v.copy()
-    u.sort()  # what np.sort(v) does, without its wrapper
-    u = u[::-1]
     cs = np.add.accumulate(u)
     cs -= 1.0
-    k = np.count_nonzero(u * ranks > cs) - 1
+    u *= ranks
+    k = np.count_nonzero(u > cs) - 1
+    if k < 0:
+        # at |v| beyond 2**53 even u[0] > u[0] - 1 fails; shifting v along
+        # the ones vector leaves its projection unchanged
+        return project_simplex(v - v.max(), ranks)
     tau = cs[k] / (k + 1)
     w = v - tau
     np.maximum(w, 0.0, out=w)

@@ -5,12 +5,22 @@ matrix-vector products (forward and transposed) and a power-iteration
 spectral norm. Products run row-sequentially so serial runs are
 bitwise reproducible.
 
+Each sparsity pattern has one ``_Layout``, shared by every matrix made
+from it with ``with_values`` or ``scaled``. Per direction, built on first
+use, it holds the pattern's int32 index arrays with the rows (for the
+transpose: the columns) stably sorted by length, the sigma-sorting step
+of SELL-C-sigma (Kreutzer et al. 2014): rows of one length run back to
+back, so the branch that ends each row's loop is predicted and the reads
+of x overlap. A matrix caches only its values in those two orders.
+
 The products call scipy's compiled CSR kernel (``csr_matvec``, the
-routine that ``csr_matrix @ x`` ends in) directly on cached CSR arrays,
-skipping scipy's operator dispatch. It is the same loop on the same
-arrays into the same zeroed output, so every product is bitwise equal to
-``csr_matrix @ x``; ``tests/test_vecmat.py`` holds that, since
-``_sparsetools`` is private to scipy.
+routine that ``csr_matrix @ x`` ends in) on the grouped arrays into a
+zeroed buffer and put the rows back in order with one ``take``. Each row
+is still summed left to right from 0.0 in ascending column order
+(ascending row order for the transpose), as ``csr_matrix @ x`` sums it;
+only the order in which rows are visited changes. So every product is
+bitwise equal to ``csr_matrix @ x``; ``tests/test_vecmat.py`` holds
+that, since ``_sparsetools`` is private to scipy.
 """
 
 import numpy as np
@@ -45,7 +55,7 @@ class SparseMatrix:
     """
 
     __slots__ = ("n_rows", "n_cols", "row_offsets", "col_indices", "values",
-                 "_csr", "_csr_t")
+                 "_layout", "_grouped")
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices, values,
                  validate=True):
@@ -54,8 +64,9 @@ class SparseMatrix:
         self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
         self.col_indices = np.asarray(col_indices, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
-        self._csr = None
-        self._csr_t = None
+        self._layout = _Layout(self.n_rows, self.n_cols, self.row_offsets,
+                               self.col_indices)
+        self._grouped = [None, None]
         if validate:
             self._validate()
 
@@ -152,38 +163,91 @@ class SparseMatrix:
             raise ValueError("value array must match the sparsity pattern")
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix values must be finite")
-        return SparseMatrix(self.n_rows, self.n_cols, self.row_offsets,
-                            self.col_indices, values, validate=False)
+        out = SparseMatrix(self.n_rows, self.n_cols, self.row_offsets,
+                           self.col_indices, values, validate=False)
+        out._layout = self._layout
+        return out
 
     def scaled(self, c):
         return self.with_values(self.values * float(c))
 
-    def _scipy(self):
-        if self._csr is None:
-            self._csr = _sp.csr_matrix(
-                (self.values, self.col_indices, self.row_offsets),
-                shape=self.shape)
-        return self._csr
-
-    def _scipy_t(self):
-        # transposed copy in CSR layout so the transposed product is also a
-        # row-sequential kernel
-        if self._csr_t is None:
-            self._csr_t = _sp.csr_matrix(self._scipy().T)
-        return self._csr_t
-
     def transpose(self):
-        t = self._scipy_t()
+        t = _sp.csr_matrix((self.values, self.col_indices, self.row_offsets),
+                           shape=self.shape).T.tocsr()
         return SparseMatrix(self.n_cols, self.n_rows, t.indptr.astype(np.int64),
                             t.indices.astype(np.int64), t.data,
                             validate=False)
 
 
-def _csr_product(n_rows, n_cols, csr, v):
-    out = np.zeros(n_rows)
-    _csr_matvec(n_rows, n_cols, csr.indptr, csr.indices, csr.data,
+class _GroupedRows:
+    """One direction of a pattern in CSR form, rows stably sorted by length.
+
+    Grouped row i is row ``perm[i]`` of the directed matrix, where
+    ``inv[perm[i]] == i``; ``src`` maps each grouped entry to its position
+    in the pattern's ``values``. Index arrays are int32 where they fit.
+    """
+
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "src", "inv")
+
+    def __init__(self, n_rows, n_cols, offsets, indices, src):
+        idx = src.dtype
+        lengths = np.diff(offsets)
+        perm = np.argsort(lengths, kind="stable")
+        lengths = lengths[perm]
+        self.n_rows, self.n_cols = n_rows, n_cols
+        self.indptr = np.zeros(n_rows + 1, dtype=idx)
+        np.cumsum(lengths, out=self.indptr[1:])
+        # pos[j]: where grouped entry j sits in the directed arrays
+        pos = np.repeat((offsets[:-1][perm] - self.indptr[:-1]).astype(idx),
+                        lengths)
+        pos += np.arange(len(pos), dtype=idx)
+        self.indices = indices.astype(idx, copy=False)[pos]
+        self.src = src[pos]
+        self.inv = np.empty(n_rows, dtype=np.intp)
+        self.inv[perm] = np.arange(n_rows)
+
+
+class _Layout:
+    """Index arrays of one sparsity pattern, shared by all its matrices.
+
+    Side 0 holds the pattern's rows, side 1 its columns (the rows of the
+    transpose, each in ascending row order); each is built on first use.
+    """
+
+    __slots__ = ("_pattern", "_sides")
+
+    def __init__(self, n_rows, n_cols, row_offsets, col_indices):
+        self._pattern = (n_rows, n_cols, row_offsets, col_indices)
+        self._sides = [None, None]
+
+    def side(self, transposed):
+        s = self._sides[transposed]
+        if s is None:
+            n_rows, n_cols, offsets, cols = self._pattern
+            nnz = len(cols)
+            src = np.arange(nnz, dtype=np.int32 if max(n_rows, n_cols, nnz)
+                            < 2**31 else np.int64)
+            if transposed:
+                # the transpose in CSR form, each entry carrying its
+                # position as its value; rows ascend within each column
+                t = _sp.csr_matrix((src, cols, offsets),
+                                   shape=(n_rows, n_cols)).tocsc()
+                s = _GroupedRows(n_cols, n_rows, t.indptr, t.indices, t.data)
+            else:
+                s = _GroupedRows(n_rows, n_cols, offsets, cols, src)
+            self._sides[transposed] = s
+        return s
+
+
+def _product(A, transposed, v):
+    rows = A._layout.side(transposed)
+    values = A._grouped[transposed]
+    if values is None:
+        values = A._grouped[transposed] = A.values[rows.src]
+    out = np.zeros(rows.n_rows)
+    _csr_matvec(rows.n_rows, rows.n_cols, rows.indptr, rows.indices, values,
                 np.ascontiguousarray(v), out)
-    return out
+    return out.take(rows.inv)
 
 
 def spmv(A, x):
@@ -196,16 +260,16 @@ def spmv(A, x):
     if x.shape != (A.n_cols,):
         raise ValueError(f"dimension mismatch: matrix is {A.shape}, vector has "
                          f"length {x.shape}")
-    return _csr_product(A.n_rows, A.n_cols, A._scipy(), x)
+    return _product(A, 0, x)
 
 
 def spmv_transpose(A, y):
-    """Row-sequential product A.T @ y (on a cached transposed layout)."""
+    """Row-sequential product A.T @ y, each column summed in row order."""
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (A.n_rows,):
         raise ValueError(f"dimension mismatch: matrix is {A.shape}, vector has "
                          f"length {y.shape}")
-    return _csr_product(A.n_cols, A.n_rows, A._scipy_t(), y)
+    return _product(A, 1, y)
 
 
 def spectral_norm(A, tol=1e-8, max_iter=10000, seed=0):

@@ -7,7 +7,7 @@ from nzs.instances import (MatrixGame, apply_transaction_fee, fee_game,
                            matching_pennies, reformulate_bilinear,
                            reformulate_general, split_pos_neg,
                            stackelberg_example, stackelberg_reference_points)
-from nzs.solvers import SolverConfig, solve_eg
+from nzs.solvers import SolverConfig, solve_eg, solve_ogda
 from nzs.vecmat import SparseMatrix, spectral_norm
 
 M_EXAMPLE = np.array([[300.0, -200.0], [-100.0, 400.0]])
@@ -173,6 +173,28 @@ class TestReformulateGeneral:
         game = gen_quadratic_known_ne(3, 3, 0.4, 0.4, 0.2, 0.5, seed=3)
         with pytest.raises(ValueError):
             reformulate_general(game, 0.3)
+
+
+class TestMatrixGameSpec:
+    def test_no_certificate_beyond_monotone_range(self):
+        # desk seed 0 at rho = 0.003: beta = 2.06e-3 > sqrt(mu nu)/2 = 5e-4,
+        # where min(mu, nu)/2 is no valid modulus
+        _, data = gen_sparse_experiment(1000, 1000, 10_000, seed=0,
+                                        mu=1e-4, nu=1.0)
+        game = fee_game(data["M"], 0.003, 1e-4, 0.01)
+        assert game.coupling_norm() > 0.5 * np.sqrt(1e-4 * 0.01)
+        spec = game.game_spec()
+        assert spec.monotone_modulus == 0
+        rep = solve_ogda(spec, SolverConfig(epsilon=1e-7, max_iter=64))
+        assert rep.status == "max_iter"
+        assert rep.certified_sq_distance is None
+
+    def test_certified_modulus_inside_range(self):
+        game = fee_game(random_sparse(44, 8, 8, 30), 0.05, 1.0, 1.0)
+        assert 0 < game.coupling_norm() <= 0.5
+        assert game.game_spec().monotone_modulus == 0.5
+        assert fee_game(random_sparse(44, 8, 8, 30), 0.0, 1.0, 0.8) \
+            .game_spec().monotone_modulus == 0.8
 
 
 class TestSparseExperiment:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -201,3 +202,11 @@ class TestSimplexProjectionFunction:
             w = project_simplex(rng.standard_normal(rng.integers(1, 30)) * 4)
             assert np.all(w >= 0)
             assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
+
+    def test_feasible_where_the_threshold_rounds_away(self):
+        # at 1e17 no entry passes u[j] (j + 1) > cs[j]; the projection of
+        # v - max(v) is returned instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = project_simplex(np.array([1e17, 1e17 + 64, 0.0]))
+        assert w.tolist() == [0.0, 1.0, 0.0]

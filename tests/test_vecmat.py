@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -116,7 +118,15 @@ class TestScipyBitwise:
         # rows 0, 3 and 4 and columns 1 and 5 are empty
         gappy = SparseMatrix.from_coo([1, 1, 2, 2, 5], [0, 4, 2, 3, 0],
                                       rng.standard_normal(5), (6, 6))
-        return [gappy, random_csr(rng, 60, 45, 500),
+        # every row holds 7 entries, so grouping by length moves no row
+        even = SparseMatrix.from_coo(
+            np.repeat(np.arange(40), 7),
+            np.concatenate([rng.choice(35, 7, replace=False)
+                            for _ in range(40)]),
+            rng.standard_normal(280), (40, 35))
+        # rows and columns of 0 to about 25 entries, grouped out of order
+        big = random_csr(rng, 3000, 2500, 30_000)
+        return [gappy, random_csr(rng, 60, 45, 500), even, big,
                 random_csr(rng, 1, 30, 12), random_csr(rng, 30, 1, 9)]
 
     def test_spmv(self):
@@ -152,6 +162,54 @@ class TestScipyBitwise:
     def test_scalar_rejected(self):
         with pytest.raises(ValueError):
             spmv(SparseMatrix.identity(1), np.float64(2.0))
+
+
+class TestLayout:
+    """One grouped layout per sparsity pattern; values per matrix."""
+
+    def test_derived_matrices_share_the_layout(self):
+        rng = np.random.default_rng(15)
+        A = random_csr(rng, 80, 70, 600)
+        x, y = rng.standard_normal(70), rng.standard_normal(80)
+        spmv(A, x)
+        spmv_transpose(A, y)  # both sides built before deriving
+        derived = [A.with_values(rng.standard_normal(600)), A.scaled(-2.5)]
+        derived.append(derived[0].scaled(0.5))
+        for B in derived:
+            assert B._layout is A._layout
+            ref = sp.csr_matrix((B.values, B.col_indices, B.row_offsets),
+                                shape=B.shape)
+            assert np.array_equal(spmv(B, x), ref @ x)
+            assert np.array_equal(spmv_transpose(B, y),
+                                  sp.csr_matrix(ref.T) @ y)
+        assert not np.array_equal(spmv(derived[1], x), spmv(A, x))
+
+    def test_pickle_round_trip(self):
+        rng = np.random.default_rng(16)
+        A = random_csr(rng, 90, 60, 700)
+        B = A.scaled(3.0)
+        x, y = rng.standard_normal(60), rng.standard_normal(90)
+        spmv(A, x)
+        A2, B2 = pickle.loads(pickle.dumps((A, B)))
+        assert A2._layout is B2._layout
+        for M, M2 in ((A, A2), (B, B2)):
+            assert np.array_equal(spmv(M2, x), spmv(M, x))
+            assert np.array_equal(spmv_transpose(M2, y), spmv_transpose(M, y))
+
+    def test_transpose_is_canonical_csr(self):
+        rng = np.random.default_rng(17)
+        A = random_csr(rng, 300, 250, 3000)
+        spmv_transpose(A, rng.standard_normal(300))
+        T = A.transpose()
+        ref = sp.csr_matrix(sp.csr_matrix(
+            (A.values, A.col_indices, A.row_offsets), shape=A.shape).T)
+        assert T.shape == (250, 300)
+        assert T.row_offsets.dtype == T.col_indices.dtype == np.int64
+        assert np.array_equal(T.row_offsets, ref.indptr)
+        assert np.array_equal(T.col_indices, ref.indices)
+        assert np.array_equal(T.values, ref.data)
+        SparseMatrix(*T.shape, T.row_offsets, T.col_indices, T.values)
+        assert np.array_equal(T.to_dense(), A.to_dense().T)
 
 
 class TestSpmvTranspose:
