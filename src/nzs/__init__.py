@@ -2,8 +2,7 @@
 
 from .vecmat import (SparseMatrix, SpectralNormError, as_vector, spmv,
                      spmv_transpose, spectral_norm)
-from .sets import (Ball, Box, FeasibleSet, ProductSet, Simplex, diameter,
-                   lmo, project, project_simplex)
+from .sets import Ball, Box, FeasibleSet, ProductSet, Simplex, project_simplex
 from .games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
                     StructureReport, grad_g, operator_F, operator_H,
                     probe_structure)
@@ -13,9 +12,9 @@ from .instances import (MatrixGame, ReformulatedGame, apply_transaction_fee,
                         reformulate_bilinear, reformulate_general,
                         split_pos_neg, stackelberg_example,
                         stackelberg_reference_points)
-from .solvers import (SaddleSubproblem, SolveReport, SolverConfig,
-                      StructureError, certify_distance, extract_approx_ne,
-                      extragradient_step, solve_apd_bilinear, solve_eg,
+from .solvers import (JointProblem, SaddleSubproblem, SolveReport,
+                      SolverConfig, StructureError, displacement_certificate,
+                      extract_approx_ne, solve_apd_bilinear, solve_eg,
                       solve_ogda)
 from .icl import (IclError, IclSchedule, build_subproblem, check_inexactness,
                   schedule_params, solve_icl, solve_monotone)

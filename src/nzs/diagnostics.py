@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import JointPoint
+from .games import JointPoint, grad_g
 from .instances import stackelberg_example, stackelberg_reference_points
 
 
@@ -80,16 +80,26 @@ def potential_gap(game, z, inner_budget=500):
         xt, yt = w[:nx], w[nx:]
         # d/dxt: -grad_x g(xt, yt) - grad_x h(xt, y)
         # d/dyt: -grad_y g(xt, yt) + grad_y h(x, yt)
-        g_x = -0.5 * (game.grad_u1_x(xt, yt) + game.grad_u2_x(xt, yt))
-        g_y = -0.5 * (game.grad_u1_y(xt, yt) + game.grad_u2_y(xt, yt))
+        g = grad_g(game, JointPoint(xt, yt))
         h_x = 0.5 * (-game.grad_u1_x(xt, y) + game.grad_u2_x(xt, y))
         h_y = 0.5 * (-game.grad_u1_y(x, yt) + game.grad_u2_y(x, yt))
-        return np.concatenate([-g_x - h_x, -g_y + h_y])
+        return np.concatenate([-g.x - h_x, -g.y + h_y])
 
     step = 1.0 / (2.0 * game.L)
     _, best, residual = _ascend(psi, psi_grad, Z, z.concat(), step,
                                 inner_budget)
     return GapEstimate(best, residual)
+
+
+def _deviation(value, grad, best_response, S, w, other, step, budget):
+    """(gain, residual) of the best deviation from w over S of one player
+    whose utility in its own strategy is value, the opponent playing
+    other."""
+    base = value(w)
+    if best_response is not None:
+        return value(best_response(other)) - base, 0.0
+    _, best, residual = _ascend(value, grad, S, w, step, budget)
+    return best - base, residual
 
 
 def deviation_gain(game, z, inner_budget=500):
@@ -102,29 +112,13 @@ def deviation_gain(game, z, inner_budget=500):
     if game.u1 is None or game.u2 is None:
         raise ValueError("deviation gain needs value oracles u1 and u2")
     x, y = z.x, z.y
-    base1 = game.u1(x, y)
-    base2 = game.u2(x, y)
-
-    if game.best_response_x is not None:
-        xb = game.best_response_x(y)
-        gain_x, res_x = game.u1(xb, y) - base1, 0.0
-    else:
-        _, best, res_x = _ascend(
-            lambda w: game.u1(w, y),
-            lambda w: game.grad_u1_x(w, y),
-            game.X, x, 1.0 / (2.0 * game.L), inner_budget)
-        gain_x = best - base1
-
-    if game.best_response_y is not None:
-        yb = game.best_response_y(x)
-        gain_y, res_y = game.u2(x, yb) - base2, 0.0
-    else:
-        _, best, res_y = _ascend(
-            lambda w: game.u2(x, w),
-            lambda w: game.grad_u2_y(x, w),
-            game.Y, y, 1.0 / (2.0 * game.L), inner_budget)
-        gain_y = best - base2
-
+    step = 1.0 / (2.0 * game.L)
+    gain_x, res_x = _deviation(
+        lambda w: game.u1(w, y), lambda w: game.grad_u1_x(w, y),
+        game.best_response_x, game.X, x, y, step, inner_budget)
+    gain_y, res_y = _deviation(
+        lambda w: game.u2(x, w), lambda w: game.grad_u2_y(x, w),
+        game.best_response_y, game.Y, y, x, step, inner_budget)
     return GapEstimate(float(max(gain_x, 0.0) + max(gain_y, 0.0)),
                        res_x + res_y)
 

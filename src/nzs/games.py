@@ -12,6 +12,7 @@ computed from those partials, so the identities
 hold by construction.
 """
 
+import dataclasses
 import functools
 from dataclasses import dataclass, field
 
@@ -40,10 +41,6 @@ class QueryLedger:
         """Operator queries of the running algorithm itself."""
         return self.f_queries + self.h_queries
 
-    def as_dict(self):
-        return {"f_queries": self.f_queries, "h_queries": self.h_queries,
-                "g_queries": self.g_queries, "cert_queries": self.cert_queries}
-
 
 @dataclass(frozen=True)
 class JointPoint:
@@ -59,9 +56,6 @@ class JointPoint:
     def split(cls, z, n_x):
         z = np.asarray(z, dtype=np.float64)
         return cls(z[:n_x].copy(), z[n_x:].copy())
-
-    def norm(self):
-        return float(np.sqrt(self.x @ self.x + self.y @ self.y))
 
     def distance_to(self, other):
         dx = self.x - other.x
@@ -82,8 +76,9 @@ class BilinearSaddleForm:
         h(x, y) = <W x, y> + (ax/2)|x|^2 + <bx, x>
                            - (ay/2)|y|^2 - <by, y> + const
 
-    with isotropic quadratics, which is all the inner solver needs for
-    proximal maps realized as shifted projections. matvec(x) = W x and
+    with isotropic quadratics (the constant is not stored), which is all
+    the inner solver needs for proximal maps realized as shifted
+    projections. matvec(x) = W x and
     rmatvec(y) = W' y are bound once, when the form is built.
     """
 
@@ -92,7 +87,6 @@ class BilinearSaddleForm:
     ay: float = 0.0
     bx: np.ndarray = None
     by: np.ndarray = None
-    const: float = 0.0
     _w_norm_cache: float = field(default=None, repr=False)
     matvec: callable = field(init=False, repr=False, compare=False)
     rmatvec: callable = field(init=False, repr=False, compare=False)
@@ -115,23 +109,12 @@ class BilinearSaddleForm:
             self._w_norm_cache = _w_norm(self.W)
         return self._w_norm_cache
 
-    def value(self, x, y):
-        return float(y @ self.matvec(x)
-                     + 0.5 * self.ax * (x @ x) + self.bx @ x
-                     - 0.5 * self.ay * (y @ y) - self.by @ y + self.const)
-
-    def grad_x(self, x, y):
-        return self.rmatvec(y) + self.ax * x + self.bx
-
-    def grad_y(self, x, y):
-        return self.matvec(x) - self.ay * y - self.by
-
     def shifted(self, d_ax=0.0, d_ay=0.0, d_bx=None, d_by=None):
         return BilinearSaddleForm(
             self.W, self.ax + d_ax, self.ay + d_ay,
             self.bx if d_bx is None else self.bx + d_bx,
             self.by if d_by is None else self.by + d_by,
-            self.const, self._w_norm_cache)
+            self._w_norm_cache)
 
 
 @dataclass
@@ -164,7 +147,6 @@ class GameSpec:
     best_response_x: callable = None
     best_response_y: callable = None
     monotone_modulus: float = None
-    cross_check: bool = False
 
     def __post_init__(self):
         if not (0 <= self.mu <= self.L and 0 <= self.nu <= self.L):
@@ -192,6 +174,63 @@ class GameSpec:
 
     def diameter_sq(self):
         return self.X.diameter() ** 2 + self.Y.diameter() ** 2
+
+    def shift_curvature(self, u1_x=0.0, u1_y=0.0, u2_x=0.0, u2_y=0.0,
+                        **constants):
+        """This game with u1 + u1_x |x|^2 + u1_y |y|^2 and
+        u2 + u2_x |x|^2 + u2_y |y|^2; partials and values whose added
+        coefficient is zero stay as they are.
+
+        h_structure, mu and nu gain the competitive part's added curvature,
+        u2_x - u1_x in x and u1_y - u2_y in y. L grows by twice the largest
+        coefficient, delta by the largest curvature added to the coupling
+        part, and monotone_modulus resets to min(mu, nu); constants
+        override any field. Best responses and known_ne are kept only
+        while no player's curvature in its own strategy moves.
+        """
+        d_ax, d_ay = u2_x - u1_x, u1_y - u2_y
+        coupling = max(abs(u1_x + u2_x), abs(u1_y + u2_y))
+        hs = self.h_structure
+        fields = dict(
+            grad_u1_x=_plus(self.grad_u1_x, 2 * u1_x, on_y=False),
+            grad_u1_y=_plus(self.grad_u1_y, 2 * u1_y, on_y=True),
+            grad_u2_x=_plus(self.grad_u2_x, 2 * u2_x, on_y=False),
+            grad_u2_y=_plus(self.grad_u2_y, 2 * u2_y, on_y=True),
+            u1=_plus_squares(self.u1, u1_x, u1_y),
+            u2=_plus_squares(self.u2, u2_x, u2_y),
+            L=self.L + 2 * max(abs(u1_x), abs(u1_y), abs(u2_x), abs(u2_y)),
+            mu=self.mu + d_ax, nu=self.nu + d_ay,
+            delta=self.delta + coupling if coupling else self.delta,
+            h_structure=None if hs is None else hs.shifted(d_ax, d_ay),
+            monotone_modulus=None)
+        if u1_x or u2_y:
+            fields.update(known_ne=None, best_response_x=None,
+                          best_response_y=None)
+        return dataclasses.replace(self, **{**fields, **constants})
+
+
+def _plus(f, k, on_y):
+    """f(x, y) + k y if on_y else f(x, y) + k x; f itself when k is 0."""
+    if k == 0:
+        return f
+    if on_y:
+        return lambda x, y: f(x, y) + k * y
+    return lambda x, y: f(x, y) + k * x
+
+
+def _plus_squares(u, cx, cy):
+    """u(x, y) + cx |x|^2 + cy |y|^2 without its zero terms."""
+    if u is None or not (cx or cy):
+        return u
+
+    def shifted(x, y):
+        v = u(x, y)
+        if cx:
+            v += cx * float(x @ x)
+        if cy:
+            v += cy * float(y @ y)
+        return v
+    return shifted
 
 
 def grad_g(game, z, ledger=None):
@@ -221,22 +260,7 @@ def operator_F(game, z, ledger=None):
     fy = -game.grad_u2_y(x, y)
     if ledger is not None:
         ledger.f_queries += 1
-    if game.cross_check:
-        g = grad_g(game, z)
-        h = operator_H(game, z)
-        err = max(np.max(np.abs(fx - g.x - h.x)), np.max(np.abs(fy - g.y - h.y)))
-        scale = max(1.0, float(np.max(np.abs(fx)) + np.max(np.abs(fy))))
-        if err > 1e-12 * scale:
-            raise AssertionError(
-                f"operator decomposition mismatch: |F - (grad g + H)| = {err:.3e}")
     return JointPoint(fx, fy)
-
-
-def random_feasible(S, rng, spread=1.0):
-    """A random feasible point: project canonical + scaled Gaussian noise."""
-    base = S.canonical_point()
-    scale = max(S.diameter(), 1.0) * spread
-    return S.project(base + scale * rng.standard_normal(S.dimension))
 
 
 @dataclass
@@ -261,13 +285,18 @@ def probe_structure(game, n_pairs, seed=0):
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     rng = np.random.default_rng(seed)
+
+    def draw(S):  # a canonical point plus Gaussian noise, projected
+        noise = rng.standard_normal(S.dimension)
+        return S.project(S.canonical_point() + max(S.diameter(), 1.0) * noise)
+
     mono = np.inf
     gsec = np.inf
     gsmooth = 0.0
     done = 0
     while done < n_pairs:
-        z = JointPoint(random_feasible(game.X, rng), random_feasible(game.Y, rng))
-        zp = JointPoint(random_feasible(game.X, rng), random_feasible(game.Y, rng))
+        z = JointPoint(draw(game.X), draw(game.Y))
+        zp = JointPoint(draw(game.X), draw(game.Y))
         dx = zp.x - z.x
         dy = zp.y - z.y
         nsq = float(dx @ dx + dy @ dy)

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import GameSpec, JointPoint, QueryLedger, grad_g
-from .solvers import (PdhgKernel, SaddleSubproblem, SolveReport,
-                      SolverConfig, StructureError, _JointProblem,
-                      extract_approx_ne, solve_apd_bilinear, solve_operator_eg)
+from .games import JointPoint, QueryLedger, grad_g, operator_H
+from .solvers import (JointProblem, PdhgKernel, SaddleSubproblem, SolveReport,
+                      SolverConfig, StructureError, displacement_certificate,
+                      drive, extract_approx_ne, solve_apd_bilinear,
+                      solve_operator_eg)
 
 
 class IclError(RuntimeError):
@@ -78,10 +79,9 @@ def build_subproblem(game, z_t, eta, ledger=None):
             d_bx=cg.x - z_t.x / eta,
             d_by=cg.y - z_t.y / eta)
 
-    def h_grad(x, y):
-        hx = 0.5 * (-game.grad_u1_x(x, y) + game.grad_u2_x(x, y))
-        hy = 0.5 * (-game.grad_u1_y(x, y) + game.grad_u2_y(x, y))
-        return hx, hy
+    def h_grad(x, y):  # (grad_x h, grad_y h)
+        H = operator_H(game, JointPoint(x, y))
+        return H.x, -H.y
 
     return SaddleSubproblem(
         c_x=cg.x, c_y=cg.y,
@@ -110,7 +110,7 @@ def check_inexactness(sub, candidate, ledger=None):
 
 
 def _accept_or_none(sub, x, y, gamma_ex, eps_t, ledger):
-    """Extract a candidate by one extragradient step and test the gap."""
+    """Extract a candidate by one projected step and test the gap."""
     gx, gy = sub.operator(x, y, ledger, "cert")
     xe = sub.X.project(x - gamma_ex * gx)
     ye = sub.Y.project(y - gamma_ex * gy)
@@ -139,19 +139,17 @@ def _solve_zero_coupling(game, z, eps, sched, ledger, certificate):
     cg = grad_g(game, z, ledger)
     form = game.h_structure.shifted(d_bx=cg.x, d_by=cg.y)
     kern = PdhgKernel(form, game.X, game.Y, z.x, z.y)
-    period = SolverConfig.certificate_period
-    bound = np.inf
-    for it in range(1, _inner_budget(sched, kern.rate()) + 1):
-        kern.step(ledger)
-        if it % period == 0:
-            bound = certificate(JointPoint(kern.x, kern.y))
-            if bound <= eps:
-                break
-    return JointPoint(kern.x.copy(), kern.y.copy()), bound
+    rep = drive(lambda: kern.step(ledger),
+                lambda: JointPoint(kern.x.copy(), kern.y.copy()), ledger,
+                _inner_budget(sched, kern.rate()),
+                lambda: certificate(np.concatenate([kern.x, kern.y])), eps,
+                SolverConfig.certificate_period)
+    bound = rep.certified_sq_distance
+    return rep.point, np.inf if bound is None else bound
 
 
-def solve_icl(game, eps, inner="auto", check_period=4, init=None,
-              keep_trace=False, max_outer=None, stop="schedule"):
+def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
+              stop="schedule"):
     """Outer loop of iterative coupling linearization.
 
     Every subproblem is solved until an extracted candidate passes the
@@ -188,21 +186,19 @@ def solve_icl(game, eps, inner="auto", check_period=4, init=None,
     ledger = QueryLedger()
     T = sched.T if max_outer is None else min(sched.T, max_outer)
 
-    if init is None:
-        z = JointPoint(game.X.canonical_point(), game.Y.canonical_point())
-    else:
-        z = init
+    z = JointPoint(game.X.canonical_point(), game.Y.canonical_point())
     use_apd = (inner == "apd") or (inner == "auto" and game.h_structure is not None)
     if inner == "apd" and game.h_structure is None:
         raise StructureError("game has no bilinear structure for the apd "
                              "inner solver; use inner='eg'")
 
     certifiable = game.monotone_modulus > 0
-    joint = _JointProblem(game, ledger)
+    joint = JointProblem(game, ledger)
     gamma_c = 1.0 / (2.0 * game.L)
 
-    def certificate(p):
-        return joint.certificate(p.concat(), gamma_c, game.monotone_modulus)
+    def certificate(z_cat):
+        return displacement_certificate(joint, z_cat, gamma_c,
+                                        game.monotone_modulus)
 
     by_certificate = stop == "certificate" and certifiable
     history = []
@@ -215,72 +211,72 @@ def solve_icl(game, eps, inner="auto", check_period=4, init=None,
         outer = 1
         if keep_trace:
             trace.append(z)
-    while outer < T and (bound is None or bound > eps):
+
+    def outer_step():
+        nonlocal z
         sub = build_subproblem(game, z, sched.eta, ledger)
 
-        def stop_check(x, y, _sub=sub):
-            return _accept_or_none(_sub, x, y, gamma_ex, eps_t, ledger)
+        def stop_check(x, y):
+            return _accept_or_none(sub, x, y, gamma_ex, eps_t, ledger)
 
-        Lop, _ = sub.operator_bounds()
         if use_apd:
             f = sub.phi_form
-            per_iter = min(0.5, np.sqrt(f.ax * f.ay) / max(f.w_norm(), 1e-14))
-        else:
-            per_iter = max(sub.mu_sub / (np.sqrt(2.0) * Lop), 1e-8)
-        budget = _inner_budget(sched, per_iter)
-
-        if use_apd:
             rep = solve_apd_bilinear(
-                sub, target_sq_dist=sched.inner_target, max_iter=budget,
-                certificate_period=64, ledger=ledger,
-                stop_check=stop_check, check_period=check_period)
+                sub, target_sq_dist=sched.inner_target,
+                max_iter=_inner_budget(sched, min(
+                    0.5, np.sqrt(f.ax * f.ay) / max(f.w_norm(), 1e-14))),
+                certificate_period=64, ledger=ledger, stop_check=stop_check)
         else:
+            Lop, _ = sub.operator_bounds()
             rep = solve_operator_eg(
                 sub.operator, sub.X, sub.Y, sub.x_center, sub.y_center,
-                gamma=gamma_ex, budget=budget, ledger=ledger,
-                stop_check=stop_check, check_period=check_period,
+                gamma=gamma_ex, budget=_inner_budget(sched, max(
+                    sub.mu_sub / (np.sqrt(2.0) * Lop), 1e-8)),
+                ledger=ledger, stop_check=stop_check,
                 target_sq_dist=sched.inner_target, mu_min=sub.mu_sub,
                 Lop=Lop, certificate_period=64)
 
-        if "accepted" in rep.extras:
-            cand, gap = rep.extras["accepted"]
-        else:
+        accepted = rep.extras.get("accepted")
+        if accepted is None:
             if rep.status != "converged":
                 raise IclError(
                     f"inner solve stalled: gap did not reach {eps_t:.3e} "
                     f"within {rep.iterations} iterations")
-            got = _accept_or_none(sub, rep.point.x, rep.point.y, gamma_ex,
-                                  eps_t, ledger)
-            if got is None:
+            accepted = _accept_or_none(sub, rep.point.x, rep.point.y,
+                                       gamma_ex, eps_t, ledger)
+            if accepted is None:
                 raise IclError(
                     "inexactness check failed after a distance-certified "
                     "inner solve; this contradicts the extraction bound "
                     "and indicates a bug")
-            cand, gap = got
-        z = cand
-        outer += 1
+        z, gap = accepted
         history.append((rep.iterations, gap))
         if keep_trace:
             trace.append(z)
-        if by_certificate:
-            bound = certificate(z)
+
+    if bound is None or bound > eps:
+        run = drive(outer_step, lambda: z, ledger, T - outer,
+                    (lambda: certificate(z.concat())) if by_certificate
+                    else None, eps, 1)
+        outer += run.iterations
+        if run.residual_history:
+            bound = run.certified_sq_distance
 
     # the contraction bound covers the proximal iterations only
     certified = ((1.0 - sched.theta) ** len(history) * sched.diameter_sq
                  + eps / 2.0)
     if certifiable and bound is None:
-        bound = certificate(z)
+        bound = certificate(z.concat())
     if bound is not None:
         certified = min(certified, bound)
 
-    report = SolveReport(
+    return SolveReport(
         point=z, ledger=ledger, iterations=outer,
         certified_sq_distance=certified,
         residual_history=history,
         status="converged" if certified <= eps else "max_iter",
         extras={"schedule": sched, "trace": trace},
     )
-    return report
 
 
 def solve_monotone(game, eps, inner="auto"):
@@ -302,28 +298,7 @@ def solve_monotone(game, eps, inner="auto"):
     a_x = min(eps / (4.0 * DX2), game.L / 2.0)
     a_y = min(eps / (4.0 * DY2), game.L / 2.0)
 
-    u1x, u1y = game.grad_u1_x, game.grad_u1_y
-    u2x, u2y = game.grad_u2_x, game.grad_u2_y
-    u1v, u2v = game.u1, game.u2
-    hs = game.h_structure
-    reduced = GameSpec(
-        grad_u1_x=lambda x, y: u1x(x, y) - 2 * a_x * x,
-        grad_u1_y=lambda x, y: u1y(x, y) + 2 * a_y * y,
-        grad_u2_x=lambda x, y: u2x(x, y) + 2 * a_x * x,
-        grad_u2_y=lambda x, y: u2y(x, y) - 2 * a_y * y,
-        L=game.L + 2 * max(a_x, a_y),
-        mu=game.mu + 2 * a_x,
-        nu=game.nu + 2 * a_y,
-        delta=game.delta,
-        X=game.X, Y=game.Y,
-        u1=(None if u1v is None else
-            lambda x, y: u1v(x, y) - a_x * float(x @ x) + a_y * float(y @ y)),
-        u2=(None if u2v is None else
-            lambda x, y: u2v(x, y) + a_x * float(x @ x) - a_y * float(y @ y)),
-        h_structure=(None if hs is None else
-                     hs.shifted(d_ax=2 * a_x, d_ay=2 * a_y)),
-        monotone_modulus=min(game.mu + 2 * a_x, game.nu + 2 * a_y),
-    )
+    reduced = game.shift_curvature(u1_x=-a_x, u1_y=a_y, u2_x=a_x, u2_y=-a_y)
 
     D_sq = DX2 + DY2
     eps_acc = eps ** 2 / (32.0 * game.L ** 2 * D_sq)

@@ -7,6 +7,7 @@ leader-follower example with closed-form solutions, and matching
 pennies.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,11 +79,15 @@ class MatrixGame:
         whenever |C| <= sqrt(mu nu)/2. Beyond that range it defaults to 0:
         no certificate.
         """
-        A, B, mu, nu = self.A, self.B, self.reg_mu, self.reg_nu
         if L is None:
             L = self.smoothness()
+        return self._spec(L, self.coupling_norm(), monotone_modulus)
+
+    def _spec(self, L, beta, monotone_modulus=None):
+        """game_spec given L and the coupling norm beta = |C|, which the
+        reformulation knows without a norm estimate."""
+        A, B, mu, nu = self.A, self.B, self.reg_mu, self.reg_nu
         K = self.competitive_matrix()
-        beta = self.coupling_norm()
         if monotone_modulus is None:
             if beta == 0:
                 monotone_modulus = min(mu, nu)
@@ -181,37 +186,14 @@ class ReformulatedGame:
     beta2: float
 
     def game_spec(self, L=None):
-        g = self.base
-        A, B, mu, nu = g.A, g.B, g.reg_mu, g.reg_nu
-        b1, b2 = self.beta1, self.beta2
-        K = g.competitive_matrix()
+        """The base game's spec with the curvature shift; delta becomes
+        beta + max(beta1, beta2) and the moduli are stated as mu/2, nu/2,
+        which the case rules of reformulate_bilinear guarantee."""
+        g, b1, b2 = self.base, self.beta1, self.beta2
         if L is None:
             L = g.smoothness() + 2 * max(b1, b2)
-        delta = self.beta + max(b1, b2)
-
-        def u1(x, y):
-            return float(y @ spmv(A, x) - 0.5 * mu * (x @ x)
-                         + 0.5 * nu * (y @ y) - b2 * (y @ y))
-
-        def u2(x, y):
-            return float(y @ spmv(B, x) + 0.5 * mu * (x @ x)
-                         - 0.5 * nu * (y @ y) - b1 * (x @ x))
-
-        X, Y = Simplex(g.n), Simplex(g.m)
-        return GameSpec(
-            grad_u1_x=lambda x, y: spmv_transpose(A, y) - mu * x,
-            grad_u1_y=lambda x, y: spmv(A, x) + nu * y - 2 * b2 * y,
-            grad_u2_x=lambda x, y: spmv_transpose(B, y) + mu * x - 2 * b1 * x,
-            grad_u2_y=lambda x, y: spmv(B, x) - nu * y,
-            L=L, mu=mu / 2, nu=nu / 2, delta=delta,
-            X=X, Y=Y, u1=u1, u2=u2,
-            h_structure=BilinearSaddleForm(K.scaled(-1.0), ax=mu - b1, ay=nu - b2),
-            best_response_x=_quad_best_response(
-                lambda y: spmv_transpose(A, y), mu, X),
-            best_response_y=_quad_best_response(
-                lambda x: spmv(B, x), nu, Y),
-            monotone_modulus=min(mu, nu) / 2,
-        )
+        return g._spec(L, self.beta).shift_curvature(
+            u1_y=-b2, u2_x=-b1, L=L, mu=g.reg_mu / 2, nu=g.reg_nu / 2)
 
 
 def _certifiably_monotone(beta, mu, nu):
@@ -269,27 +251,7 @@ def reformulate_general(game, beta):
         raise ValueError("beta must be at most min(mu, nu)/2")
     if beta == 0.0:
         return game
-    u1x, u1y = game.grad_u1_x, game.grad_u1_y
-    u2x, u2y = game.grad_u2_x, game.grad_u2_y
-    u1v, u2v = game.u1, game.u2
-    hs = game.h_structure
-    new_hs = hs.shifted(d_ax=-beta, d_ay=-beta) if hs is not None else None
-    return GameSpec(
-        grad_u1_x=u1x,
-        grad_u1_y=lambda x, y: u1y(x, y) - 2 * beta * y,
-        grad_u2_x=lambda x, y: u2x(x, y) - 2 * beta * x,
-        grad_u2_y=u2y,
-        L=game.L + 2 * beta,
-        mu=game.mu - beta, nu=game.nu - beta, delta=min(2 * beta, game.L + 2 * beta),
-        X=game.X, Y=game.Y,
-        known_ne=game.known_ne,
-        u1=(None if u1v is None else
-            lambda x, y: u1v(x, y) - beta * float(y @ y)),
-        u2=(None if u2v is None else
-            lambda x, y: u2v(x, y) - beta * float(x @ x)),
-        h_structure=new_hs,
-        monotone_modulus=min(game.mu - beta, game.nu - beta),
-    )
+    return game.shift_curvature(u1_y=-beta, u2_x=-beta, delta=2 * beta)
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +368,15 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
         return float(0.5 * mu * (x @ x) - 0.5 * nu * (y @ y)
                      + y @ (K @ x) + kx @ x + ky @ y)
 
-    def grad_g_x(x, y):
-        z = np.concatenate([x, y])
-        return (G @ z)[:n_x] + c[:n_x]
+    def g_grad(x, y, block):  # block xs or ys of grad g = G z + c
+        return (G @ np.concatenate([x, y]))[block] + c[block]
 
-    def grad_g_y(x, y):
-        z = np.concatenate([x, y])
-        return (G @ z)[n_x:] + c[n_x:]
-
+    xs, ys = slice(None, n_x), slice(n_x, None)
     spec = GameSpec(
-        grad_u1_x=lambda x, y: -grad_g_x(x, y) - (mu * x + K.T @ y + kx),
-        grad_u1_y=lambda x, y: -grad_g_y(x, y) - (-nu * y + K @ x + ky),
-        grad_u2_x=lambda x, y: -grad_g_x(x, y) + (mu * x + K.T @ y + kx),
-        grad_u2_y=lambda x, y: -grad_g_y(x, y) + (-nu * y + K @ x + ky),
+        grad_u1_x=lambda x, y: -g_grad(x, y, xs) - (mu * x + K.T @ y + kx),
+        grad_u1_y=lambda x, y: -g_grad(x, y, ys) - (-nu * y + K @ x + ky),
+        grad_u2_x=lambda x, y: -g_grad(x, y, xs) + (mu * x + K.T @ y + kx),
+        grad_u2_y=lambda x, y: -g_grad(x, y, ys) + (-nu * y + K @ x + ky),
         L=float(L), mu=mu, nu=nu, delta=delta,
         X=X, Y=Y,
         known_ne=JointPoint(x_star, y_star),
@@ -456,8 +414,7 @@ def stackelberg_example():
     W = np.array([[-0.25, 0.25]])
     h_form = BilinearSaddleForm(W, ax=0.5, ay=1.0,
                                 bx=np.array([-0.5, -0.5]),
-                                by=np.array([1.0]),
-                                const=0.0)
+                                by=np.array([1.0]))
     Hg = np.array([[0.5, 0.0, -0.25],
                    [0.0, 0.5, -0.25],
                    [-0.25, -0.25, 1.0]])
@@ -492,16 +449,6 @@ def matching_pennies():
     """Zero-sum 2x2 game with the uniform mixed equilibrium, mu = nu = 0."""
     M = SparseMatrix.from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     game = fee_game(M, 0.0, 0.0, 0.0)
-    spec = game.game_spec()
-    return GameSpec(
-        grad_u1_x=spec.grad_u1_x, grad_u1_y=spec.grad_u1_y,
-        grad_u2_x=spec.grad_u2_x, grad_u2_y=spec.grad_u2_y,
-        L=spec.L, mu=0.0, nu=0.0, delta=0.0,
-        X=spec.X, Y=spec.Y,
-        known_ne=JointPoint(np.array([0.5, 0.5]), np.array([0.5, 0.5])),
-        u1=spec.u1, u2=spec.u2,
-        h_structure=spec.h_structure,
-        best_response_x=spec.best_response_x,
-        best_response_y=spec.best_response_y,
-        monotone_modulus=0.0,
-    )
+    return dataclasses.replace(
+        game.game_spec(),
+        known_ne=JointPoint(np.array([0.5, 0.5]), np.array([0.5, 0.5])))

@@ -111,8 +111,15 @@ def write_point(path, point):
 
 
 def read_point(path):
+    """Read a point file: a JSON object whose "x" and "y" are lists of
+    numbers. Raises FormatError on anything else."""
     with open(path) as fh:
         data = json.load(fh)
+    if not (isinstance(data, dict) and all(
+            isinstance(data.get(k), list)
+            and all(_is_real(v) for v in data[k]) for k in ("x", "y"))):
+        raise FormatError('point file must be a JSON object whose "x" and '
+                          '"y" are lists of numbers')
     return JointPoint(np.asarray(data["x"], dtype=np.float64),
                       np.asarray(data["y"], dtype=np.float64))
 

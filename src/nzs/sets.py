@@ -197,14 +197,3 @@ class ProductSet(FeasibleSet):
     def __repr__(self):
         return f"ProductSet({self.parts!r})"
 
-
-def project(S, v):
-    return S.project(v)
-
-
-def lmo(S, c):
-    return S.lmo(c)
-
-
-def diameter(S):
-    return S.diameter()

@@ -4,6 +4,10 @@ Whole-game baselines (extragradient and optimistic gradient), the
 displacement-based stopping certificate, approximate-equilibrium
 extraction, and a primal-dual inner solver for bilinear subproblems with
 strongly convex separable parts.
+
+Every solver is a kernel step run by one step-and-poll loop, ``drive``,
+and every stopping certificate, whole-game or subproblem, is
+``displacement_certificate`` on a concatenated-iterate ``JointProblem``.
 """
 
 from dataclasses import dataclass, field
@@ -11,6 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import BilinearSaddleForm, JointPoint, QueryLedger
+
+# a solve's stop_check is polled before every CHECK_PERIOD-th step
+CHECK_PERIOD = 4
 
 
 class StructureError(RuntimeError):
@@ -21,15 +28,12 @@ class StructureError(RuntimeError):
 @dataclass
 class SolverConfig:
     epsilon: float
-    gamma: float = None
     max_iter: int = 5_000_000
     certificate_period: int = 8
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
 
 
 @dataclass
@@ -44,82 +48,54 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# extragradient primitives and the stopping certificate
+# the concatenated iterate, the extragradient step and the certificate
 # ---------------------------------------------------------------------------
 
-def extragradient_step(F_oracle, z, gamma, Z, ledger=None):
-    """One look-ahead projected step: returns (z_hat, z_plus) with
-    z_hat = P(z - gamma F(z)) and z_plus = P(z - gamma F(z_hat))."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    f0 = F_oracle(z)
-    if ledger is not None:
-        ledger.f_queries += 1
-    zh = JointPoint.split(Z.project(np.concatenate([z.x - gamma * f0.x,
-                                                    z.y - gamma * f0.y])),
-                          len(z.x))
-    f1 = F_oracle(zh)
-    if ledger is not None:
-        ledger.f_queries += 1
-    zp = JointPoint.split(Z.project(np.concatenate([z.x - gamma * f1.x,
-                                                    z.y - gamma * f1.y])),
-                          len(z.x))
-    return zh, zp
+class OperatorProblem:
+    """Concatenated-iterate view z = (x, y) over X x Y of a saddle operator
+    (x, y, ledger, bucket) -> (gx, gy), such as SaddleSubproblem.operator,
+    which does its own ledgering; L is its Lipschitz bound, needed only
+    for certificates. A fresh ledger is made when none is given.
 
-
-def certificate_coefficient(mu_min, gamma):
-    t = mu_min * gamma
-    return 4.0 / t ** 2 - 2.0 / t + 16.0
-
-
-def certify_distance(F_oracle, z_bar, gamma, mu_min, L, Z, ledger=None):
-    """Computable upper bound on |z_bar - z*|^2 for strongly monotone games.
-
-    Takes one extragradient displacement at stepsize gamma <= 1/(2L) and
-    returns (4/(mu g)^2 - 2/(mu g) + 16) |z_plus - z_bar|^2.
+    F(z, bucket) returns the operator at z in a fresh array.
     """
-    if mu_min <= 0:
-        raise ValueError("certificate undefined for mu_min = 0")
-    if not 0 < gamma <= 1.0 / (2 * L) * (1 + 1e-12):
-        raise ValueError("certificate requires 0 < gamma <= 1/(2L)")
-    _, zp = extragradient_step(F_oracle, z_bar, gamma, Z, ledger)
-    dx = zp.x - z_bar.x
-    dy = zp.y - z_bar.y
-    return certificate_coefficient(mu_min, gamma) * float(dx @ dx + dy @ dy)
+
+    def __init__(self, operator, X, Y, ledger=None, L=None):
+        self.operator = operator
+        self.X, self.Y = X, Y
+        self.ledger = QueryLedger() if ledger is None else ledger
+        self.L = L
+        self.nx = X.dimension
+
+    def F(self, z, bucket="h"):
+        return np.concatenate(self.operator(z[:self.nx], z[self.nx:],
+                                            self.ledger, bucket))
+
+    def project(self, z):
+        return np.concatenate([self.X.project(z[:self.nx]),
+                               self.Y.project(z[self.nx:])])
+
+    def step(self, z, gamma, d):
+        """P(z - gamma d), computed in d's buffer; d must not escape."""
+        d *= gamma
+        np.subtract(z, d, out=d)
+        return self.project(d)
+
+    def extragradient(self, z, gamma, bucket):
+        """P(z - gamma F(P(z - gamma F(z)))), both queries ledgered in
+        bucket."""
+        zh = self.step(z, gamma, self.F(z, bucket))
+        return self.step(z, gamma, self.F(zh, bucket))
 
 
-def extract_approx_ne(game, z_bar, gamma, dist=None, ledger=None):
-    """One projected best-response-direction step per player.
+class JointProblem(OperatorProblem):
+    """The same view of a game's operator F = -(grad_x u1, grad_y u2),
+    with L = game.L; F ledgers the query as f, or as cert for any other
+    bucket."""
 
-    Returns ((x_hat, y_hat), bound) where bound = (2/gamma) D |dist| is a
-    unilateral-deviation-gain bound valid when dist >= |z_bar - z*|; bound
-    is None when dist is not supplied. Requires gamma <= 1/(sqrt(2) L).
-    """
-    if not 0 < gamma <= 1.0 / (np.sqrt(2) * game.L) * (1 + 1e-12):
-        raise ValueError("extraction requires 0 < gamma <= 1/(sqrt(2) L)")
-    x, y = z_bar.x, z_bar.y
-    x_hat = game.X.project(x + gamma * game.grad_u1_x(x, y))
-    y_hat = game.Y.project(y + gamma * game.grad_u2_y(x, y))
-    if ledger is not None:
-        ledger.f_queries += 1
-    bound = None
-    if dist is not None:
-        bound = (2.0 / gamma) * np.sqrt(game.diameter_sq()) * float(dist)
-    return JointPoint(x_hat, y_hat), bound
-
-
-# ---------------------------------------------------------------------------
-# internal vectorized operator loop
-# ---------------------------------------------------------------------------
-
-class _JointProblem:
-    """Concatenated-iterate view of a game for the baseline loops."""
-
-    def __init__(self, game, ledger):
+    def __init__(self, game, ledger=None):
+        super().__init__(None, game.X, game.Y, ledger, game.L)
         self.game = game
-        self.ledger = ledger
-        self.nx = game.X.dimension
-        self.X, self.Y = game.X, game.Y
 
     def F(self, z, bucket="f"):
         x = z[:self.nx]
@@ -133,81 +109,136 @@ class _JointProblem:
             self.ledger.cert_queries += 1
         return out
 
-    def project(self, z):
-        return np.concatenate([self.X.project(z[:self.nx]),
-                               self.Y.project(z[self.nx:])])
 
-    def start(self):
-        return np.concatenate([self.X.canonical_point(),
-                               self.Y.canonical_point()])
+def certificate_coefficient(mu_min, gamma):
+    t = mu_min * gamma
+    return 4.0 / t ** 2 - 2.0 / t + 16.0
 
-    def step(self, z, gamma, d):
-        """P(z - gamma d), computed in d's buffer; d must not escape."""
-        d *= gamma
-        np.subtract(z, d, out=d)
-        return self.project(d)
 
-    def certificate(self, z, gamma_c, mu_min):
-        zh = self.step(z, gamma_c, self.F(z, "cert"))
-        d = self.step(z, gamma_c, self.F(zh, "cert"))
-        d -= z
-        return certificate_coefficient(mu_min, gamma_c) * float(d @ d)
+def displacement_certificate(prob, z, gamma, mu_min):
+    """Computable upper bound on |z - z*|^2 when prob's operator is
+    mu_min-strongly monotone.
+
+    Takes one extragradient displacement from the concatenated iterate z at
+    stepsize gamma <= 1/(2 prob.L), both queries ledgered as cert, and
+    returns (4/(mu g)^2 - 2/(mu g) + 16) |z_plus - z|^2.
+    """
+    if mu_min <= 0:
+        raise ValueError("certificate undefined for mu_min = 0")
+    if not 0 < gamma <= 1.0 / (2 * prob.L) * (1 + 1e-12):
+        raise ValueError("certificate requires 0 < gamma <= 1/(2L)")
+    d = prob.extragradient(z, gamma, "cert")
+    d -= z
+    return certificate_coefficient(mu_min, gamma) * float(d @ d)
+
+
+def drive(step, point, ledger, max_iter, certificate, target, period,
+          stop_check=None):
+    """The step-and-poll loop of every solver: up to max_iter calls of
+    step(). stop_check(), if given, is polled before the first step and
+    every CHECK_PERIOD-th after it; a non-None result stops the run as
+    extras["accepted"]. certificate(), if given, is polled after every
+    period-th step into residual_history as (steps, value); a value at
+    most target stops the run. Returns the SolveReport of point() with the
+    last certificate, "converged" if a poll stopped the run, else
+    "max_iter".
+    """
+    history = []
+    status, extras = "max_iter", {}
+    it = 0
+    while it < max_iter:
+        if stop_check is not None and it % CHECK_PERIOD == 0:
+            accepted = stop_check()
+            if accepted is not None:
+                status, extras = "converged", {"accepted": accepted}
+                break
+        step()
+        it += 1
+        if certificate is not None and it % period == 0:
+            history.append((it, certificate()))
+            if history[-1][1] <= target:
+                status = "converged"
+                break
+    return SolveReport(point(), ledger, it,
+                       history[-1][1] if history else None, history, status,
+                       extras)
+
+
+def extract_approx_ne(game, z_bar, gamma, dist=None, ledger=None):
+    """One projected best-response-direction step per player.
+
+    Returns ((x_hat, y_hat), bound) where bound = (2/gamma) D |dist| is a
+    unilateral-deviation-gain bound valid when dist >= |z_bar - z*|; bound
+    is None when dist is not supplied. Requires gamma <= 1/(sqrt(2) L).
+    """
+    if not 0 < gamma <= 1.0 / (np.sqrt(2) * game.L) * (1 + 1e-12):
+        raise ValueError("extraction requires 0 < gamma <= 1/(sqrt(2) L)")
+    prob = JointProblem(game, ledger)
+    z = z_bar.concat()
+    point = JointPoint.split(prob.step(z, gamma, prob.F(z)), prob.nx)
+    bound = None
+    if dist is not None:
+        bound = (2.0 / gamma) * np.sqrt(game.diameter_sq()) * float(dist)
+    return point, bound
+
+
+# ---------------------------------------------------------------------------
+# whole-game baselines
+# ---------------------------------------------------------------------------
+
+def _run(prob, z, step, max_iter, mu_min, target, period, stop_check=None):
+    """drive z = step(z) on prob's concatenated iterate from z, polling
+    the certificate (stepsize 1/(2 prob.L), modulus mu_min) unless mu_min
+    is None, and stop_check(x, y) when given."""
+    nx = prob.nx
+
+    def advance():
+        nonlocal z
+        z = step(z)
+
+    def certificate():
+        return displacement_certificate(prob, z, 1.0 / (2 * prob.L), mu_min)
+
+    return drive(
+        advance, lambda: JointPoint.split(z, nx), prob.ledger, max_iter,
+        None if mu_min is None else certificate, target, period,
+        None if stop_check is None else lambda: stop_check(z[:nx], z[nx:]))
 
 
 def _baseline_solve(game, config, method):
-    ledger = QueryLedger()
-    prob = _JointProblem(game, ledger)
+    prob = JointProblem(game)
     L = game.L
-    gamma = config.gamma
-    if gamma is None:
-        gamma = 1.0 / (np.sqrt(2) * L) if method == "eg" else 1.0 / (2 * L)
-    gamma_c = 1.0 / (2 * L)
-    mu_min = game.monotone_modulus
-    certified = mu_min > 0
-    eps = config.epsilon
-    period = config.certificate_period
-
-    z = prob.start()
-    history = []
-    best_bound = None
-    status = "max_iter"
-    it = 0
+    gamma = 1.0 / (np.sqrt(2) * L) if method == "eg" else 1.0 / (2 * L)
     f_prev = None
-    while it < config.max_iter:
-        if method == "eg":
-            zh = prob.step(z, gamma, prob.F(z))
-            z = prob.step(z, gamma, prob.F(zh))
-        else:  # optimistic: reuse the previous operator value
-            f_cur = prob.F(z)
-            if f_prev is None:
-                f_prev = f_cur
-            d = 2.0 * f_cur
-            d -= f_prev
-            z = prob.step(z, gamma, d)
+
+    def ogda_step(z):  # optimistic: reuse the previous operator value
+        nonlocal f_prev
+        f_cur = prob.F(z)
+        if f_prev is None:
             f_prev = f_cur
-        it += 1
-        if certified and it % period == 0:
-            bound = prob.certificate(z, gamma_c, mu_min)
-            history.append((it, bound))
-            best_bound = bound if best_bound is None else min(best_bound, bound)
-            if bound <= eps:
-                status = "converged"
-                best_bound = bound
-                break
-    return SolveReport(
-        point=JointPoint.split(z, prob.nx),
-        ledger=ledger,
-        iterations=it,
-        certified_sq_distance=best_bound,
-        residual_history=history,
-        status=status,
-    )
+        d = 2.0 * f_cur
+        d -= f_prev
+        f_prev = f_cur
+        return prob.step(z, gamma, d)
+
+    mu_min = game.monotone_modulus
+    rep = _run(prob,
+               np.concatenate([game.X.canonical_point(),
+                               game.Y.canonical_point()]),
+               (lambda z: prob.extragradient(z, gamma, "f")) if method == "eg"
+               else ogda_step, config.max_iter,
+               mu_min if mu_min > 0 else None, config.epsilon,
+               config.certificate_period)
+    # the best certificate seen, which a max_iter run's last need not be
+    rep.certified_sq_distance = min((b for _, b in rep.residual_history),
+                                    default=None)
+    return rep
 
 
 def solve_eg(game, config):
     """Extragradient with displacement-certificate stopping.
 
-    Stepsize defaults to 1/(sqrt(2) L); two operator queries per
+    Stepsize 1/(sqrt(2) L); two operator queries per
     iteration; the certificate is evaluated every certificate_period
     iterations at stepsize 1/(2L) and its queries are ledgered separately.
     """
@@ -217,8 +248,8 @@ def solve_eg(game, config):
 def solve_ogda(game, config):
     """Optimistic (past-iterate) gradient descent ascent.
 
-    Update z+ = P(z - gamma (2 F(z) - F(z_prev))) with stepsize defaulting
-    to 1/(2L); one new operator query per iteration. The first iteration
+    Update z+ = P(z - gamma (2 F(z) - F(z_prev))) with stepsize
+    gamma = 1/(2L); one new operator query per iteration. The first iteration
     (z_prev = z_0) reduces to a projected gradient step.
     """
     return _baseline_solve(game, config, "ogda")
@@ -285,18 +316,6 @@ class SaddleSubproblem:
             return max(f.ax, f.ay) + f.w_norm(), min(f.ax, f.ay)
         return self.L_sub, self.mu_sub
 
-    def certificate(self, x, y, mu_min, ledger=None):
-        Lop, _ = self.operator_bounds()
-        gamma_c = 1.0 / (2 * Lop)
-        gx, gy = self.operator(x, y, ledger, "cert")
-        xh = self.X.project(x - gamma_c * gx)
-        yh = self.Y.project(y - gamma_c * gy)
-        gx, gy = self.operator(xh, yh, ledger, "cert")
-        xp = self.X.project(x - gamma_c * gx)
-        yp = self.Y.project(y - gamma_c * gy)
-        d2 = float((xp - x) @ (xp - x) + (yp - y) @ (yp - y))
-        return certificate_coefficient(mu_min, gamma_c) * d2
-
 
 class PdhgKernel:
     """Primal-dual steps for min_x max_y p(x) + <W x, y> - q(y) with
@@ -331,7 +350,7 @@ class PdhgKernel:
         self._x_scale = 1.0 + self.tau * form.ax
         self._y_scale = 1.0 + self.sigma * form.ay
 
-    def step(self, ledger=None):
+    def step(self, ledger):
         # x+ = P((x - tau (W'y + bx)) / (1 + tau ax)) and
         # y+ = P((y + sigma (W x_bar - by)) / (1 + sigma ay)), each built in
         # one fresh buffer; self.x and self.y are rebound, never written
@@ -353,8 +372,7 @@ class PdhgKernel:
         t /= self._y_scale
         self.y = self.Y.project(t)
         self.x = x_new
-        if ledger is not None:
-            ledger.h_queries += 1
+        ledger.h_queries += 1
 
     def rate(self):
         f = self.form
@@ -365,14 +383,13 @@ class PdhgKernel:
 
 
 def solve_apd_bilinear(sub, target_sq_dist, max_iter=None,
-                       certificate_period=8, ledger=None, stop_check=None,
-                       check_period=4):
+                       certificate_period=8, ledger=None, stop_check=None):
     """Accelerated primal-dual solve of a structured saddle subproblem.
 
     Runs the strongly-convex primal-dual kernel until the displacement
     certificate on the subproblem operator shows a squared distance at
     most target_sq_dist (certificate queries ledgered separately). An
-    optional stop_check(x, y) callback is polled every check_period
+    optional stop_check(x, y) callback is polled every CHECK_PERIOD
     iterations; a non-None return stops the solve early and is attached to
     the report extras (this is how the outer loop certifies inexactness
     directly and skips the distance target).
@@ -384,96 +401,39 @@ def solve_apd_bilinear(sub, target_sq_dist, max_iter=None,
         raise StructureError(
             "subproblem has no bilinear structure; fall back to solve_eg or "
             "solve_ogda on the subproblem operator")
-    if ledger is None:
-        ledger = QueryLedger()
-    form = sub.phi_form
-    kern = PdhgKernel(form, sub.X, sub.Y, sub.x_center, sub.y_center)
+    kern = PdhgKernel(sub.phi_form, sub.X, sub.Y, sub.x_center, sub.y_center)
     Lop, mu_min = sub.operator_bounds()
+    prob = OperatorProblem(sub.operator, sub.X, sub.Y, ledger, Lop)
     if max_iter is None:
         d0 = sub.X.diameter() ** 2 + sub.Y.diameter() ** 2
         span = max(np.log(max(d0, 1.0) / target_sq_dist), 1.0) if target_sq_dist \
             else 40.0
         max_iter = int(60.0 * span / kern.rate()) + 200
-    history = []
-    status = "max_iter"
-    bound = None
-    accepted = None
-    it = 0
-    while it < max_iter:
-        if stop_check is not None and it % check_period == 0:
-            accepted = stop_check(kern.x, kern.y)
-            if accepted is not None:
-                status = "converged"
-                break
-        kern.step(ledger)
-        it += 1
-        if target_sq_dist is not None and it % certificate_period == 0:
-            bound = sub.certificate(kern.x, kern.y, mu_min, ledger)
-            history.append((it, bound))
-            if bound <= target_sq_dist:
-                status = "converged"
-                break
-    return SolveReport(
-        point=JointPoint(kern.x.copy(), kern.y.copy()),
-        ledger=ledger,
-        iterations=it,
-        certified_sq_distance=bound,
-        residual_history=history,
-        status=status,
-        extras={} if accepted is None else {"accepted": accepted},
-    )
+
+    def certificate():
+        return displacement_certificate(
+            prob, np.concatenate([kern.x, kern.y]), 1.0 / (2 * Lop), mu_min)
+
+    return drive(
+        lambda: kern.step(prob.ledger),
+        lambda: JointPoint(kern.x.copy(), kern.y.copy()), prob.ledger,
+        max_iter, None if target_sq_dist is None else certificate,
+        target_sq_dist,
+        certificate_period,
+        None if stop_check is None else lambda: stop_check(kern.x, kern.y))
 
 
 def solve_operator_eg(operator, X, Y, x0, y0, gamma, budget, ledger=None,
-                      bucket="h", stop_check=None, check_period=4,
-                      target_sq_dist=None, mu_min=None, Lop=None,
-                      certificate_period=8):
-    """Plain extragradient on an arbitrary saddle operator (x, y) ->
-    (gx, gy). Generic fallback for subproblems without bilinear structure.
+                      bucket="h", stop_check=None, target_sq_dist=None,
+                      mu_min=None, Lop=None, certificate_period=8):
+    """Plain extragradient on an arbitrary saddle operator (x, y, ledger,
+    bucket) -> (gx, gy). Generic fallback for subproblems without bilinear
+    structure; stop_check and the certificate are polled as in
+    solve_apd_bilinear, the certificate only when mu_min and Lop are given.
     """
-    if ledger is None:
-        ledger = QueryLedger()
-    x = np.array(x0, dtype=np.float64)
-    y = np.array(y0, dtype=np.float64)
-    status = "max_iter"
-    accepted = None
-    bound = None
-    history = []
-    it = 0
-    while it < budget:
-        if stop_check is not None and it % check_period == 0:
-            accepted = stop_check(x, y)
-            if accepted is not None:
-                status = "converged"
-                break
-        gx, gy = operator(x, y, ledger, bucket)
-        xh = X.project(x - gamma * gx)
-        yh = Y.project(y - gamma * gy)
-        gx, gy = operator(xh, yh, ledger, bucket)
-        x = X.project(x - gamma * gx)
-        y = Y.project(y - gamma * gy)
-        it += 1
-        if (target_sq_dist is not None and mu_min and Lop
-                and it % certificate_period == 0):
-            gamma_c = 1.0 / (2 * Lop)
-            g1x, g1y = operator(x, y, ledger, "cert")
-            xh = X.project(x - gamma_c * g1x)
-            yh = Y.project(y - gamma_c * g1y)
-            g2x, g2y = operator(xh, yh, ledger, "cert")
-            xp = X.project(x - gamma_c * g2x)
-            yp = Y.project(y - gamma_c * g2y)
-            d2 = float((xp - x) @ (xp - x) + (yp - y) @ (yp - y))
-            bound = certificate_coefficient(mu_min, gamma_c) * d2
-            history.append((it, bound))
-            if bound <= target_sq_dist:
-                status = "converged"
-                break
-    return SolveReport(
-        point=JointPoint(x.copy(), y.copy()),
-        ledger=ledger,
-        iterations=it,
-        certified_sq_distance=bound,
-        residual_history=history,
-        status=status,
-        extras={} if accepted is None else {"accepted": accepted},
-    )
+    prob = OperatorProblem(operator, X, Y, ledger, Lop)
+    return _run(prob, np.concatenate([x0, y0], dtype=np.float64),
+                lambda z: prob.extragradient(z, gamma, bucket), budget,
+                mu_min if target_sq_dist is not None and mu_min and Lop
+                else None,
+                target_sq_dist, certificate_period, stop_check)

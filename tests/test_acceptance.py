@@ -13,14 +13,15 @@ import pytest
 
 from nzs.cli import bench_rows
 from nzs.diagnostics import (deviation_gain, potential_gap, stackelberg_demo)
-from nzs.games import BilinearSaddleForm, GameSpec, JointPoint, operator_F
+from nzs.games import BilinearSaddleForm, GameSpec, JointPoint, QueryLedger
 from nzs.icl import solve_icl, solve_monotone
 from nzs.instances import (apply_transaction_fee, gen_quadratic_known_ne,
                            fee_game, matching_pennies, stackelberg_example,
                            stackelberg_reference_points)
 from nzs.sets import Ball
-from nzs.solvers import (SaddleSubproblem, SolverConfig, certify_distance,
-                         solve_apd_bilinear, solve_eg, solve_operator_eg)
+from nzs.solvers import (JointProblem, SaddleSubproblem, SolverConfig,
+                         displacement_certificate, solve_apd_bilinear,
+                         solve_eg, solve_operator_eg)
 from nzs.vecmat import SparseMatrix
 
 
@@ -241,15 +242,14 @@ def test_criterion_7_certificate_soundness(report):
         game = gen_quadratic_known_ne(6, 5, 0.3 + 0.2 * seed, 1.4 - 0.1 * seed,
                                       delta=0.1 * seed, coupling_norm=0.8,
                                       seed=seed)
-        Z = game.joint_set()
+        prob = JointProblem(game, QueryLedger())
         gamma = 1.0 / (2 * game.L)
         mu_min = min(game.mu, game.nu)
         rng = np.random.default_rng(seed)
         for _ in range(200):
             z = JointPoint(game.X.project(rng.standard_normal(6) * 3),
                            game.Y.project(rng.standard_normal(5) * 3))
-            bound = certify_distance(lambda w: operator_F(game, w), z, gamma,
-                                     mu_min, game.L, Z)
+            bound = displacement_certificate(prob, z.concat(), gamma, mu_min)
             true = z.distance_to(game.known_ne) ** 2
             checked += 1
             if bound < true * (1 - 1e-9):

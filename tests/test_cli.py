@@ -195,3 +195,14 @@ class TestGap:
         rc = main(["gap", "--instance", str(instance_file), "--point",
                    str(pt)])
         assert rc == 2
+
+    @pytest.mark.parametrize("content", ['{"y": [0.5, 0.5]}', '[1, 2]'])
+    def test_malformed_point_exit_2(self, instance_file, tmp_path, capsys,
+                                    content):
+        pt = tmp_path / "bad.json"
+        pt.write_text(content)
+        rc = main(["gap", "--instance", str(instance_file), "--point",
+                   str(pt)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "point file" in err and "Traceback" not in err

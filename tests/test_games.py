@@ -95,12 +95,6 @@ class TestDecomposition:
             assert np.max(np.abs(F.x - g.x - H.x)) <= 1e-12
             assert np.max(np.abs(F.y - g.y - H.y)) <= 1e-12
 
-    def test_cross_check_mode_passes_on_consistent_game(self):
-        game = zero_sum_quadratic(seed=4)
-        game.cross_check = True
-        z = game.known_ne
-        operator_F(game, z)  # must not raise
-
     def test_zero_sum_game_operator_is_competitive_operator(self):
         game = zero_sum_quadratic(seed=5)
         rng = np.random.default_rng(3)

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from nzs.cli import run_method
-from nzs.instances import gen_quadratic_known_ne, gen_sparse_experiment
-from nzs.icl import solve_icl
+from nzs.instances import (fee_game, gen_quadratic_known_ne,
+                           gen_sparse_experiment, matching_pennies,
+                           reformulate_general)
+from nzs.icl import solve_icl, solve_monotone
 from nzs.solvers import SolverConfig, solve_eg, solve_ogda
 
 # (f, h, g, cert queries, iterations, repr(certified_sq_distance),
@@ -45,6 +47,27 @@ QUAD_GOLDEN = {
            "071d6d89e53a6bf016b599a38b881bc48d73f816b4a6099fa5e5fdd6c6956fe4"),
 }
 
+# the same game through ICL's other routes: operator extragradient inner
+# solves, the whole-game certificate stop, and a general reformulation
+QUAD_ICL_ROUTES = {
+    "inner-eg": (0, 18904, 53, 5102, 53, "1.0309244231906711e-19",
+                 "0b4c30e90f35afe0a8b898caf0a68df23bd9f570653b5b8f3cf426680e41f7cc"),
+    "stop-certificate": (0, 2288, 12, 1252, 12, "2.901650015397864e-08",
+                         "ff3c01be9cf5625db20252abb1554d8aa3220542e5ea2a879ef06e8ed2f3ebd5"),
+    "reformulate-general": (0, 2748, 61, 1568, 61, "5.484489681304652e-20",
+                            "1c54110792e3aaef3143670b4838652336e2154921d8b16af4866f2bd880e772"),
+}
+
+# solve_monotone: (fingerprint of the report, repr(gap_bound))
+MONOTONE_GOLDEN = {
+    "fee-game": ((1, 24652, 33, 13144, 33, "np.float64(2.8766807668156234e-13)",
+                  "33daa332be0b90454b3b8e6874bdd78ab207b4cd44f3dfe8ca771b5b52ecf2de"),
+                 "np.float64(0.0050125)"),
+    "matching-pennies": ((1, 0, 45, 92, 45, "np.float64(0.0)",
+                          "5e5c794534608bdcc5f3c19fd8d94ad66ab3aedaeb79694b00adab9d1df8e25f"),
+                         "np.float64(0.0005000624999999999)"),
+}
+
 
 def fingerprint(rep):
     led = rep.ledger
@@ -67,11 +90,43 @@ def test_fee_game_run_is_bitwise_pinned(fee_instance, method, rho):
     assert fingerprint(rep) == FEE_GOLDEN[(method, rho)]
 
 
-def test_quadratic_game_runs_are_bitwise_pinned():
-    game = gen_quadratic_known_ne(n_x=20, n_y=20, mu=0.05, nu=0.05,
+def quad_game():
+    return gen_quadratic_known_ne(n_x=20, n_y=20, mu=0.05, nu=0.05,
                                   delta=0.01, coupling_norm=1.0, seed=1)
+
+
+def test_quadratic_game_runs_are_bitwise_pinned():
+    game = quad_game()
     config = SolverConfig(epsilon=1e-7)
     reports = {"icl": solve_icl(game, 1e-7),
                "ogda": solve_ogda(game, config),
                "eg": solve_eg(game, config)}
     assert {m: fingerprint(r) for m, r in reports.items()} == QUAD_GOLDEN
+
+
+@pytest.mark.parametrize("route", sorted(QUAD_ICL_ROUTES))
+def test_quadratic_game_icl_routes_are_bitwise_pinned(route):
+    game = quad_game()
+    if route == "inner-eg":
+        rep = solve_icl(game, 1e-7, inner="eg")
+    elif route == "stop-certificate":
+        rep = solve_icl(game, 1e-7, stop="certificate")
+    else:
+        rep = solve_icl(reformulate_general(game, 0.02), 1e-7)
+    assert rep.status == "converged"
+    assert fingerprint(rep) == QUAD_ICL_ROUTES[route]
+
+
+def test_monotone_fee_game_is_bitwise_pinned(fee_instance):
+    M, _ = fee_instance
+    game = fee_game(M, 0.0, 0.0, 0.0).game_spec()
+    _, bound, rep = solve_monotone(game, 1e-2)
+    assert rep.status == "converged"
+    assert (fingerprint(rep), repr(bound)) == MONOTONE_GOLDEN["fee-game"]
+
+
+def test_monotone_matching_pennies_is_bitwise_pinned():
+    _, bound, rep = solve_monotone(matching_pennies(), 1e-3)
+    assert rep.status == "converged"
+    assert ((fingerprint(rep), repr(bound))
+            == MONOTONE_GOLDEN["matching-pennies"])

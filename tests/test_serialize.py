@@ -89,3 +89,13 @@ class TestPointFile:
         z2 = read_point(path)
         assert np.array_equal(z.x, z2.x)
         assert np.array_equal(z.y, z2.y)
+
+    @pytest.mark.parametrize("content", [
+        '{"y": [0.5, 0.5]}', '{"x": [0.5, 0.5]}', '[1, 2]', '"x"', 'null',
+        '{"x": {"a": 1}, "y": [1.0]}', '{"x": [[1.0]], "y": [1.0]}',
+        '{"x": ["a"], "y": [1.0]}', '{"x": [true], "y": [1.0]}'])
+    def test_malformed_point_rejected(self, tmp_path, content):
+        path = tmp_path / "pt.json"
+        path.write_text(content)
+        with pytest.raises(FormatError, match="point file"):
+            read_point(path)

@@ -5,12 +5,12 @@ from nzs.games import (BilinearSaddleForm, JointPoint, QueryLedger,
                        operator_F)
 from nzs.instances import (fee_game, gen_quadratic_known_ne,
                            stackelberg_example)
-from nzs.sets import Ball, Box, ProductSet
-from nzs.solvers import (SaddleSubproblem, SolverConfig, StructureError,
-                         certificate_coefficient, certify_distance,
-                         extract_approx_ne, extragradient_step,
-                         solve_apd_bilinear, solve_eg, solve_ogda,
-                         solve_operator_eg)
+from nzs.sets import Ball, Box
+from nzs.solvers import (JointProblem, OperatorProblem, SaddleSubproblem,
+                         SolverConfig, StructureError,
+                         certificate_coefficient, displacement_certificate,
+                         drive, extract_approx_ne, solve_apd_bilinear,
+                         solve_eg, solve_ogda, solve_operator_eg)
 from nzs.vecmat import SparseMatrix
 from nzs.diagnostics import deviation_gain
 
@@ -29,49 +29,51 @@ def sparse_game(seed, n=30, rho=0.0, mu=0.05, nu=1.0, nnz=200):
     return fee_game(M, rho, mu, nu)
 
 
+def certify(game, z, gamma, mu_min, ledger=None):
+    prob = JointProblem(game, QueryLedger() if ledger is None else ledger)
+    return displacement_certificate(prob, z.concat(), gamma, mu_min)
+
+
 class TestExtragradientStep:
     def test_fixed_point_at_interior_equilibrium(self):
         game = quad_game(seed=3)
-        z = game.known_ne
-        Z = game.joint_set()
+        z = game.known_ne.concat()
         led = QueryLedger()
-        zh, zp = extragradient_step(lambda w: operator_F(game, w),
-                                    z, 0.3, Z, led)
-        assert zh.distance_to(z) <= 1e-12
-        assert zp.distance_to(z) <= 1e-12
-        assert led.f_queries == 2
+        zp = JointProblem(game, led).extragradient(z, 0.3, "f")
+        assert np.linalg.norm(zp - z) <= 1e-12
+        assert led.f_queries == 2 and led.cert_queries == 0
 
     def test_scalar_hand_example(self):
         # F(z) = z on [-2, 2]^2, gamma = 1/2, z = (1, 1):
         # zh = 0.5, zp = z - 0.5 * 0.5 = 0.75 in each coordinate
-        Z = ProductSet([Box([-2.0], [2.0]), Box([-2.0], [2.0])])
-        z = JointPoint(np.array([1.0]), np.array([1.0]))
-        zh, zp = extragradient_step(lambda w: JointPoint(w.x, w.y), z, 0.5, Z)
-        assert zh.x[0] == pytest.approx(0.5) and zh.y[0] == pytest.approx(0.5)
-        assert zp.x[0] == pytest.approx(0.75) and zp.y[0] == pytest.approx(0.75)
+        box = Box([-2.0], [2.0])
+        prob = OperatorProblem(lambda x, y, ledger, bucket: (x, y), box, box,
+                               QueryLedger())
+        zp = prob.extragradient(np.array([1.0, 1.0]), 0.5, "h")
+        assert zp == pytest.approx([0.75, 0.75])
 
     def test_nonexpansion_toward_equilibrium(self):
         game = quad_game(seed=4, mu=0.7, nu=1.1)
-        Z = game.joint_set()
+        prob = JointProblem(game, QueryLedger())
         gamma = 1.0 / (np.sqrt(2) * game.L)
         rng = np.random.default_rng(0)
-        zs = game.known_ne
+        zs = game.known_ne.concat()
         for _ in range(200):
-            z = JointPoint(game.X.project(rng.standard_normal(6) * 2),
-                           game.Y.project(rng.standard_normal(5) * 2))
-            _, zp = extragradient_step(lambda w: operator_F(game, w),
-                                       z, gamma, Z)
-            assert zp.distance_to(zs) <= z.distance_to(zs) * (1 + 1e-9)
+            z = np.concatenate([game.X.project(rng.standard_normal(6) * 2),
+                                game.Y.project(rng.standard_normal(5) * 2)])
+            zp = prob.extragradient(z, gamma, "f")
+            assert (np.linalg.norm(zp - zs)
+                    <= np.linalg.norm(z - zs) * (1 + 1e-9))
 
 
 class TestCertifyDistance:
     def test_zero_at_equilibrium(self):
         game = quad_game(seed=5)
-        bound = certify_distance(lambda w: operator_F(game, w),
-                                 game.known_ne, 1.0 / (2 * game.L),
-                                 min(game.mu, game.nu), game.L,
-                                 game.joint_set())
+        led = QueryLedger()
+        bound = certify(game, game.known_ne, 1.0 / (2 * game.L),
+                        min(game.mu, game.nu), led)
         assert bound <= 1e-20
+        assert led.cert_queries == 2 and led.f_queries == 0
 
     def test_coefficient_hand_value(self):
         # mu*gamma = 1/2: 4/(1/4) - 2/(1/2) + 16 = 16 - 4 + 16 = 28
@@ -81,28 +83,59 @@ class TestCertifyDistance:
         # acceptance-grade soundness sweep happens in the acceptance suite;
         # spot-check 100 points here
         game = quad_game(seed=6, mu=0.4, nu=1.3)
-        Z = game.joint_set()
         rng = np.random.default_rng(1)
         gamma = 1.0 / (2 * game.L)
         for _ in range(100):
             z = JointPoint(game.X.project(rng.standard_normal(6) * 3),
                            game.Y.project(rng.standard_normal(5) * 3))
-            bound = certify_distance(lambda w: operator_F(game, w), z, gamma,
-                                     min(game.mu, game.nu), game.L, Z)
+            bound = certify(game, z, gamma, min(game.mu, game.nu))
             true = z.distance_to(game.known_ne) ** 2
             assert bound >= true * (1 - 1e-9)
 
     def test_zero_modulus_rejected(self):
         game = quad_game(seed=7)
         with pytest.raises(ValueError):
-            certify_distance(lambda w: operator_F(game, w), game.known_ne,
-                             0.1, 0.0, game.L, game.joint_set())
+            certify(game, game.known_ne, 0.1, 0.0)
 
     def test_large_gamma_rejected(self):
         game = quad_game(seed=8)
         with pytest.raises(ValueError):
-            certify_distance(lambda w: operator_F(game, w), game.known_ne,
-                             1.0 / game.L, 0.5, game.L, game.joint_set())
+            certify(game, game.known_ne, 1.0 / game.L, 0.5)
+
+
+class TestDrive:
+    def test_poll_order_and_counts(self):
+        # stop_check before steps 0, 4, 8; certificate after steps 3, 6, 9
+        steps, polls = [], []
+
+        def certificate():
+            polls.append(("cert", len(steps)))
+            return 1.0 / len(steps)
+
+        led = QueryLedger()
+        rep = drive(lambda: steps.append(1), lambda: len(steps), led, 10,
+                    certificate, 0.1, 3,
+                    stop_check=lambda: polls.append(("check", len(steps))))
+        assert (rep.point, rep.ledger, rep.iterations, rep.status,
+                rep.extras) == (10, led, 10, "max_iter", {})
+        assert rep.residual_history == [(3, 1 / 3), (6, 1 / 6), (9, 1 / 9)]
+        assert rep.certified_sq_distance == 1 / 9
+        assert polls == [("check", 0), ("cert", 3), ("check", 4),
+                         ("cert", 6), ("check", 8), ("cert", 9)]
+
+    def test_certificate_at_target_stops(self):
+        rep = drive(lambda: None, lambda: None, None, 100, lambda: 0.5, 0.5, 8)
+        assert (rep.iterations, rep.status, rep.residual_history) == \
+            (8, "converged", [(8, 0.5)])
+
+    def test_stop_check_result_is_returned(self):
+        calls = []
+        rep = drive(lambda: calls.append(1), lambda: None, None, 100, None,
+                    None, 8,
+                    stop_check=lambda: "done" if len(calls) >= 6 else None)
+        assert (rep.iterations, rep.status, rep.residual_history,
+                rep.certified_sq_distance, rep.extras) == \
+            (8, "converged", [], None, {"accepted": "done"})
 
 
 class TestExtractApproxNe:
