@@ -4,7 +4,7 @@ Subcommands: generate (write a seeded instance file), solve (one method
 on one instance at one fee), bench (sweep fees x seeds x methods to a
 CSV), gap (equilibrium diagnostics for a point file). Exit codes:
 0 success, 1 solver non-convergence (bench: a failed cell), 2 usage or
-validation error.
+validation error, arithmetic overflow on an extreme input included.
 
 The environment variable NZS_THREADS caps bench parallelism (default:
 all cores); each cell is serial, so reruns are reproducible cell-wise.
@@ -22,15 +22,17 @@ import numpy as np
 from .instances import (fee_game, gen_sparse_experiment, reformulate_bilinear,
                         require_monotone_coupling)
 from .diagnostics import gap_report
-from .icl import solve_icl
+from .icl import IclError, solve_icl
 from .serialize import (read_instance, read_point, write_instance,
                         write_point, write_report)
 from .solvers import SolverConfig, solve_eg, solve_ogda
+from .vecmat import SpectralNormError
 
 CSV_HEADER = ["method", "rho", "seed", "queries_h", "queries_g",
               "queries_cert", "iterations", "certified_sq_distance",
               "wall_ms"]
 
+METHODS = ("icl", "ogda", "eg")
 DEFAULT_SEEDS = list(range(0, 1000, 111))
 T1_RHOS = [0.0, 0.0003, 0.0006, 0.0009, 0.0012, 0.0015, 0.0018]
 T4_RHOS = [0.0, 0.003, 0.006, 0.009, 0.012, 0.015, 0.018]
@@ -47,9 +49,10 @@ def run_method(M, meta, rho, method, eps):
     """Solve one fee instance with one method; returns (report, row dict).
 
     Serves both solve and bench. Every method stops on the same whole-game
-    displacement certificate (stepsize 1/(2L), modulus min(mu, nu)/2):
-    the baselines poll it every SolverConfig.certificate_period
-    iterations, ICL after every outer iteration (stop="certificate").
+    displacement certificate (stepsize 1/(2L), modulus min(mu, nu)/2),
+    polled on solvers.drive's schedule: for the baselines at least
+    SolverConfig.certificate_period iterations apart, for ICL at least one
+    outer iteration apart (stop="certificate").
     That modulus holds only while the coupling norm bound
     beta = rho norm_abs/2 <= sqrt(mu nu)/2, so every method raises
     ValueError beyond it.
@@ -196,8 +199,7 @@ def cmd_bench(args):
     rhos = args.rho_list if args.rho_list is not None else (
         T1_RHOS if args.table == "t1" else T4_RHOS)
     seeds = args.seeds if args.seeds is not None else DEFAULT_SEEDS
-    methods = args.methods.split(",")
-    rows = bench_rows(n, m, nnz, seeds, rhos, methods, mu, nu, args.eps,
+    rows = bench_rows(n, m, nnz, seeds, rhos, args.methods, mu, nu, args.eps,
                       threads=args.threads)
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER, extrasaction="ignore")
@@ -248,6 +250,18 @@ def _parse_int_list(text):
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _parse_eps(text):
+    if not 0 < float(text) < float("inf"):
+        raise argparse.ArgumentTypeError("eps must be positive and finite")
+    return float(text)
+
+
+def _parse_methods(text):
+    if not set(text.split(",")) <= set(METHODS):
+        raise argparse.ArgumentTypeError(f"methods must be among {METHODS}")
+    return text.split(",")
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="nzs",
@@ -267,10 +281,10 @@ def build_parser():
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="solve one instance with one method")
-    s.add_argument("--method", choices=("icl", "ogda", "eg"), required=True)
+    s.add_argument("--method", choices=METHODS, required=True)
     s.add_argument("--instance", required=True)
     s.add_argument("--rho", type=float, default=0.0)
-    s.add_argument("--eps", type=float, default=1e-7)
+    s.add_argument("--eps", type=_parse_eps, default=1e-7)
     s.add_argument("--out")
     s.add_argument("--point-out", dest="point_out")
     s.set_defaults(func=cmd_solve)
@@ -280,8 +294,8 @@ def build_parser():
     b.add_argument("--scale", choices=("desk", "paper"), default="desk")
     b.add_argument("--seeds", type=_parse_int_list, default=None)
     b.add_argument("--rho-list", type=_parse_float_list, default=None)
-    b.add_argument("--methods", default="icl,ogda,eg")
-    b.add_argument("--eps", type=float, default=1e-7)
+    b.add_argument("--methods", type=_parse_methods, default=list(METHODS))
+    b.add_argument("--eps", type=_parse_eps, default=1e-7)
     b.add_argument("--threads", type=int, default=None)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bench)
@@ -303,9 +317,12 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (IclError, SpectralNormError) as exc:  # did not converge
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import JointPoint, QueryLedger, grad_g, operator_H
-from .solvers import (JointProblem, PdhgKernel, SaddleSubproblem, SolveReport,
-                      SolverConfig, StructureError, displacement_certificate,
-                      drive, extract_approx_ne, solve_apd_bilinear,
-                      solve_operator_eg)
+from .solvers import (JointProblem, PdhgKernel, Pending, SaddleSubproblem,
+                      SolveReport, SolverConfig, StructureError,
+                      displacement_certificate, drive, extract_approx_ne,
+                      solve_apd_bilinear, solve_operator_eg)
 
 
 class IclError(RuntimeError):
@@ -56,8 +56,8 @@ def schedule_params(mu, nu, delta, L, eps, D_X, D_Y):
                          "with solve_monotone instead")
     if not 0 <= delta <= L:
         raise ValueError("delta must lie in [0, L]")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     eta = 1.0 / m if delta == 0 else min(1.0 / delta, 1.0 / m)
     theta = m / (1.0 / eta + m)
     eps_t = theta * eps / (4.0 * eta)
@@ -109,8 +109,9 @@ def check_inexactness(sub, candidate, ledger=None):
     return gap_x + gap_y
 
 
-def _accept_or_none(sub, x, y, gamma_ex, eps_t, ledger):
-    """Extract a candidate by one projected step and test the gap."""
+def _accept_or_pending(sub, x, y, gamma_ex, eps_t, ledger, rate):
+    """Extract a candidate by one projected step and test the gap:
+    (candidate, gap) if gap <= eps_t, else Pending(gap, eps_t, rate)."""
     gx, gy = sub.operator(x, y, ledger, "cert")
     xe = sub.X.project(x - gamma_ex * gx)
     ye = sub.Y.project(y - gamma_ex * gy)
@@ -118,7 +119,7 @@ def _accept_or_none(sub, x, y, gamma_ex, eps_t, ledger):
     gap = check_inexactness(sub, cand, ledger)
     if gap <= eps_t:
         return cand, gap
-    return None
+    return Pending(gap, eps_t, rate)
 
 
 def _inner_budget(sched, per_iter):
@@ -133,7 +134,7 @@ def _solve_zero_coupling(game, z, eps, sched, ledger, certificate):
     With delta = 0 the linearization is exact and needs no proximal term:
     the game operator is the competitive operator shifted by the coupling
     gradient from one query. The primal-dual kernel runs on that form and
-    the whole-game certificate is polled at the baselines' cadence.
+    the whole-game certificate is polled on the baselines' schedule.
     Returns (point, last certificate).
     """
     cg = grad_g(game, z, ledger)
@@ -154,7 +155,8 @@ def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
 
     Every subproblem is solved until an extracted candidate passes the
     inexactness check at tolerance eps_t (early exit), with the
-    distance-certified route as a backstop.
+    distance-certified route as a backstop. The check is polled on
+    drive's schedule at the inner solver's contraction rate.
 
     stop selects when the outer loop ends:
 
@@ -163,9 +165,10 @@ def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
       distance by eps;
     - "certificate" evaluates the whole-game displacement certificate
       (stepsize 1/(2L), modulus game.monotone_modulus, the one the
-      baselines stop on) after every outer iteration and stops once it is
-      at most eps. With the apd inner solver, a game with delta = 0 is
-      then solved in one structured pass instead of proximal subproblems.
+      baselines stop on) on drive's schedule, at least one outer
+      iteration apart, and stops once it is at most eps. With the apd
+      inner solver, a game with delta = 0 is then solved in one
+      structured pass instead of proximal subproblems.
 
     The reported certified_sq_distance is the smaller of the contraction
     bound after the proximal iterations run and the last whole-game
@@ -216,22 +219,22 @@ def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
         nonlocal z
         sub = build_subproblem(game, z, sched.eta, ledger)
 
-        def stop_check(x, y):
-            return _accept_or_none(sub, x, y, gamma_ex, eps_t, ledger)
+        def stop_check(x, y):  # rate: the inner solver's, set below
+            return _accept_or_pending(sub, x, y, gamma_ex, eps_t, ledger, rate)
 
         if use_apd:
             f = sub.phi_form
+            rate = min(0.5, np.sqrt(f.ax * f.ay) / max(f.w_norm(), 1e-14))
             rep = solve_apd_bilinear(
                 sub, target_sq_dist=sched.inner_target,
-                max_iter=_inner_budget(sched, min(
-                    0.5, np.sqrt(f.ax * f.ay) / max(f.w_norm(), 1e-14))),
+                max_iter=_inner_budget(sched, rate),
                 certificate_period=64, ledger=ledger, stop_check=stop_check)
         else:
             Lop, _ = sub.operator_bounds()
+            rate = max(sub.mu_sub / (np.sqrt(2.0) * Lop), 1e-8)
             rep = solve_operator_eg(
                 sub.operator, sub.X, sub.Y, sub.x_center, sub.y_center,
-                gamma=gamma_ex, budget=_inner_budget(sched, max(
-                    sub.mu_sub / (np.sqrt(2.0) * Lop), 1e-8)),
+                gamma=gamma_ex, budget=_inner_budget(sched, rate),
                 ledger=ledger, stop_check=stop_check,
                 target_sq_dist=sched.inner_target, mu_min=sub.mu_sub,
                 Lop=Lop, certificate_period=64)
@@ -242,9 +245,9 @@ def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
                 raise IclError(
                     f"inner solve stalled: gap did not reach {eps_t:.3e} "
                     f"within {rep.iterations} iterations")
-            accepted = _accept_or_none(sub, rep.point.x, rep.point.y,
-                                       gamma_ex, eps_t, ledger)
-            if accepted is None:
+            accepted = _accept_or_pending(sub, rep.point.x, rep.point.y,
+                                          gamma_ex, eps_t, ledger, rate)
+            if isinstance(accepted, Pending):
                 raise IclError(
                     "inexactness check failed after a distance-certified "
                     "inner solve; this contradicts the extraction bound "

@@ -8,7 +8,9 @@ plain JSON.
 """
 
 import json
+import os
 import struct
+import sys
 
 import numpy as np
 
@@ -29,8 +31,9 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_real(v):  # a finite number that converts to float64
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _check_header(header):
@@ -52,8 +55,9 @@ def _check_header(header):
             and sorted(a["name"] for a in arrays) == sorted(_ARRAYS)):
         raise FormatError("instance header: 'arrays' must describe "
                           + ", ".join(_ARRAYS) + " by name, dtype and length")
-    for key in ("mu", "nu", "norm_abs"):
-        if not _is_real(header.get(key)):
+    optional = {"norm": 1.0, "seed": -1}  # run_method's stand-ins
+    for key in ("mu", "nu", "norm_abs", "norm", "seed"):
+        if not _is_real(header.get(key, optional.get(key))):
             raise FormatError(f"instance header: {key!r} must be a number")
 
 
@@ -82,15 +86,18 @@ def write_instance(path, M, meta):
 def read_instance(path):
     """Read an instance file; returns (SparseMatrix, metadata dict)."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
         if magic != MAGIC:
             raise FormatError(f"not an instance file (magic {magic!r})")
         raw = fh.read(8)
-        if len(raw) != 8:
+        hlen = struct.unpack("<Q", raw)[0] if len(raw) == 8 else size
+        if hlen > size - 16:
             raise FormatError("instance file truncated in its header")
-        (hlen,) = struct.unpack("<Q", raw)
         header = json.loads(fh.read(hlen).decode("utf-8"))
         _check_header(header)
+        if fh.tell() + 8 * sum(a["length"] for a in header["arrays"]) != size:
+            raise FormatError("instance file size does not match its header")
         data = {}
         for spec in header["arrays"]:
             raw = fh.read(spec["length"] * 8)

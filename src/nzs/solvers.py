@@ -10,13 +10,15 @@ and every stopping certificate, whole-game or subproblem, is
 ``displacement_certificate`` on a concatenated-iterate ``JointProblem``.
 """
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .games import BilinearSaddleForm, JointPoint, QueryLedger
 
-# a solve's stop_check is polled before every CHECK_PERIOD-th step
+# the fewest steps between two polls of a solve's stop_check
 CHECK_PERIOD = 4
 
 
@@ -27,13 +29,16 @@ class StructureError(RuntimeError):
 
 @dataclass
 class SolverConfig:
+    """Stop once the certificate is at most epsilon (0 < epsilon < inf);
+    polls of it are at least certificate_period iterations apart."""
+
     epsilon: float
     max_iter: int = 5_000_000
     certificate_period: int = 8
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
 
 
 @dataclass
@@ -132,33 +137,58 @@ def displacement_certificate(prob, z, gamma, mu_min):
     return certificate_coefficient(mu_min, gamma) * float(d @ d)
 
 
+class Pending(NamedTuple):
+    """A stop_check's "go on": value has yet to reach target and falls by
+    a factor of about exp(rate) per step."""
+    value: float
+    target: float
+    rate: float
+
+
+def next_poll(it, pending, floor):
+    """Step of the poll after a failed one at step it: half the steps
+    pending (or None) predicts are left, and at least floor."""
+    value, target, rate = pending or (0.0, 0.0, 0.0)
+    wait = 0.0
+    if rate > 0 and 0 < target < value < math.inf:
+        wait = 0.5 * (math.log(value) - math.log(target)) / rate
+    return it + max(floor, int(wait))
+
+
 def drive(step, point, ledger, max_iter, certificate, target, period,
           stop_check=None):
     """The step-and-poll loop of every solver: up to max_iter calls of
-    step(). stop_check(), if given, is polled before the first step and
-    every CHECK_PERIOD-th after it; a non-None result stops the run as
-    extras["accepted"]. certificate(), if given, is polled after every
-    period-th step into residual_history as (steps, value); a value at
-    most target stops the run. Returns the SolveReport of point() with the
-    last certificate, "converged" if a poll stopped the run, else
-    "max_iter".
+    step(). stop_check(), if given, is polled before the first step; a
+    result other than None or a Pending stops the run as
+    extras["accepted"], else the next poll is due at next_poll, floor
+    CHECK_PERIOD. certificate(), if given, is polled after step period
+    into residual_history as (steps, value); a value at most target stops
+    the run, else the next poll is due at next_poll, floor period, at the
+    decay rate between the last two polls. Returns the SolveReport of
+    point() with the last certificate, "converged" if a poll stopped the
+    run, else "max_iter".
     """
     history = []
     status, extras = "max_iter", {}
-    it = 0
+    it, check_at, cert_at = 0, 0, period
     while it < max_iter:
-        if stop_check is not None and it % CHECK_PERIOD == 0:
-            accepted = stop_check()
-            if accepted is not None:
-                status, extras = "converged", {"accepted": accepted}
+        if stop_check is not None and it == check_at:
+            result = stop_check()
+            if result is not None and not isinstance(result, Pending):
+                status, extras = "converged", {"accepted": result}
                 break
+            check_at = next_poll(it, result, CHECK_PERIOD)
         step()
         it += 1
-        if certificate is not None and it % period == 0:
+        if certificate is not None and it == cert_at:
             history.append((it, certificate()))
             if history[-1][1] <= target:
                 status = "converged"
                 break
+            # a lone poll's rate is inf: its next poll is period steps on
+            (i0, v0), (i1, v1) = ([(0, math.inf)] + history)[-2:]
+            rate = math.log(v0 / v1) / (i1 - i0) if 0 < v1 < v0 else 0.0
+            cert_at = next_poll(it, Pending(v1, target, rate), period)
     return SolveReport(point(), ledger, it,
                        history[-1][1] if history else None, history, status,
                        extras)
@@ -238,9 +268,9 @@ def _baseline_solve(game, config, method):
 def solve_eg(game, config):
     """Extragradient with displacement-certificate stopping.
 
-    Stepsize 1/(sqrt(2) L); two operator queries per
-    iteration; the certificate is evaluated every certificate_period
-    iterations at stepsize 1/(2L) and its queries are ledgered separately.
+    Stepsize 1/(sqrt(2) L); two operator queries per iteration; the
+    certificate (stepsize 1/(2L), queries ledgered as cert) is polled on
+    drive's schedule, at least certificate_period iterations apart.
     """
     return _baseline_solve(game, config, "eg")
 
@@ -250,7 +280,8 @@ def solve_ogda(game, config):
 
     Update z+ = P(z - gamma (2 F(z) - F(z_prev))) with stepsize
     gamma = 1/(2L); one new operator query per iteration. The first iteration
-    (z_prev = z_0) reduces to a projected gradient step.
+    (z_prev = z_0) reduces to a projected gradient step. The certificate
+    is polled as in solve_eg.
     """
     return _baseline_solve(game, config, "ogda")
 
@@ -388,9 +419,10 @@ def solve_apd_bilinear(sub, target_sq_dist, max_iter=None,
 
     Runs the strongly-convex primal-dual kernel until the displacement
     certificate on the subproblem operator shows a squared distance at
-    most target_sq_dist (certificate queries ledgered separately). An
-    optional stop_check(x, y) callback is polled every CHECK_PERIOD
-    iterations; a non-None return stops the solve early and is attached to
+    most target_sq_dist (certificate queries ledgered separately), polled
+    at least certificate_period iterations apart. An optional
+    stop_check(x, y) callback is polled on drive's schedule; a return
+    other than None or a Pending stops the solve early and is attached to
     the report extras (this is how the outer loop certifies inexactness
     directly and skips the distance target).
 

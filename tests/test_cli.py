@@ -107,6 +107,15 @@ class TestSolve:
         assert report["certified_sq_distance"] > 1e-12
         assert rc == 1
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1e-7"])
+    @pytest.mark.parametrize("method", ["eg", "ogda", "icl"])
+    def test_eps_not_positive_and_finite_exits_2(self, instance_file,
+                                                 tmp_path, method, eps):
+        out = tmp_path / "r.json"
+        rc = main(["solve", "--method", method, "--instance",
+                   str(instance_file), "--eps", eps, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_header_without_norm_abs_exits_2(self, instance_file, tmp_path,
                                               capsys):
@@ -162,6 +171,17 @@ class TestBench:
         methods = {r["method"] for r in rows1}
         assert methods == {"icl", "ogda", "eg"}
         assert len(rows1) == 2 * 2 * 3
+
+    @pytest.mark.parametrize("flags", [["--eps", "nan"], ["--eps", "inf"],
+                                       ["--methods", "icl,foo"]])
+    def test_bad_eps_or_method_exits_2_without_csv(self, tmp_path, capsys,
+                                                   flags):
+        out = tmp_path / "t1.csv"
+        rc = main(["bench", "--seeds", "0", "--rho-list", "0",
+                   "--threads", "1", "--out", str(out)] + flags)
+        assert rc == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestGap:

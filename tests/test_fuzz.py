@@ -1,0 +1,135 @@
+"""Fuzzed instance and point files: the readers raise only ValueError
+(FormatError or a decoding error), and `nzs solve` / `nzs gap` exit 0, 1
+or 2 without raising.
+
+The files are a small valid instance and point with a few bytes
+overwritten, cut short, or one header or point entry replaced by an
+awkward JSON value. Solves are cut to a few steps: these tests are about
+input handling, not convergence.
+"""
+
+import contextlib
+import io
+import json
+import struct
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import nzs.cli as cli
+import nzs.icl as icl
+from nzs.serialize import MAGIC, read_instance, read_point
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
+                database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+AWKWARD = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    st.sampled_from([float("nan"), float("inf"), -1.0, 0.0, 1e-300, 1e300]),
+    st.lists(st.integers(-3, 50), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+POINT = {"x": [1 / 6] * 6, "y": [0.2] * 5}
+
+
+@pytest.fixture(scope="module")
+def instance_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "base.nzs"
+    assert cli.main(["generate", "--n", "6", "--m", "5", "--nnz", "12",
+                     "--seed", "0", "--mu", "0.05", "--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+def overwritten(draw, blob):
+    blob = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+@st.composite
+def mutated_instance(draw, blob):
+    kind = draw(st.sampled_from(["bytes", "cut", "header"]))
+    if kind == "bytes":
+        return overwritten(draw, blob)
+    if kind == "cut":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + hlen])
+    key = draw(st.sampled_from(sorted(header) + ["arrays"] * 3))
+    if key == "arrays":
+        spec = header["arrays"][draw(st.integers(0, 2))]
+        spec[draw(st.sampled_from(["name", "dtype", "length"]))] = \
+            draw(AWKWARD)
+    elif draw(st.booleans()):
+        header[key] = draw(AWKWARD)
+    else:
+        del header[key]
+    text = json.dumps(header).encode()
+    return MAGIC + struct.pack("<Q", len(text)) + text + blob[16 + hlen:]
+
+
+@st.composite
+def mutated_point(draw):
+    text = json.dumps(POINT).encode()
+    if draw(st.booleans()):
+        return overwritten(draw, text)
+    point = json.loads(text)
+    key = draw(st.sampled_from(["x", "y"]))
+    if draw(st.booleans()):
+        point[key][draw(st.integers(0, 4))] = draw(AWKWARD)
+    else:
+        point[key] = draw(AWKWARD)
+    return json.dumps(point).encode()
+
+
+def exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    return rc
+
+
+@pytest.fixture()
+def short_solves(monkeypatch):
+    config, solve_icl = cli.SolverConfig, cli.solve_icl
+    monkeypatch.setattr(cli, "SolverConfig",
+                        lambda epsilon: config(epsilon, max_iter=50))
+    monkeypatch.setattr(cli, "solve_icl", lambda spec, eps, **kw:
+                        solve_icl(spec, eps, max_outer=2, **kw))
+    monkeypatch.setattr(icl, "_inner_budget", lambda sched, rate: 50)
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_instance(instance_bytes, tmp_path, short_solves, data):
+    path, point = tmp_path / "inst.nzs", tmp_path / "point.json"
+    path.write_bytes(data.draw(mutated_instance(instance_bytes)))
+    point.write_text(json.dumps(POINT))
+    try:
+        read_instance(path)
+    except ValueError:
+        pass
+    for method in ("ogda", "icl"):
+        exit_code(["solve", "--method", method, "--instance", str(path),
+                   "--rho", "0.01", "--eps", "1e-3",
+                   "--out", str(tmp_path / "report.json")])
+    exit_code(["gap", "--instance", str(path), "--point", str(point)])
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_point(instance_bytes, tmp_path, data):
+    path, point = tmp_path / "inst.nzs", tmp_path / "point.json"
+    path.write_bytes(instance_bytes)
+    point.write_bytes(data.draw(mutated_point()))
+    try:
+        read_point(point)
+    except ValueError:
+        pass
+    exit_code(["gap", "--instance", str(path), "--point", str(point)])

@@ -1,11 +1,13 @@
 """Golden runs: exact query counts, iterations, certificates and points.
 
 Speed work on the solvers' hot path (products, projections, in-place
-temporaries) must not change one bit of any output. These values were
-recorded with the sort-and-threshold projection summed by np.cumsum and
-products through scipy's csr_matrix @ x, on x86-64 with numpy's bundled
-OpenBLAS; the certificates' dot products go through BLAS, so another
-BLAS build may legitimately move the last bits.
+temporaries) must not change one bit of any output. A change to when
+solvers poll their stop tests moves the stop pins but not
+TRAJECTORY_GOLDEN, which pins the iterates of runs that never stop.
+These values were recorded with the sort-and-threshold projection summed
+by np.cumsum and products through scipy's csr_matrix @ x, on x86-64 with
+numpy's bundled OpenBLAS; the certificates' dot products go through
+BLAS, so another BLAS build may legitimately move the last bits.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import nzs.icl
 from nzs.cli import run_method
 from nzs.instances import (fee_game, gen_quadratic_known_ne,
                            gen_sparse_experiment, matching_pennies,
@@ -23,49 +26,62 @@ from nzs.solvers import SolverConfig, solve_eg, solve_ogda
 # (f, h, g, cert queries, iterations, repr(certified_sq_distance),
 #  sha256 of the concatenated point's bytes)
 FEE_GOLDEN = {
-    ("icl", 0.0): (0, 1520, 1, 380, 1, "9.880988092877681e-08",
+    ("icl", 0.0): (0, 1520, 1, 24, 1, "9.880988092877681e-08",
                    "4adddd9b52c72d30e44497cd3ae18333c2902f424f7565d7e5ee5ea9e4bde787"),
-    ("ogda", 0.0): (1760, 0, 0, 440, 1760, "9.701226782385978e-08",
-                    "f80235aa3b0f6fb964b38302a41697f057ef1b1fe912c18ce0e3442a9008f8da"),
-    ("eg", 0.0): (2496, 0, 0, 312, 1248, "9.373542820446603e-08",
+    ("ogda", 0.0): (1763, 0, 0, 28, 1763, "9.344892269634416e-08",
+                    "84445ef0202c1f4a89443a4c74bdae934402e8cbc64a8c08cfdc3622efafeb28"),
+    ("eg", 0.0): (2496, 0, 0, 26, 1248, "9.373542820446603e-08",
                   "9c66845697f80c44b92845232f3076b117f62e68444ebe1043ab6bc694872e22"),
-    ("icl", 0.0009): (0, 1448, 9, 796, 9, "1.3992511415235313e-08",
-                      "4518f2debb36834b4bfc4b5b5318c5a222f26707ebddb4ba3fcad0a3d593bad8"),
-    ("ogda", 0.0009): (1768, 0, 0, 442, 1768, "9.25930921245025e-08",
-                       "a338bdc16458f444d44a7ea79b3129164cb3d8f674ef790e4b5fdb9adf628fa0"),
-    ("eg", 0.0009): (2496, 0, 0, 312, 1248, "9.884271238308317e-08",
-                     "e6149c17b4d9884669450216980a0aa204246c11bb0ad1240362e1280074dd92"),
+    ("icl", 0.0009): (0, 1447, 9, 192, 9, "1.3992385546088412e-08",
+                      "934e124fa81e3e6c5d5f0e30c6c06c74abdb5a9fcddf884dde9f7883825538d3"),
+    ("ogda", 0.0009): (1767, 0, 0, 28, 1767, "9.375346360235257e-08",
+                       "6c2b9ab3d685e870855db8356acde189e647dd13dcc1f00ad6b93ac63b67c90d"),
+    ("eg", 0.0009): (2502, 0, 0, 26, 1251, "9.376202092352468e-08",
+                     "b276cf888762c85742d917c29e103c3dba59bc018904045bbafc14a77a5b54df"),
 }
 
 # dense W and ball sets; ICL with its default full schedule
 QUAD_GOLDEN = {
-    "icl": (0, 3444, 53, 1912, 53, "7.382483878470973e-20",
-            "ac1b6bca5e5f3508d889760c26fd9b3eb32f6593a874bf2d0327c28e88d4ede5"),
-    "ogda": (376, 0, 0, 94, 376, "8.747018771776995e-08",
-             "427f10892d4a4b4ce4e83f949a1a3d3e977ff929ddbd513ee37b303ade8fcd5d"),
-    "eg": (528, 0, 0, 66, 264, "8.09553553259447e-08",
-           "071d6d89e53a6bf016b599a38b881bc48d73f816b4a6099fa5e5fdd6c6956fe4"),
+    "icl": (0, 3443, 53, 554, 53, "7.860948430761068e-20",
+            "bb5d2b6542a08468b33c8f6bf30b43d7e7e45c5d210f3ff92e580d6b8dc7a5b6"),
+    "ogda": (374, 0, 0, 20, 374, "9.752899565390502e-08",
+             "8052be4d024508865071873c0c7c40f59868d7e88a334cec700108e86a50f4ad"),
+    "eg": (534, 0, 0, 20, 267, "6.427738878927585e-08",
+           "3b01a30068f0e8fcc0f605e6c892b5d0df5fbd6e9a2221d480761db9ccaf9ae2"),
 }
 
 # the same game through ICL's other routes: operator extragradient inner
 # solves, the whole-game certificate stop, and a general reformulation
 QUAD_ICL_ROUTES = {
-    "inner-eg": (0, 18904, 53, 5102, 53, "1.0309244231906711e-19",
-                 "0b4c30e90f35afe0a8b898caf0a68df23bd9f570653b5b8f3cf426680e41f7cc"),
-    "stop-certificate": (0, 2288, 12, 1252, 12, "2.901650015397864e-08",
-                         "ff3c01be9cf5625db20252abb1554d8aa3220542e5ea2a879ef06e8ed2f3ebd5"),
-    "reformulate-general": (0, 2748, 61, 1568, 61, "5.484489681304652e-20",
-                            "1c54110792e3aaef3143670b4838652336e2154921d8b16af4866f2bd880e772"),
+    "inner-eg": (0, 18914, 53, 1032, 53, "9.475379789185215e-20",
+                 "96f9baffa4bc20e8ec0dd0b54e1c3deed2588fcab9dfc5eee1bd5762fdc444f9"),
+    "stop-certificate": (0, 2288, 12, 280, 12, "2.9016491549543397e-08",
+                         "48c94eb090c54599488a5f0c6d7fe22b67fe32cd33bddadbe61c2c2064558561"),
+    "reformulate-general": (0, 2755, 61, 402, 61, "4.939003208644639e-20",
+                            "930cba022f8eb18f1636c36e4878e4cb3d5d1823f1449caf0aed30ad541278f1"),
 }
 
 # solve_monotone: (fingerprint of the report, repr(gap_bound))
 MONOTONE_GOLDEN = {
-    "fee-game": ((1, 24652, 33, 13144, 33, "np.float64(2.8766807668156234e-13)",
-                  "33daa332be0b90454b3b8e6874bdd78ab207b4cd44f3dfe8ca771b5b52ecf2de"),
+    "fee-game": ((1, 24652, 33, 498, 33, "np.float64(2.896683609468093e-13)",
+                  "dc1d7832077c580f8be7468d84bf19f02b79cd4689f41eb19c5f8e7c160a4753"),
                  "np.float64(0.0050125)"),
     "matching-pennies": ((1, 0, 45, 92, 45, "np.float64(0.0)",
                           "5e5c794534608bdcc5f3c19fd8d94ad66ab3aedaeb79694b00adab9d1df8e25f"),
                          "np.float64(0.0005000624999999999)"),
+}
+
+
+# runs that cannot stop: eps = 1e-300 and a fixed step budget pin each
+# solver's iterates apart from when its certificate is polled;
+# (f, h, g queries, sha256 of the concatenated point's bytes)
+TRAJECTORY_GOLDEN = {
+    "ogda": (400, 0, 0,
+             "a2752bc44d0cb0d62db7c577d2e28ddbd31c06977c01e23493d690f1461693a8"),
+    "eg": (800, 0, 0,
+           "0ceb2b9c4c7fe9273ea255db11484d7af458533e71a7ca2b9a656821d26905d0"),
+    "icl-zero-coupling": (0, 400, 1,
+                          "f1ff41af9ffb5cc4080c6f2554fb42c9f74301b51d5efd852775675bbebfcd44"),
 }
 
 
@@ -130,3 +146,22 @@ def test_monotone_matching_pennies_is_bitwise_pinned():
     assert rep.status == "converged"
     assert ((fingerprint(rep), repr(bound))
             == MONOTONE_GOLDEN["matching-pennies"])
+
+
+def test_trajectories_without_a_stop_are_pinned(fee_instance, monkeypatch):
+    game = quad_game()
+    config = SolverConfig(epsilon=1e-300, max_iter=400)
+    M, meta = fee_instance
+    monkeypatch.setattr(nzs.icl, "_inner_budget", lambda sched, rate: 400)
+    zero_coupling = fee_game(M, 0.0, meta["mu"], meta["nu"]).game_spec()
+    reports = {"ogda": solve_ogda(game, config),
+               "eg": solve_eg(game, config),
+               "icl-zero-coupling": solve_icl(zero_coupling, 1e-300,
+                                              stop="certificate",
+                                              max_outer=1)}
+    got = {}
+    for method, rep in reports.items():
+        assert rep.status == "max_iter"
+        f, h, g, _, _, _, sha = fingerprint(rep)
+        got[method] = (f, h, g, sha)
+    assert got == TRAJECTORY_GOLDEN

@@ -104,6 +104,12 @@ class TestSchedule:
             schedule_params(mu=0.0, nu=1.0, delta=0.0, L=1.0, eps=1e-6,
                             D_X=1.0, D_Y=1.0)
 
+    @pytest.mark.parametrize("eps", [0.0, float("nan"), float("inf")])
+    def test_rejects_eps_not_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            schedule_params(mu=0.2, nu=0.2, delta=0.0, L=1.0, eps=eps,
+                            D_X=1.0, D_Y=1.0)
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             IclSchedule(eta=1.0, theta=1.5, eps_t=1e-8, T=10,
@@ -282,6 +288,16 @@ class TestSolveIcl:
         sched = rep.extras["schedule"]
         for _, gap in rep.residual_history:
             assert gap <= sched.eps_t
+
+    def test_checks_cost_a_fifth_of_the_inner_steps(self):
+        # checks come when the inner rate predicts the gap is near eps_t,
+        # not at a fixed cadence (about 0.55 h at a 4-step cadence)
+        game = quad_game(seed=1, n_x=20, n_y=20, mu=0.05, nu=0.05,
+                         delta=0.01, coupling_norm=1.0)
+        rep = solve_icl(game, 1e-7)
+        assert rep.ledger.cert_queries <= 0.2 * rep.ledger.h_queries
+        eps_t = rep.extras["schedule"].eps_t
+        assert all(gap <= eps_t for _, gap in rep.residual_history)
 
     def test_ledger_separates_query_kinds(self):
         game = quad_game(seed=12)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from nzs.games import (BilinearSaddleForm, JointPoint, QueryLedger,
 from nzs.instances import (fee_game, gen_quadratic_known_ne,
                            stackelberg_example)
 from nzs.sets import Ball, Box
-from nzs.solvers import (JointProblem, OperatorProblem, SaddleSubproblem,
-                         SolverConfig, StructureError,
+from nzs.solvers import (CHECK_PERIOD, JointProblem, OperatorProblem,
+                         Pending, SaddleSubproblem, SolverConfig,
+                         StructureError,
                          certificate_coefficient, displacement_certificate,
                          drive, extract_approx_ne, solve_apd_bilinear,
                          solve_eg, solve_ogda, solve_operator_eg)
@@ -137,6 +140,45 @@ class TestDrive:
                 rep.certified_sq_distance, rep.extras) == \
             (8, "converged", [], None, {"accepted": "done"})
 
+    @pytest.mark.parametrize("q", [0.5, 0.99, 0.9999])
+    def test_geometric_certificate_stops_within_a_period(self, q):
+        # c_k = q^k first reaches the target at k_star; the polls close in
+        # on it by halving the predicted remainder
+        target, period = 1e-6, 8
+        k_star = math.ceil(math.log(target) / math.log(q))
+        steps = []
+        rep = drive(lambda: steps.append(1), lambda: None, None, 10 * k_star,
+                    lambda: q ** len(steps), target, period)
+        assert rep.status == "converged"
+        assert k_star <= rep.iterations < k_star + period
+        assert len(rep.residual_history) <= 3 + math.log2(k_star)
+
+    @pytest.mark.parametrize("value", [lambda k: 1.0, lambda k: float(k)])
+    def test_certificate_that_does_not_fall_is_polled_every_period(
+            self, value):
+        steps = []
+        rep = drive(lambda: steps.append(1), lambda: None, None, 100,
+                    lambda: value(len(steps)), 0.5, 8)
+        assert [k for k, _ in rep.residual_history] == list(range(8, 97, 8))
+
+    @pytest.mark.parametrize("gap,rate,spacing", [
+        (1.0001, 0.5, CHECK_PERIOD),  # nearly there: the floor
+        (math.exp(20.0), 0.5, 20),    # half of ln(gap / 1) / 0.5 = 40 steps
+        (2.0, 0.0, CHECK_PERIOD),     # no known rate
+        (math.inf, 0.5, CHECK_PERIOD),
+    ])
+    def test_stop_checks_are_spaced_by_the_rate_and_the_floor(
+            self, gap, rate, spacing):
+        steps, checks = [], []
+
+        def stop_check():
+            checks.append(len(steps))
+            return Pending(gap, 1.0, rate)
+
+        drive(lambda: steps.append(1), lambda: None, None, 100, None, None,
+              8, stop_check=stop_check)
+        assert checks == list(range(0, 100, spacing))
+
 
 class TestExtractApproxNe:
     def test_fixed_point_at_interior_equilibrium(self):
@@ -167,6 +209,11 @@ class TestExtractApproxNe:
 
 
 class TestBaselines:
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_config_rejects_eps_not_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(epsilon=eps)
+
     def test_eg_converges_fast_on_well_conditioned_quadratic(self):
         game = quad_game(seed=12, mu=1.0, nu=1.0, delta=0.1, coupling=0.5)
         rep = solve_eg(game, SolverConfig(epsilon=1e-8))
