@@ -51,13 +51,15 @@ def run_method(M, meta, rho, method, eps):
     Serves both solve and bench. Every method stops on the same whole-game
     displacement certificate (stepsize 1/(2L), modulus min(mu, nu)/2),
     polled on solvers.drive's schedule: for the baselines at least
-    SolverConfig.certificate_period iterations apart, for ICL at least one
+    solvers.CERTIFICATE_PERIOD iterations apart, for ICL at least one
     outer iteration apart (stop="certificate").
-    That modulus holds only while the coupling norm bound
-    beta = rho norm_abs/2 <= sqrt(mu nu)/2, so every method raises
-    ValueError beyond it.
+    That modulus holds only while min(mu, nu) > 0 and the coupling norm
+    bound beta = rho norm_abs/2 <= sqrt(mu nu)/2, so every method raises
+    ValueError otherwise.
     """
     mu, nu = float(meta["mu"]), float(meta["nu"])
+    if not min(mu, nu) > 0:
+        raise ValueError("min(mu, nu) must be positive")
     norm = float(meta.get("norm", 1.0))
     norm_abs = float(meta["norm_abs"])
     beta = 0.5 * rho * norm_abs  # = |(A+B)/2| for fee games

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import JointPoint, QueryLedger, grad_g, operator_H
-from .solvers import (JointProblem, PdhgKernel, Pending, SaddleSubproblem,
-                      SolveReport, SolverConfig, StructureError,
+from .solvers import (CERTIFICATE_PERIOD, JointProblem, PdhgKernel, Pending,
+                      SaddleSubproblem, SolveReport, StructureError,
                       displacement_certificate, drive, extract_approx_ne,
-                      solve_apd_bilinear, solve_operator_eg)
+                      pdhg_rate, solve_apd_bilinear, solve_operator_eg)
 
 
 class IclError(RuntimeError):
@@ -30,8 +30,9 @@ class IclSchedule:
     eta is the proximal stepsize min(1/delta, 1/min(mu, nu)); theta the
     per-iteration contraction factor of the squared distance; eps_t the
     subproblem inexactness tolerance; T the outer iteration budget; and
-    inner_target the distance accuracy that provably implies the
-    inexactness condition after one extragradient extraction.
+    inner_target the squared distance that provably implies the
+    inexactness condition after one extragradient extraction, which sizes
+    each inner solve's iteration cap (_inner_budget).
     """
 
     eta: float
@@ -109,19 +110,6 @@ def check_inexactness(sub, candidate, ledger=None):
     return gap_x + gap_y
 
 
-def _accept_or_pending(sub, x, y, gamma_ex, eps_t, ledger, rate):
-    """Extract a candidate by one projected step and test the gap:
-    (candidate, gap) if gap <= eps_t, else Pending(gap, eps_t, rate)."""
-    gx, gy = sub.operator(x, y, ledger, "cert")
-    xe = sub.X.project(x - gamma_ex * gx)
-    ye = sub.Y.project(y - gamma_ex * gy)
-    cand = JointPoint(xe, ye)
-    gap = check_inexactness(sub, cand, ledger)
-    if gap <= eps_t:
-        return cand, gap
-    return Pending(gap, eps_t, rate)
-
-
 def _inner_budget(sched, per_iter):
     """Iteration cap for one inner solve that contracts at rate per_iter."""
     span = max(np.log(max(sched.diameter_sq, 2.0) / sched.inner_target), 1.0)
@@ -142,9 +130,9 @@ def _solve_zero_coupling(game, z, eps, sched, ledger, certificate):
     kern = PdhgKernel(form, game.X, game.Y, z.x, z.y)
     rep = drive(lambda: kern.step(ledger),
                 lambda: JointPoint(kern.x.copy(), kern.y.copy()), ledger,
-                _inner_budget(sched, kern.rate()),
+                _inner_budget(sched, pdhg_rate(form)),
                 lambda: certificate(np.concatenate([kern.x, kern.y])), eps,
-                SolverConfig.certificate_period)
+                CERTIFICATE_PERIOD)
     bound = rep.certified_sq_distance
     return rep.point, np.inf if bound is None else bound
 
@@ -154,9 +142,10 @@ def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
     """Outer loop of iterative coupling linearization.
 
     Every subproblem is solved until an extracted candidate passes the
-    inexactness check at tolerance eps_t (early exit), with the
-    distance-certified route as a backstop. The check is polled on
-    drive's schedule at the inner solver's contraction rate.
+    inexactness check at tolerance eps_t, its one stop rule; the check is
+    polled on drive's schedule at the inner solver's contraction rate.
+    An inner solve that exhausts _inner_budget without passing raises
+    IclError.
 
     stop selects when the outer loop ends:
 
@@ -219,40 +208,34 @@ def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
         nonlocal z
         sub = build_subproblem(game, z, sched.eta, ledger)
 
-        def stop_check(x, y):  # rate: the inner solver's, set below
-            return _accept_or_pending(sub, x, y, gamma_ex, eps_t, ledger, rate)
+        def stop_check(x, y):
+            """The inner solve's one stop rule: extract a candidate by one
+            projected step; (candidate, gap) if its gap is at most eps_t,
+            else a Pending at the inner solver's rate, set below."""
+            gx, gy = sub.operator(x, y, ledger, "cert")
+            cand = JointPoint(sub.X.project(x - gamma_ex * gx),
+                              sub.Y.project(y - gamma_ex * gy))
+            gap = check_inexactness(sub, cand, ledger)
+            return (cand, gap) if gap <= eps_t else Pending(gap, eps_t, rate)
 
         if use_apd:
-            f = sub.phi_form
-            rate = min(0.5, np.sqrt(f.ax * f.ay) / max(f.w_norm(), 1e-14))
-            rep = solve_apd_bilinear(
-                sub, target_sq_dist=sched.inner_target,
-                max_iter=_inner_budget(sched, rate),
-                certificate_period=64, ledger=ledger, stop_check=stop_check)
+            rate = pdhg_rate(sub.phi_form)
+            rep = solve_apd_bilinear(sub, target_sq_dist=None,
+                                     max_iter=_inner_budget(sched, rate),
+                                     ledger=ledger, stop_check=stop_check)
         else:
             Lop, _ = sub.operator_bounds()
             rate = max(sub.mu_sub / (np.sqrt(2.0) * Lop), 1e-8)
             rep = solve_operator_eg(
                 sub.operator, sub.X, sub.Y, sub.x_center, sub.y_center,
                 gamma=gamma_ex, budget=_inner_budget(sched, rate),
-                ledger=ledger, stop_check=stop_check,
-                target_sq_dist=sched.inner_target, mu_min=sub.mu_sub,
-                Lop=Lop, certificate_period=64)
+                ledger=ledger, stop_check=stop_check)
 
-        accepted = rep.extras.get("accepted")
-        if accepted is None:
-            if rep.status != "converged":
-                raise IclError(
-                    f"inner solve stalled: gap did not reach {eps_t:.3e} "
-                    f"within {rep.iterations} iterations")
-            accepted = _accept_or_pending(sub, rep.point.x, rep.point.y,
-                                          gamma_ex, eps_t, ledger, rate)
-            if isinstance(accepted, Pending):
-                raise IclError(
-                    "inexactness check failed after a distance-certified "
-                    "inner solve; this contradicts the extraction bound "
-                    "and indicates a bug")
-        z, gap = accepted
+        if "accepted" not in rep.extras:
+            raise IclError(
+                f"inner solve stalled: gap did not reach {eps_t:.3e} "
+                f"within {rep.iterations} iterations")
+        z, gap = rep.extras["accepted"]
         history.append((rep.iterations, gap))
         if keep_trace:
             trace.append(z)

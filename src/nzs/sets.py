@@ -39,6 +39,9 @@ def project_simplex(v, ranks=None):
     if k < 0:
         # at |v| beyond 2**53 even u[0] > u[0] - 1 fails; shifting v along
         # the ones vector leaves its projection unchanged
+        if not np.all(np.isfinite(v)):
+            raise ValueError("cannot project a vector with a non-finite "
+                             "entry onto the simplex")
         return project_simplex(v - v.max(), ranks)
     tau = cs[k] / (k + 1)
     w = v - tau

@@ -18,8 +18,10 @@ import numpy as np
 
 from .games import BilinearSaddleForm, JointPoint, QueryLedger
 
-# the fewest steps between two polls of a solve's stop_check
+# the fewest steps between two polls of a solve's stop_check, and of its
+# certificate
 CHECK_PERIOD = 4
+CERTIFICATE_PERIOD = 8
 
 
 class StructureError(RuntimeError):
@@ -30,11 +32,10 @@ class StructureError(RuntimeError):
 @dataclass
 class SolverConfig:
     """Stop once the certificate is at most epsilon (0 < epsilon < inf);
-    polls of it are at least certificate_period iterations apart."""
+    polls of it are at least CERTIFICATE_PERIOD iterations apart."""
 
     epsilon: float
     max_iter: int = 5_000_000
-    certificate_period: int = 8
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
@@ -258,7 +259,7 @@ def _baseline_solve(game, config, method):
                (lambda z: prob.extragradient(z, gamma, "f")) if method == "eg"
                else ogda_step, config.max_iter,
                mu_min if mu_min > 0 else None, config.epsilon,
-               config.certificate_period)
+               CERTIFICATE_PERIOD)
     # the best certificate seen, which a max_iter run's last need not be
     rep.certified_sq_distance = min((b for _, b in rep.residual_history),
                                     default=None)
@@ -270,7 +271,7 @@ def solve_eg(game, config):
 
     Stepsize 1/(sqrt(2) L); two operator queries per iteration; the
     certificate (stepsize 1/(2L), queries ledgered as cert) is polled on
-    drive's schedule, at least certificate_period iterations apart.
+    drive's schedule, at least CERTIFICATE_PERIOD iterations apart.
     """
     return _baseline_solve(game, config, "eg")
 
@@ -405,26 +406,27 @@ class PdhgKernel:
         self.x = x_new
         ledger.h_queries += 1
 
-    def rate(self):
-        f = self.form
-        lw = f.w_norm()
-        if lw <= 1e-14:
-            return 0.5
-        return min(0.5, np.sqrt(f.ax * f.ay) / lw)
+
+def pdhg_rate(form):
+    """PdhgKernel's contraction rate per step on form: about
+    sqrt(ax ay)/|W|, at most 0.5 (also when form is decoupled)."""
+    lw = form.w_norm()
+    if lw <= 1e-14:
+        return 0.5
+    return min(0.5, np.sqrt(form.ax * form.ay) / lw)
 
 
-def solve_apd_bilinear(sub, target_sq_dist, max_iter=None,
-                       certificate_period=8, ledger=None, stop_check=None):
+def solve_apd_bilinear(sub, target_sq_dist, max_iter=None, ledger=None,
+                       stop_check=None):
     """Accelerated primal-dual solve of a structured saddle subproblem.
 
     Runs the strongly-convex primal-dual kernel until the displacement
     certificate on the subproblem operator shows a squared distance at
     most target_sq_dist (certificate queries ledgered separately), polled
-    at least certificate_period iterations apart. An optional
-    stop_check(x, y) callback is polled on drive's schedule; a return
-    other than None or a Pending stops the solve early and is attached to
-    the report extras (this is how the outer loop certifies inexactness
-    directly and skips the distance target).
+    on drive's schedule; target_sq_dist None polls no certificate. An
+    optional stop_check(x, y) callback is polled on drive's schedule; a
+    return other than None or a Pending stops the solve and is attached
+    to the report extras as "accepted" (ICL's inexactness check).
 
     Raises StructureError when the subproblem has no bilinear structure;
     use solve_eg / solve_ogda on sub.operator in that case.
@@ -440,7 +442,7 @@ def solve_apd_bilinear(sub, target_sq_dist, max_iter=None,
         d0 = sub.X.diameter() ** 2 + sub.Y.diameter() ** 2
         span = max(np.log(max(d0, 1.0) / target_sq_dist), 1.0) if target_sq_dist \
             else 40.0
-        max_iter = int(60.0 * span / kern.rate()) + 200
+        max_iter = int(60.0 * span / pdhg_rate(sub.phi_form)) + 200
 
     def certificate():
         return displacement_certificate(
@@ -450,22 +452,22 @@ def solve_apd_bilinear(sub, target_sq_dist, max_iter=None,
         lambda: kern.step(prob.ledger),
         lambda: JointPoint(kern.x.copy(), kern.y.copy()), prob.ledger,
         max_iter, None if target_sq_dist is None else certificate,
-        target_sq_dist,
-        certificate_period,
+        target_sq_dist, CERTIFICATE_PERIOD,
         None if stop_check is None else lambda: stop_check(kern.x, kern.y))
 
 
 def solve_operator_eg(operator, X, Y, x0, y0, gamma, budget, ledger=None,
-                      bucket="h", stop_check=None, target_sq_dist=None,
-                      mu_min=None, Lop=None, certificate_period=8):
+                      stop_check=None, target_sq_dist=None, mu_min=None,
+                      Lop=None):
     """Plain extragradient on an arbitrary saddle operator (x, y, ledger,
-    bucket) -> (gx, gy). Generic fallback for subproblems without bilinear
-    structure; stop_check and the certificate are polled as in
-    solve_apd_bilinear, the certificate only when mu_min and Lop are given.
+    bucket) -> (gx, gy), its steps ledgered as h. Generic fallback for
+    subproblems without bilinear structure; stop_check and the certificate
+    are polled as in solve_apd_bilinear, the certificate only when
+    target_sq_dist, mu_min and Lop are given.
     """
     prob = OperatorProblem(operator, X, Y, ledger, Lop)
     return _run(prob, np.concatenate([x0, y0], dtype=np.float64),
-                lambda z: prob.extragradient(z, gamma, bucket), budget,
+                lambda z: prob.extragradient(z, gamma, "h"), budget,
                 mu_min if target_sq_dist is not None and mu_min and Lop
                 else None,
-                target_sq_dist, certificate_period, stop_check)
+                target_sq_dist, CERTIFICATE_PERIOD, stop_check)

@@ -280,11 +280,18 @@ def spectral_norm(A, tol=1e-8, max_iter=10000, seed=0):
 
     Raises SpectralNormError (carrying the last estimate) if max_iter is
     exhausted first.
+
+    Iterates on 2**-e A, whose largest |entry| lies in [0.5, 1), so that
+    squared norms neither overflow nor underflow; scaling by a power of
+    two is exact, so the result is that of the iteration on A itself.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if A.nnz == 0:
+    amax = np.max(np.abs(A.values), initial=0.0)
+    if amax == 0.0:  # no entries, or only stored zeros
         return 0.0
+    e = int(np.frexp(amax)[1])
+    A = A.with_values(np.ldexp(A.values, -e))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(A.n_cols)
     for _ in range(4):
@@ -307,10 +314,10 @@ def spectral_norm(A, tol=1e-8, max_iter=10000, seed=0):
         if abs(lam - lam_prev) <= tol * lam:
             streak += 1
             if streak >= 3:
-                return float(np.sqrt(lam))
+                return float(np.ldexp(np.sqrt(lam), e))
         else:
             streak = 0
         lam_prev = lam
     raise SpectralNormError(
         f"power iteration did not converge in {max_iter} sweeps",
-        estimate=float(np.sqrt(lam_prev)))
+        estimate=float(np.ldexp(np.sqrt(lam_prev), e)))

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ class TestSolve:
         assert report["certified_sq_distance"] > 1e-12
         assert rc == 1
 
+    def test_stalled_icl_exit_1(self, instance_file, tmp_path, monkeypatch):
+        # an inner budget of one step cannot pass the inexactness check
+        import nzs.icl
+
+        monkeypatch.setattr(nzs.icl, "_inner_budget", lambda sched, rate: 1)
+        out = tmp_path / "r.json"
+        rc = main(["solve", "--method", "icl", "--instance",
+                   str(instance_file), "--rho", "0.001", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1e-7"])
     @pytest.mark.parametrize("method", ["eg", "ogda", "icl"])
     def test_eps_not_positive_and_finite_exits_2(self, instance_file,
@@ -127,6 +139,23 @@ class TestSolve:
                    "--out", str(tmp_path / "r.json")])
         assert rc == 2
         assert "norm_abs" in capsys.readouterr().err
+
+
+class TestZeroCurvature:
+    @pytest.mark.parametrize("method", ["icl", "ogda", "eg"])
+    def test_zero_mu_exits_2_at_once_without_report(self, tmp_path, method):
+        # min(mu, nu) = 0 leaves no certificate modulus: the baselines
+        # would run max_iter iterations, so every method refuses it
+        _, meta = gen_sparse_experiment(6, 5, 12, 0, 0.0, 1.0)
+        inst = tmp_path / "flat.nzs"
+        write_instance(inst, meta.pop("M"), meta)
+        out = tmp_path / "r.json"
+        t0 = time.perf_counter()
+        rc = main(["solve", "--method", method, "--instance", str(inst),
+                   "--out", str(out)])
+        assert rc == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert not out.exists()
 
 
 class TestMonotoneRange:

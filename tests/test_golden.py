@@ -32,7 +32,7 @@ FEE_GOLDEN = {
                     "84445ef0202c1f4a89443a4c74bdae934402e8cbc64a8c08cfdc3622efafeb28"),
     ("eg", 0.0): (2496, 0, 0, 26, 1248, "9.373542820446603e-08",
                   "9c66845697f80c44b92845232f3076b117f62e68444ebe1043ab6bc694872e22"),
-    ("icl", 0.0009): (0, 1447, 9, 192, 9, "1.3992385546088412e-08",
+    ("icl", 0.0009): (0, 1447, 9, 156, 9, "1.3992385546088412e-08",
                       "934e124fa81e3e6c5d5f0e30c6c06c74abdb5a9fcddf884dde9f7883825538d3"),
     ("ogda", 0.0009): (1767, 0, 0, 28, 1767, "9.375346360235257e-08",
                        "6c2b9ab3d685e870855db8356acde189e647dd13dcc1f00ad6b93ac63b67c90d"),
@@ -42,7 +42,7 @@ FEE_GOLDEN = {
 
 # dense W and ball sets; ICL with its default full schedule
 QUAD_GOLDEN = {
-    "icl": (0, 3443, 53, 554, 53, "7.860948430761068e-20",
+    "icl": (0, 3443, 53, 474, 53, "7.860948430761068e-20",
             "bb5d2b6542a08468b33c8f6bf30b43d7e7e45c5d210f3ff92e580d6b8dc7a5b6"),
     "ogda": (374, 0, 0, 20, 374, "9.752899565390502e-08",
              "8052be4d024508865071873c0c7c40f59868d7e88a334cec700108e86a50f4ad"),
@@ -53,17 +53,17 @@ QUAD_GOLDEN = {
 # the same game through ICL's other routes: operator extragradient inner
 # solves, the whole-game certificate stop, and a general reformulation
 QUAD_ICL_ROUTES = {
-    "inner-eg": (0, 18914, 53, 1032, 53, "9.475379789185215e-20",
+    "inner-eg": (0, 18914, 53, 890, 53, "9.475379789185215e-20",
                  "96f9baffa4bc20e8ec0dd0b54e1c3deed2588fcab9dfc5eee1bd5762fdc444f9"),
-    "stop-certificate": (0, 2288, 12, 280, 12, "2.9016491549543397e-08",
+    "stop-certificate": (0, 2288, 12, 220, 12, "2.9016491549543397e-08",
                          "48c94eb090c54599488a5f0c6d7fe22b67fe32cd33bddadbe61c2c2064558561"),
-    "reformulate-general": (0, 2755, 61, 402, 61, "4.939003208644639e-20",
+    "reformulate-general": (0, 2755, 61, 342, 61, "4.939003208644639e-20",
                             "930cba022f8eb18f1636c36e4878e4cb3d5d1823f1449caf0aed30ad541278f1"),
 }
 
 # solve_monotone: (fingerprint of the report, repr(gap_bound))
 MONOTONE_GOLDEN = {
-    "fee-game": ((1, 24652, 33, 498, 33, "np.float64(2.896683609468093e-13)",
+    "fee-game": ((1, 24652, 33, 412, 33, "np.float64(2.896683609468093e-13)",
                   "dc1d7832077c580f8be7468d84bf19f02b79cd4689f41eb19c5f8e7c160a4753"),
                  "np.float64(0.0050125)"),
     "matching-pennies": ((1, 0, 45, 92, 45, "np.float64(0.0)",

@@ -5,8 +5,9 @@ import pytest
 
 from nzs.games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
                        operator_F)
-from nzs.icl import (IclSchedule, build_subproblem, check_inexactness,
-                     schedule_params, solve_icl, solve_monotone)
+from nzs.icl import (IclError, IclSchedule, build_subproblem,
+                     check_inexactness, schedule_params, solve_icl,
+                     solve_monotone)
 from nzs.instances import (fee_game, gen_quadratic_known_ne, matching_pennies,
                            stackelberg_example, stackelberg_reference_points)
 from nzs.sets import Ball
@@ -298,6 +299,32 @@ class TestSolveIcl:
         assert rep.ledger.cert_queries <= 0.2 * rep.ledger.h_queries
         eps_t = rep.extras["schedule"].eps_t
         assert all(gap <= eps_t for _, gap in rep.residual_history)
+
+    @pytest.mark.parametrize("inner", ["apd", "eg"])
+    def test_inner_solves_stop_on_the_check_alone(self, monkeypatch, inner):
+        # each check costs 2 cert queries (extraction and gap) and the
+        # final whole-game certificate 2 more: no other cert query is made
+        import nzs.icl
+
+        checks = []
+
+        def counted(*args):
+            checks.append(None)
+            return check_inexactness(*args)
+
+        monkeypatch.setattr(nzs.icl, "check_inexactness", counted)
+        game = quad_game(seed=1, n_x=20, n_y=20, mu=0.05, nu=0.05,
+                         delta=0.01, coupling_norm=1.0)
+        rep = solve_icl(game, 1e-7, inner=inner)
+        assert rep.status == "converged"
+        assert rep.ledger.cert_queries == 2 * len(checks) + 2
+
+    def test_stalled_inner_solve_raises(self, monkeypatch):
+        import nzs.icl
+
+        monkeypatch.setattr(nzs.icl, "_inner_budget", lambda sched, rate: 1)
+        with pytest.raises(IclError, match="stalled"):
+            solve_icl(quad_game(seed=1), 1e-7)
 
     def test_ledger_separates_query_kinds(self):
         game = quad_game(seed=12)

@@ -203,6 +203,10 @@ class TestSimplexProjectionFunction:
             assert np.all(w >= 0)
             assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 
+    def test_non_finite_input_raises(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            project_simplex(np.array([np.inf, 0.0, 0.5]))
+
     def test_feasible_where_the_threshold_rounds_away(self):
         # at 1e17 no entry passes u[j] (j + 1) > cs[j]; the projection of
         # v - max(v) is returned instead

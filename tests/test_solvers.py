@@ -317,8 +317,7 @@ class TestApdBilinear:
 
     def test_linear_convergence_of_certified_bounds(self):
         sub, _ = unconstrained_subproblem(seed=22, ax=0.05, ay=0.05)
-        rep = solve_apd_bilinear(sub, target_sq_dist=1e-16,
-                                 certificate_period=8)
+        rep = solve_apd_bilinear(sub, target_sq_dist=1e-16)
         its = np.array([i for i, _ in rep.residual_history], dtype=float)
         vals = np.log([b for _, b in rep.residual_history])
         tail = len(its) // 4

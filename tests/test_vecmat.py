@@ -246,6 +246,7 @@ class TestSpectralNorm:
     def test_zero(self):
         A = SparseMatrix(3, 3, [0, 0, 0, 0], [], [])
         assert spectral_norm(A) == 0.0
+        assert spectral_norm(SparseMatrix.identity(3).scaled(0.0)) == 0.0
 
     def test_against_svd(self):
         rng = np.random.default_rng(11)
@@ -262,6 +263,17 @@ class TestSpectralNorm:
         for c in (-3.7, 0.25, 11.0):
             got = spectral_norm(A.scaled(c), tol=tol)
             assert abs(got - abs(c) * base) <= 2 * tol * abs(c) * base
+
+    def test_extreme_scales(self):
+        # squared norms overflow or underflow at these scales unless the
+        # iteration runs on a rescaled copy
+        rng = np.random.default_rng(12)
+        A = random_csr(rng, 30, 30, 200)
+        tol = 1e-8
+        base = spectral_norm(A, tol=tol)
+        for c in (1e200, 1e-200, 1e300):
+            got = spectral_norm(A.scaled(c), tol=tol)
+            assert abs(got - c * base) <= 2 * tol * c * base
 
     def test_nonconvergence_carries_estimate(self):
         rng = np.random.default_rng(13)
