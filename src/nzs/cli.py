@@ -146,10 +146,8 @@ def _bench_cell(cell):
             return run_method(*instance, rho, method, eps)[1]
         except Exception as exc:  # mark the cell failed, keep sweeping
             error = str(exc)
-    return {"method": method, "rho": rho, "seed": seed,
-            "queries_h": "", "queries_g": "", "queries_cert": "",
-            "iterations": "", "certified_sq_distance": "",
-            "wall_ms": "", "error": error}
+    return {**dict.fromkeys(CSV_HEADER, ""), "method": method, "rho": rho,
+            "seed": seed, "error": error}
 
 
 def bench_rows(n, m, nnz, seeds, rhos, methods, mu, nu, eps, threads=None):

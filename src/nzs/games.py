@@ -92,7 +92,7 @@ class BilinearSaddleForm:
     rmatvec: callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n_y, n_x = (self.W.shape if self.W is not None else (0, 0))
+        n_y, n_x = self.W.shape
         if self.bx is None:
             self.bx = np.zeros(n_x)
         if self.by is None:
@@ -100,7 +100,7 @@ class BilinearSaddleForm:
         if isinstance(self.W, SparseMatrix):
             self.matvec = functools.partial(spmv, self.W)
             self.rmatvec = functools.partial(spmv_transpose, self.W)
-        elif self.W is not None:
+        else:
             self.matvec = functools.partial(np.matmul, self.W)
             self.rmatvec = functools.partial(np.matmul, self.W.T)
 

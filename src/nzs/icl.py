@@ -14,9 +14,9 @@ import numpy as np
 
 from .games import JointPoint, QueryLedger, grad_g, operator_H
 from .solvers import (CERTIFICATE_PERIOD, JointProblem, PdhgKernel, Pending,
-                      SaddleSubproblem, SolveReport, StructureError,
-                      displacement_certificate, drive, extract_approx_ne,
-                      pdhg_rate, solve_apd_bilinear, solve_operator_eg)
+                      SaddleSubproblem, SolveReport, displacement_certificate,
+                      drive, extract_approx_ne, pdhg_rate, solve_apd_bilinear,
+                      solve_operator_eg)
 
 
 class IclError(RuntimeError):
@@ -137,15 +137,16 @@ def _solve_zero_coupling(game, z, eps, sched, ledger, certificate):
     return rep.point, np.inf if bound is None else bound
 
 
-def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
-              stop="schedule"):
+def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     """Outer loop of iterative coupling linearization.
 
-    Every subproblem is solved until an extracted candidate passes the
-    inexactness check at tolerance eps_t, its one stop rule; the check is
-    polled on drive's schedule at the inner solver's contraction rate.
-    An inner solve that exhausts _inner_budget without passing raises
-    IclError.
+    The game picks the inner solver: solve_apd_bilinear on the flattened
+    subproblem when game.h_structure is set, else solve_operator_eg on its
+    h_grad oracle. Every subproblem is solved until an extracted candidate
+    passes the inexactness check at tolerance eps_t, its one stop rule;
+    the check is polled on drive's schedule at the inner solver's
+    contraction rate. An inner solve that exhausts _inner_budget without
+    passing raises IclError.
 
     stop selects when the outer loop ends:
 
@@ -155,18 +156,15 @@ def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
     - "certificate" evaluates the whole-game displacement certificate
       (stepsize 1/(2L), modulus game.monotone_modulus, the one the
       baselines stop on) on drive's schedule, at least one outer
-      iteration apart, and stops once it is at most eps. With the apd
-      inner solver, a game with delta = 0 is then solved in one
-      structured pass instead of proximal subproblems.
+      iteration apart, and stops once it is at most eps. A structured
+      game with delta = 0 is then solved in one primal-dual pass instead
+      of proximal subproblems.
 
     The reported certified_sq_distance is the smaller of the contraction
     bound after the proximal iterations run and the last whole-game
     certificate; status is "converged" only when it is at most eps, else
     "max_iter". iterations counts the outer iterations run, the
     structured pass counting as one.
-
-    inner: "apd" (structured primal-dual), "eg" (operator extragradient),
-    or "auto" (apd when bilinear structure is available).
     """
     if stop not in ("schedule", "certificate"):
         raise ValueError("stop must be 'schedule' or 'certificate'")
@@ -179,10 +177,6 @@ def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
     T = sched.T if max_outer is None else min(sched.T, max_outer)
 
     z = JointPoint(game.X.canonical_point(), game.Y.canonical_point())
-    use_apd = (inner == "apd") or (inner == "auto" and game.h_structure is not None)
-    if inner == "apd" and game.h_structure is None:
-        raise StructureError("game has no bilinear structure for the apd "
-                             "inner solver; use inner='eg'")
 
     certifiable = game.monotone_modulus > 0
     joint = JointProblem(game, ledger)
@@ -197,7 +191,7 @@ def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
     trace = [z] if keep_trace else None
     bound = None
     outer = 0
-    if by_certificate and game.delta == 0 and use_apd:
+    if by_certificate and game.delta == 0 and game.h_structure is not None:
         z, bound = _solve_zero_coupling(game, z, eps, sched, ledger,
                                         certificate)
         outer = 1
@@ -218,14 +212,13 @@ def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
             gap = check_inexactness(sub, cand, ledger)
             return (cand, gap) if gap <= eps_t else Pending(gap, eps_t, rate)
 
-        if use_apd:
+        if sub.phi_form is not None:
             rate = pdhg_rate(sub.phi_form)
             rep = solve_apd_bilinear(sub, target_sq_dist=None,
                                      max_iter=_inner_budget(sched, rate),
                                      ledger=ledger, stop_check=stop_check)
         else:
-            Lop, _ = sub.operator_bounds()
-            rate = max(sub.mu_sub / (np.sqrt(2.0) * Lop), 1e-8)
+            rate = max(sub.mu_sub / (np.sqrt(2.0) * sub.L_sub), 1e-8)
             rep = solve_operator_eg(
                 sub.operator, sub.X, sub.Y, sub.x_center, sub.y_center,
                 gamma=gamma_ex, budget=_inner_budget(sched, rate),
@@ -265,7 +258,7 @@ def solve_icl(game, eps, inner="auto", keep_trace=False, max_outer=None,
     )
 
 
-def solve_monotone(game, eps, inner="auto"):
+def solve_monotone(game, eps):
     """Approximate equilibrium for a merely monotone game (mu or nu zero).
 
     Adds the curvature min(eps/(4 D_X^2), L/2) to the first player and
@@ -273,12 +266,13 @@ def solve_monotone(game, eps, inner="auto"):
     the coupling part is unchanged, solves the reduced strongly monotone
     game to squared-distance accuracy eps^2/(32 L^2 D^2), and converts via
     one extraction step. The returned gap bound is a valid
-    unilateral-deviation-gain bound of at most eps.
+    unilateral-deviation-gain bound of at most eps. The reduced game keeps
+    game's h_structure, so solve_icl picks the same inner solver for it.
 
     Returns (point, gap_bound, report).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     DX2 = game.X.diameter() ** 2
     DY2 = game.Y.diameter() ** 2
     a_x = min(eps / (4.0 * DX2), game.L / 2.0)
@@ -288,7 +282,7 @@ def solve_monotone(game, eps, inner="auto"):
 
     D_sq = DX2 + DY2
     eps_acc = eps ** 2 / (32.0 * game.L ** 2 * D_sq)
-    report = solve_icl(reduced, eps_acc, inner=inner)
+    report = solve_icl(reduced, eps_acc)
     gamma = 1.0 / (np.sqrt(2.0) * reduced.L)
     point, bound = extract_approx_ne(reduced, report.point, gamma,
                                      dist=np.sqrt(eps_acc),

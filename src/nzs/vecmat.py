@@ -46,6 +46,18 @@ def as_vector(entries):
     return v
 
 
+def _coo_indices(idx, n, name):
+    """idx as int64, checked to hold integers in [0, n) only."""
+    idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu" and (
+            idx.dtype.kind != "f" or not np.all(np.isfinite(idx))
+            or np.any(idx != np.floor(idx))):
+        raise ValueError(f"{name} indices must be integers")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ValueError(f"{name} index out of range")
+    return idx.astype(np.int64, copy=False)
+
+
 class SparseMatrix:
     """CSR matrix with validated structure.
 
@@ -100,11 +112,12 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, rows, cols, values, shape):
-        """Build from coordinate triplets. Duplicate coordinates are an error."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
+        """Build from coordinate triplets. Duplicate coordinates, and
+        indices that are out of range or not integers, are an error."""
         n_rows, n_cols = shape
+        rows = _coo_indices(rows, n_rows, "row")
+        cols = _coo_indices(cols, n_cols, "column")
+        values = np.asarray(values, dtype=np.float64)
         order = np.lexsort((cols, rows))
         rows, cols, values = rows[order], cols[order], values[order]
         if len(rows) > 1:
@@ -117,21 +130,11 @@ class SparseMatrix:
         return cls(n_rows, n_cols, offsets, cols, values)
 
     @classmethod
-    def from_dense(cls, array, keep_pattern_of=None):
-        """Build from a dense 2-D array, dropping zeros.
-
-        If ``keep_pattern_of`` is given (another SparseMatrix), reuse its
-        sparsity pattern and just read values off the dense array.
-        """
+    def from_dense(cls, array):
+        """Build from a dense 2-D array, dropping zeros."""
         a = np.asarray(array, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("expected a 2-D array")
-        if keep_pattern_of is not None:
-            p = keep_pattern_of
-            rows = np.repeat(np.arange(p.n_rows), np.diff(p.row_offsets))
-            vals = a[rows, p.col_indices]
-            return cls(p.n_rows, p.n_cols, p.row_offsets.copy(),
-                       p.col_indices.copy(), vals)
         rows, cols = np.nonzero(a)
         return cls.from_coo(rows, cols, a[rows, cols], a.shape)
 

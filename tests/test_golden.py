@@ -10,6 +10,7 @@ numpy's bundled OpenBLAS; the certificates' dot products go through
 BLAS, so another BLAS build may legitimately move the last bits.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -51,10 +52,11 @@ QUAD_GOLDEN = {
 }
 
 # the same game through ICL's other routes: operator extragradient inner
-# solves, the whole-game certificate stop, and a general reformulation
+# solves on the h_grad oracle (the game without h_structure), the
+# whole-game certificate stop, and a general reformulation
 QUAD_ICL_ROUTES = {
-    "inner-eg": (0, 18914, 53, 890, 53, "9.475379789185215e-20",
-                 "96f9baffa4bc20e8ec0dd0b54e1c3deed2588fcab9dfc5eee1bd5762fdc444f9"),
+    "inner-eg": (0, 18910, 53, 918, 53, "9.386322279777962e-20",
+                 "5460053bb5d4c019319c84bcdaf00c83bdc1b56bb62eb4969e47da995e7612d0"),
     "stop-certificate": (0, 2288, 12, 220, 12, "2.9016491549543397e-08",
                          "48c94eb090c54599488a5f0c6d7fe22b67fe32cd33bddadbe61c2c2064558561"),
     "reformulate-general": (0, 2755, 61, 342, 61, "4.939003208644639e-20",
@@ -124,7 +126,7 @@ def test_quadratic_game_runs_are_bitwise_pinned():
 def test_quadratic_game_icl_routes_are_bitwise_pinned(route):
     game = quad_game()
     if route == "inner-eg":
-        rep = solve_icl(game, 1e-7, inner="eg")
+        rep = solve_icl(dataclasses.replace(game, h_structure=None), 1e-7)
     elif route == "stop-certificate":
         rep = solve_icl(game, 1e-7, stop="certificate")
     else:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,11 @@ from nzs.sets import Ball
 from nzs.solvers import SolverConfig, solve_eg
 from nzs.vecmat import SparseMatrix
 from nzs.diagnostics import deviation_gain
+
+
+def without_structure(game):
+    """game with its h_structure dropped: ICL's h_grad oracle route."""
+    return dataclasses.replace(game, h_structure=None)
 
 
 def quad_game(seed=0, **kw):
@@ -315,7 +321,9 @@ class TestSolveIcl:
         monkeypatch.setattr(nzs.icl, "check_inexactness", counted)
         game = quad_game(seed=1, n_x=20, n_y=20, mu=0.05, nu=0.05,
                          delta=0.01, coupling_norm=1.0)
-        rep = solve_icl(game, 1e-7, inner=inner)
+        if inner == "eg":
+            game = without_structure(game)
+        rep = solve_icl(game, 1e-7)
         assert rep.status == "converged"
         assert rep.ledger.cert_queries == 2 * len(checks) + 2
 
@@ -379,6 +387,19 @@ class TestSolveIcl:
         ref = solve_eg(game, SolverConfig(epsilon=1e-14))
         assert rep.point.distance_to(ref.point) ** 2 <= 4 * eps
 
+    def test_structureless_zero_coupling_game_takes_the_proximal_loop(self):
+        # delta = 0 but no h_structure: no structured pass, the proximal
+        # iterations on the h_grad oracle certify instead
+        game, _, z_exact = linear_coupling_pair(seed=13)
+        game = without_structure(game)
+        eps = 1e-10
+        rep = solve_icl(game, eps, stop="certificate")
+        assert rep.status == "converged"
+        assert rep.iterations == rep.ledger.g_queries > 1
+        assert len(rep.residual_history) == rep.iterations
+        assert rep.certified_sq_distance <= eps
+        assert rep.point.distance_to(z_exact) ** 2 <= rep.certified_sq_distance
+
     def test_truncated_run_is_not_converged(self):
         eps = 1e-9
         for stop in ("schedule", "certificate"):
@@ -393,8 +414,8 @@ class TestSolveIcl:
 
     def test_eg_inner_agrees_with_apd_inner(self):
         game = quad_game(seed=14)
-        z_a = solve_icl(game, 1e-10, inner="apd").point
-        z_b = solve_icl(game, 1e-10, inner="eg").point
+        z_a = solve_icl(game, 1e-10).point
+        z_b = solve_icl(without_structure(game), 1e-10).point
         assert z_a.distance_to(z_b) <= 1e-4
         assert z_a.distance_to(game.known_ne) ** 2 <= 1e-10
 
@@ -412,6 +433,20 @@ class TestSolveMonotone:
         DY2 = game.Y.diameter() ** 2
         assert rep.extras["reduced_mu"] == min(eps / (2 * DX2), game.L)
         assert rep.extras["reduced_nu"] == min(eps / (2 * DY2), game.L)
+
+    def test_matching_pennies_without_structure(self):
+        game = without_structure(matching_pennies())
+        eps = 1e-3
+        point, bound, rep = solve_monotone(game, eps)
+        assert rep.status == "converged"
+        assert bound <= eps
+        gain = deviation_gain(game, point)
+        assert gain.value + gain.residual <= eps
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1e-3])
+    def test_rejects_eps_that_is_not_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_monotone(matching_pennies(), eps)
 
     def test_already_strongly_monotone_game(self):
         # adding curvature to a game that is already strongly monotone only

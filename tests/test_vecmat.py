@@ -64,6 +64,24 @@ class TestStructureValidation:
         with pytest.raises(ValueError):
             SparseMatrix.from_coo([0, 0], [1, 1], [1.0, 2.0], (2, 2))
 
+    @pytest.mark.parametrize("index", [-2, 3])
+    @pytest.mark.parametrize("axis", ["row", "column"])
+    def test_coo_index_out_of_range(self, axis, index):
+        rows, cols = ([index], [0]) if axis == "row" else ([0], [index])
+        with pytest.raises(ValueError, match=f"{axis} index out of range"):
+            SparseMatrix.from_coo(rows, cols, [1.0], (3, 3))
+
+    @pytest.mark.parametrize("index", [0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("axis", ["row", "column"])
+    def test_coo_index_not_an_integer(self, axis, index):
+        rows, cols = ([index], [0]) if axis == "row" else ([0], [index])
+        with pytest.raises(ValueError, match=f"{axis} indices must be integers"):
+            SparseMatrix.from_coo(rows, cols, [1.0], (3, 3))
+
+    def test_coo_integral_float_indices(self):
+        A = SparseMatrix.from_coo([2.0, 0.0], [1.0, 2.0], [1.0, 2.0], (3, 3))
+        assert np.array_equal(A.to_dense(), [[0, 0, 2], [0, 0, 0], [0, 1, 0]])
+
     def test_empty_rows_allowed(self):
         A = SparseMatrix(3, 2, [0, 0, 1, 1], [1], [5.0])
         assert A.to_dense().tolist() == [[0, 0], [0, 5.0], [0, 0]]
