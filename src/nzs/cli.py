@@ -250,6 +250,12 @@ def _parse_int_list(text):
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _parse_threads(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("threads must be a positive integer")
+    return int(text)
+
+
 def _parse_eps(text):
     if not 0 < float(text) < float("inf"):
         raise argparse.ArgumentTypeError("eps must be positive and finite")
@@ -296,7 +302,7 @@ def build_parser():
     b.add_argument("--rho-list", type=_parse_float_list, default=None)
     b.add_argument("--methods", type=_parse_methods, default=list(METHODS))
     b.add_argument("--eps", type=_parse_eps, default=1e-7)
-    b.add_argument("--threads", type=int, default=None)
+    b.add_argument("--threads", type=_parse_threads, default=None)
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bench)
 

@@ -284,6 +284,8 @@ def probe_structure(game, n_pairs, seed=0):
     """Estimate monotonicity and coupling structure from random pairs."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    if game.diameter_sq() == 0:
+        raise ValueError("both strategy sets are single points; no pairs")
     rng = np.random.default_rng(seed)
 
     def draw(S):  # a canonical point plus Gaussian noise, projected

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import JointPoint, QueryLedger, grad_g, operator_H
-from .solvers import (CERTIFICATE_PERIOD, JointProblem, PdhgKernel, Pending,
-                      SaddleSubproblem, SolveReport, displacement_certificate,
-                      drive, extract_approx_ne, pdhg_rate, solve_apd_bilinear,
-                      solve_operator_eg)
+from .solvers import (Pending, SaddleSubproblem, SolveReport, drive,
+                      extract_approx_ne, game_certificate, pdhg_rate,
+                      solve_apd_bilinear, solve_operator_eg)
 
 
 class IclError(RuntimeError):
@@ -69,7 +68,8 @@ def schedule_params(mu, nu, delta, L, eps, D_X, D_Y):
 
 
 def build_subproblem(game, z_t, eta, ledger=None):
-    """Linearize the coupling part at z_t (one coupling-gradient query)."""
+    """Linearize the coupling part at z_t (one coupling-gradient query);
+    eta = inf adds no proximal term."""
     cg = grad_g(game, z_t, ledger)
     phi_form = None
     if game.h_structure is not None:
@@ -116,27 +116,6 @@ def _inner_budget(sched, per_iter):
     return int(80.0 * span / per_iter) + 400
 
 
-def _solve_zero_coupling(game, z, eps, sched, ledger, certificate):
-    """One structured solve of a game whose coupling gradient is constant.
-
-    With delta = 0 the linearization is exact and needs no proximal term:
-    the game operator is the competitive operator shifted by the coupling
-    gradient from one query. The primal-dual kernel runs on that form and
-    the whole-game certificate is polled on the baselines' schedule.
-    Returns (point, last certificate).
-    """
-    cg = grad_g(game, z, ledger)
-    form = game.h_structure.shifted(d_bx=cg.x, d_by=cg.y)
-    kern = PdhgKernel(form, game.X, game.Y, z.x, z.y)
-    rep = drive(lambda: kern.step(ledger),
-                lambda: JointPoint(kern.x.copy(), kern.y.copy()), ledger,
-                _inner_budget(sched, pdhg_rate(form)),
-                lambda: certificate(np.concatenate([kern.x, kern.y])), eps,
-                CERTIFICATE_PERIOD)
-    bound = rep.certified_sq_distance
-    return rep.point, np.inf if bound is None else bound
-
-
 def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     """Outer loop of iterative coupling linearization.
 
@@ -157,17 +136,22 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
       (stepsize 1/(2L), modulus game.monotone_modulus, the one the
       baselines stop on) on drive's schedule, at least one outer
       iteration apart, and stops once it is at most eps. A structured
-      game with delta = 0 is then solved in one primal-dual pass instead
-      of proximal subproblems.
+      game with delta = 0 then takes one outer step at eta = inf: its
+      subproblem is the game itself, and solve_apd_bilinear runs on it
+      until the same certificate, polled inside the solve, is at most
+      eps. Proximal iterations follow only if it is not.
 
-    The reported certified_sq_distance is the smaller of the contraction
-    bound after the proximal iterations run and the last whole-game
-    certificate; status is "converged" only when it is at most eps, else
-    "max_iter". iterations counts the outer iterations run, the
-    structured pass counting as one.
+    max_outer (at least 1) caps the outer iterations. The reported
+    certified_sq_distance is the smaller of the contraction bound after
+    the proximal iterations run and the last whole-game certificate;
+    status is "converged" only when it is at most eps, else "max_iter".
+    iterations counts the outer iterations run, the step at eta = inf
+    included.
     """
     if stop not in ("schedule", "certificate"):
         raise ValueError("stop must be 'schedule' or 'certificate'")
+    if max_outer is not None and max_outer < 1:
+        raise ValueError("max_outer must be at least 1")
     sched = schedule_params(game.mu, game.nu, game.delta, game.L, eps,
                             game.X.diameter(), game.Y.diameter())
     eps_t = sched.eps_t
@@ -178,23 +162,20 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
 
     z = JointPoint(game.X.canonical_point(), game.Y.canonical_point())
 
-    certifiable = game.monotone_modulus > 0
-    joint = JointProblem(game, ledger)
-    gamma_c = 1.0 / (2.0 * game.L)
-
-    def certificate(z_cat):
-        return displacement_certificate(joint, z_cat, gamma_c,
-                                        game.monotone_modulus)
-
-    by_certificate = stop == "certificate" and certifiable
+    certificate = game_certificate(game, ledger)
+    by_certificate = stop == "certificate" and certificate is not None
     history = []
     trace = [z] if keep_trace else None
     bound = None
     outer = 0
     if by_certificate and game.delta == 0 and game.h_structure is not None:
-        z, bound = _solve_zero_coupling(game, z, eps, sched, ledger,
-                                        certificate)
-        outer = 1
+        # delta = 0 makes the linearization exact, so one outer step at
+        # eta = inf, stopped by the whole-game certificate, solves the game
+        sub = build_subproblem(game, z, math.inf, ledger)
+        rep = solve_apd_bilinear(
+            sub, _inner_budget(sched, pdhg_rate(sub.phi_form)), ledger,
+            certificate=certificate, target=eps)
+        z, bound, outer = rep.point, rep.certified_sq_distance, 1
         if keep_trace:
             trace.append(z)
 
@@ -214,9 +195,8 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
 
         if sub.phi_form is not None:
             rate = pdhg_rate(sub.phi_form)
-            rep = solve_apd_bilinear(sub, target_sq_dist=None,
-                                     max_iter=_inner_budget(sched, rate),
-                                     ledger=ledger, stop_check=stop_check)
+            rep = solve_apd_bilinear(sub, _inner_budget(sched, rate), ledger,
+                                     stop_check=stop_check)
         else:
             rate = max(sub.mu_sub / (np.sqrt(2.0) * sub.L_sub), 1e-8)
             rep = solve_operator_eg(
@@ -244,7 +224,7 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     # the contraction bound covers the proximal iterations only
     certified = ((1.0 - sched.theta) ** len(history) * sched.diameter_sq
                  + eps / 2.0)
-    if certifiable and bound is None:
+    if certificate is not None and bound is None:
         bound = certificate(z.concat())
     if bound is not None:
         certified = min(certified, bound)
@@ -262,12 +242,13 @@ def solve_monotone(game, eps):
     """Approximate equilibrium for a merely monotone game (mu or nu zero).
 
     Adds the curvature min(eps/(4 D_X^2), L/2) to the first player and
-    min(eps/(4 D_Y^2), L/2) to the second, moved between the players so
-    the coupling part is unchanged, solves the reduced strongly monotone
-    game to squared-distance accuracy eps^2/(32 L^2 D^2), and converts via
-    one extraction step. The returned gap bound is a valid
-    unilateral-deviation-gain bound of at most eps. The reduced game keeps
-    game's h_structure, so solve_icl picks the same inner solver for it.
+    min(eps/(4 D_Y^2), L/2) to the second (L/2 when a diameter is 0),
+    moved between the players so the coupling part is unchanged, solves
+    the reduced strongly monotone game to squared-distance accuracy
+    eps^2/(32 L^2 D^2), and converts via one extraction step. The
+    returned gap bound is a valid unilateral-deviation-gain bound of at
+    most eps. The reduced game keeps game's h_structure, so solve_icl
+    picks the same inner solver for it.
 
     Returns (point, gap_bound, report).
     """
@@ -275,8 +256,8 @@ def solve_monotone(game, eps):
         raise ValueError("eps must be positive and finite")
     DX2 = game.X.diameter() ** 2
     DY2 = game.Y.diameter() ** 2
-    a_x = min(eps / (4.0 * DX2), game.L / 2.0)
-    a_y = min(eps / (4.0 * DY2), game.L / 2.0)
+    a_x = min(eps / (4.0 * DX2), game.L / 2.0) if DX2 > 0 else game.L / 2.0
+    a_y = min(eps / (4.0 * DY2), game.L / 2.0) if DY2 > 0 else game.L / 2.0
 
     reduced = game.shift_curvature(u1_x=-a_x, u1_y=a_y, u2_x=a_x, u2_y=-a_y)
 

@@ -6,8 +6,8 @@ extraction, and a primal-dual inner solver for bilinear subproblems with
 strongly convex separable parts.
 
 Every solver is a kernel step run by one step-and-poll loop, ``drive``,
-and every stopping certificate, whole-game or subproblem, is
-``displacement_certificate`` on a concatenated-iterate ``JointProblem``.
+and takes its stopping certificate as one callable of the concatenated
+iterate z = (x, y); ``game_certificate`` builds the whole-game one.
 """
 
 import math
@@ -138,6 +138,19 @@ def displacement_certificate(prob, z, gamma, mu_min):
     return certificate_coefficient(mu_min, gamma) * float(d @ d)
 
 
+def game_certificate(game, ledger):
+    """The whole-game certificate as a callable of the concatenated
+    iterate: displacement_certificate at stepsize 1/(2 game.L) and modulus
+    game.monotone_modulus, queries ledgered as cert; None when that
+    modulus is 0."""
+    mu_min = game.monotone_modulus
+    if mu_min <= 0:
+        return None
+    prob = JointProblem(game, ledger)
+    return lambda z: displacement_certificate(prob, z, 1.0 / (2 * game.L),
+                                              mu_min)
+
+
 class Pending(NamedTuple):
     """A stop_check's "go on": value has yet to reach target and falls by
     a factor of about exp(rate) per step."""
@@ -217,22 +230,20 @@ def extract_approx_ne(game, z_bar, gamma, dist=None, ledger=None):
 # whole-game baselines
 # ---------------------------------------------------------------------------
 
-def _run(prob, z, step, max_iter, mu_min, target, period, stop_check=None):
+def _run(prob, z, step, max_iter, certificate, target, stop_check=None):
     """drive z = step(z) on prob's concatenated iterate from z, polling
-    the certificate (stepsize 1/(2 prob.L), modulus mu_min) unless mu_min
-    is None, and stop_check(x, y) when given."""
+    certificate(z) when given, at least CERTIFICATE_PERIOD steps apart,
+    and stop_check(x, y) when given."""
     nx = prob.nx
 
     def advance():
         nonlocal z
         z = step(z)
 
-    def certificate():
-        return displacement_certificate(prob, z, 1.0 / (2 * prob.L), mu_min)
-
     return drive(
         advance, lambda: JointPoint.split(z, nx), prob.ledger, max_iter,
-        None if mu_min is None else certificate, target, period,
+        None if certificate is None else lambda: certificate(z), target,
+        CERTIFICATE_PERIOD,
         None if stop_check is None else lambda: stop_check(z[:nx], z[nx:]))
 
 
@@ -252,14 +263,12 @@ def _baseline_solve(game, config, method):
         f_prev = f_cur
         return prob.step(z, gamma, d)
 
-    mu_min = game.monotone_modulus
     rep = _run(prob,
                np.concatenate([game.X.canonical_point(),
                                game.Y.canonical_point()]),
                (lambda z: prob.extragradient(z, gamma, "f")) if method == "eg"
                else ogda_step, config.max_iter,
-               mu_min if mu_min > 0 else None, config.epsilon,
-               CERTIFICATE_PERIOD)
+               game_certificate(game, prob.ledger), config.epsilon)
     # the best certificate seen, which a max_iter run's last need not be
     rep.certified_sq_distance = min((b for _, b in rep.residual_history),
                                     default=None)
@@ -311,15 +320,13 @@ class SaddleSubproblem:
     X: object
     Y: object
     L_sub: float
+    mu_sub: float
     h_grad: callable = None
     phi_form: BilinearSaddleForm = None
-    mu_sub: float = None
 
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        if self.mu_sub is None:
-            self.mu_sub = 1.0 / self.eta
 
     def operator(self, x, y, ledger=None, bucket="h"):
         if self.phi_form is not None:
@@ -341,13 +348,6 @@ class SaddleSubproblem:
                 ledger.cert_queries += 1
         return gx, gy
 
-    def operator_bounds(self):
-        """(smoothness, strong-monotonicity) bounds for the saddle operator."""
-        if self.phi_form is not None:
-            f = self.phi_form
-            return max(f.ax, f.ay) + f.w_norm(), min(f.ax, f.ay)
-        return self.L_sub, self.mu_sub
-
 
 class PdhgKernel:
     """Primal-dual steps for min_x max_y p(x) + <W x, y> - q(y) with
@@ -360,22 +360,21 @@ class PdhgKernel:
     """
 
     def __init__(self, form, X, Y, x0, y0):
-        if form.ax <= 0 or form.ay <= 0:
+        if form is None or form.ax <= 0 or form.ay <= 0:
             raise StructureError(
-                "inner solver needs strongly convex separable parts; "
-                "solve the subproblem with solve_eg or solve_ogda instead")
+                "inner solver needs a bilinear form with strongly convex "
+                "parts; solve the subproblem with solve_eg or solve_ogda")
         self.form = form
         self.X, self.Y = X, Y
         self.x = np.array(x0, dtype=np.float64)
         self.y = np.array(y0, dtype=np.float64)
-        lw = form.w_norm()
-        if lw <= 1e-14:
+        if form.w_norm() <= 1e-14:
             # decoupled: plain proximal iterations with a large step
             self.tau = 4.0 / form.ax
             self.sigma = 4.0 / form.ay
             self.theta = 0.0
         else:
-            s = min(1.0, 2.0 * np.sqrt(form.ax * form.ay) / lw)
+            s = 2.0 * pdhg_rate(form)
             self.tau = s / (2.0 * form.ax)
             self.sigma = s / (2.0 * form.ay)
             self.theta = 1.0 / (1.0 + s)
@@ -416,58 +415,40 @@ def pdhg_rate(form):
     return min(0.5, np.sqrt(form.ax * form.ay) / lw)
 
 
-def solve_apd_bilinear(sub, target_sq_dist, max_iter=None, ledger=None,
-                       stop_check=None):
-    """Accelerated primal-dual solve of a structured saddle subproblem.
+def solve_apd_bilinear(sub, max_iter, ledger=None, stop_check=None,
+                       certificate=None, target=None):
+    """Accelerated primal-dual solve of a structured saddle subproblem from
+    its center, up to max_iter steps ledgered as h.
 
-    Runs the strongly-convex primal-dual kernel until the displacement
-    certificate on the subproblem operator shows a squared distance at
-    most target_sq_dist (certificate queries ledgered separately), polled
-    on drive's schedule; target_sq_dist None polls no certificate. An
-    optional stop_check(x, y) callback is polled on drive's schedule; a
+    An optional stop_check(x, y) callback is polled on drive's schedule; a
     return other than None or a Pending stops the solve and is attached
-    to the report extras as "accepted" (ICL's inexactness check).
+    to the report extras as "accepted" (ICL's inexactness check). An
+    optional certificate(z) of the concatenated iterate is polled on
+    drive's schedule too, and stops the solve once it is at most target
+    (ICL's delta = 0 step at eta = inf polls the whole-game one).
 
     Raises StructureError when the subproblem has no bilinear structure;
-    use solve_eg / solve_ogda on sub.operator in that case.
+    use solve_operator_eg on sub.operator in that case.
     """
-    if sub.phi_form is None:
-        raise StructureError(
-            "subproblem has no bilinear structure; fall back to solve_eg or "
-            "solve_ogda on the subproblem operator")
     kern = PdhgKernel(sub.phi_form, sub.X, sub.Y, sub.x_center, sub.y_center)
-    Lop, mu_min = sub.operator_bounds()
-    prob = OperatorProblem(sub.operator, sub.X, sub.Y, ledger, Lop)
-    if max_iter is None:
-        d0 = sub.X.diameter() ** 2 + sub.Y.diameter() ** 2
-        span = max(np.log(max(d0, 1.0) / target_sq_dist), 1.0) if target_sq_dist \
-            else 40.0
-        max_iter = int(60.0 * span / pdhg_rate(sub.phi_form)) + 200
-
-    def certificate():
-        return displacement_certificate(
-            prob, np.concatenate([kern.x, kern.y]), 1.0 / (2 * Lop), mu_min)
-
+    ledger = QueryLedger() if ledger is None else ledger
     return drive(
-        lambda: kern.step(prob.ledger),
-        lambda: JointPoint(kern.x.copy(), kern.y.copy()), prob.ledger,
-        max_iter, None if target_sq_dist is None else certificate,
-        target_sq_dist, CERTIFICATE_PERIOD,
+        lambda: kern.step(ledger),
+        lambda: JointPoint(kern.x.copy(), kern.y.copy()), ledger, max_iter,
+        None if certificate is None
+        else lambda: certificate(np.concatenate([kern.x, kern.y])),
+        target, CERTIFICATE_PERIOD,
         None if stop_check is None else lambda: stop_check(kern.x, kern.y))
 
 
 def solve_operator_eg(operator, X, Y, x0, y0, gamma, budget, ledger=None,
-                      stop_check=None, target_sq_dist=None, mu_min=None,
-                      Lop=None):
+                      stop_check=None, certificate=None, target=None):
     """Plain extragradient on an arbitrary saddle operator (x, y, ledger,
     bucket) -> (gx, gy), its steps ledgered as h. Generic fallback for
-    subproblems without bilinear structure; stop_check and the certificate
-    are polled as in solve_apd_bilinear, the certificate only when
-    target_sq_dist, mu_min and Lop are given.
+    subproblems without bilinear structure; stop_check and certificate
+    are polled as in solve_apd_bilinear.
     """
-    prob = OperatorProblem(operator, X, Y, ledger, Lop)
+    prob = OperatorProblem(operator, X, Y, ledger)
     return _run(prob, np.concatenate([x0, y0], dtype=np.float64),
                 lambda z: prob.extragradient(z, gamma, "h"), budget,
-                mu_min if target_sq_dist is not None and mu_min and Lop
-                else None,
-                target_sq_dist, CERTIFICATE_PERIOD, stop_check)
+                certificate, target, stop_check)

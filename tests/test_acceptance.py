@@ -19,9 +19,9 @@ from nzs.instances import (apply_transaction_fee, gen_quadratic_known_ne,
                            fee_game, matching_pennies, stackelberg_example,
                            stackelberg_reference_points)
 from nzs.sets import Ball
-from nzs.solvers import (JointProblem, SaddleSubproblem, SolverConfig,
-                         displacement_certificate, solve_apd_bilinear,
-                         solve_eg, solve_operator_eg)
+from nzs.solvers import (JointProblem, OperatorProblem, SaddleSubproblem,
+                         SolverConfig, displacement_certificate,
+                         solve_apd_bilinear, solve_eg, solve_operator_eg)
 from nzs.vecmat import SparseMatrix
 
 
@@ -295,6 +295,13 @@ def test_criterion_8_potential_function_properties(report):
     assert ok
 
 
+def own_certificate(operator, X, Y, Lop, mu, ledger):
+    """A saddle problem's own displacement certificate for an operator
+    with Lipschitz bound Lop and strong-monotonicity modulus mu."""
+    prob = OperatorProblem(operator, X, Y, ledger, Lop)
+    return lambda z: displacement_certificate(prob, z, 1.0 / (2 * Lop), mu)
+
+
 def test_criterion_9_inner_solver_rate_and_fallback(report):
     rng = np.random.default_rng(99)
     n = 10
@@ -315,8 +322,11 @@ def test_criterion_9_inner_solver_rate_and_fallback(report):
         z_star = np.linalg.solve(J, -np.concatenate([bx, by]))
         d0_sq = float(z_star @ z_star)
         target = d0_sq * 1e-10
-        rep = solve_apd_bilinear(sub, target_sq_dist=target,
-                                 max_iter=100_000_000)
+        led = QueryLedger()
+        cert = own_certificate(sub.operator, big, big,
+                               s + form.w_norm(), s, led)
+        rep = solve_apd_bilinear(sub, 100_000_000, led, certificate=cert,
+                                 target=target)
         envelope = 20.0 * ((s + 1.0) / s) * np.log(d0_sq / target)
         err = np.linalg.norm(rep.point.concat() - z_star)
         good = (rep.status == "converged" and rep.iterations <= envelope
@@ -337,9 +347,12 @@ def test_criterion_9_inner_solver_rate_and_fallback(report):
     J = np.block([[np.eye(n), W.T], [-W, np.eye(n)]])
     z_star = np.linalg.solve(J, -np.concatenate([bx, by]))
     target = 1e-12
+    led = QueryLedger()
     rep = solve_operator_eg(op, big, big, np.zeros(n), np.zeros(n),
                             gamma=1.0 / (np.sqrt(2) * 2.0), budget=10 ** 7,
-                            target_sq_dist=target, mu_min=1.0, Lop=2.0)
+                            ledger=led, target=target,
+                            certificate=own_certificate(op, big, big, 2.0,
+                                                        1.0, led))
     err_fb = np.linalg.norm(rep.point.concat() - z_star)
     ok_fb = rep.status == "converged" and err_fb <= np.sqrt(target)
     ok = report(9, ok_rate and ok_fb,

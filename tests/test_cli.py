@@ -212,6 +212,17 @@ class TestBench:
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_threads_not_a_positive_int_exits_2_without_csv(
+            self, tmp_path, capsys, threads):
+        # 0 would mean all cores and a negative count a serial run
+        out = tmp_path / "t1.csv"
+        rc = main(["bench", "--seeds", "0", "--rho-list", "0",
+                   "--threads", threads, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestGap:
     def test_gap_on_solver_output(self, instance_file, tmp_path):

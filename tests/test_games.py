@@ -177,3 +177,12 @@ class TestProbeStructure:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError):
             probe_structure(zero_sum_quadratic(), 0)
+
+    def test_rejects_a_game_of_two_single_points(self):
+        # every pair would be degenerate, so sampling could never end
+        game = MatrixGame(SparseMatrix.from_dense(np.array([[1.0]])),
+                          SparseMatrix.from_dense(np.array([[-1.0]]))
+                          ).game_spec()
+        assert game.diameter_sq() == 0
+        with pytest.raises(ValueError, match="single points"):
+            probe_structure(game, 10)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nzs.games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
-                       operator_F)
+                       grad_g, operator_F)
 from nzs.icl import (IclError, IclSchedule, build_subproblem,
                      check_inexactness, schedule_params, solve_icl,
                      solve_monotone)
@@ -133,6 +133,22 @@ class TestBuildSubproblem:
         g2 = build_subproblem(game, JointPoint(z.x + 0.1, z.y - 0.1), eta=2.0)
         assert np.allclose(sub.c_x, g2.c_x, atol=1e-14)
         assert led.g_queries == 1
+
+    def test_infinite_eta_is_the_game_shifted_by_the_coupling_gradient(self):
+        # the identity ICL's delta = 0 step at eta = inf rests on: no
+        # proximal term, only the coupling gradient at z added to the
+        # linear terms
+        rng = np.random.default_rng(5)
+        M = SparseMatrix.from_dense(rng.uniform(-1, 1, (4, 3)))
+        game = fee_game(M, 0.01, 0.2, 0.7).game_spec()
+        z = JointPoint(game.X.project(rng.standard_normal(game.X.dimension)),
+                       game.Y.project(rng.standard_normal(game.Y.dimension)))
+        got = build_subproblem(game, z, math.inf).phi_form
+        cg = grad_g(game, z)
+        want = game.h_structure.shifted(d_bx=cg.x, d_by=cg.y)
+        assert (got.ax, got.ay) == (want.ax, want.ay)
+        assert np.array_equal(got.bx, want.bx)
+        assert np.array_equal(got.by, want.by)
 
     @pytest.mark.parametrize("maker", [
         lambda: quad_game(seed=2),
@@ -408,6 +424,17 @@ class TestSolveIcl:
             assert rep.certified_sq_distance > eps
             assert rep.status != "converged"
 
+    @pytest.mark.parametrize("stop", ["schedule", "certificate"])
+    @pytest.mark.parametrize("max_outer", [0, -1])
+    def test_rejects_max_outer_below_one(self, stop, max_outer):
+        # a delta = 0 structured game, whose first outer step would be the
+        # one at eta = inf
+        game = fee_game(SparseMatrix.from_dense(
+            np.array([[0.5, -0.2], [0.1, 0.4]])), 0.0, 0.6, 0.9).game_spec()
+        assert game.delta == 0
+        with pytest.raises(ValueError, match="max_outer"):
+            solve_icl(game, 1e-6, max_outer=max_outer, stop=stop)
+
     def test_rejects_unknown_stop_rule(self):
         with pytest.raises(ValueError, match="stop"):
             solve_icl(quad_game(), 1e-6, stop="never")
@@ -436,6 +463,19 @@ class TestSolveMonotone:
 
     def test_matching_pennies_without_structure(self):
         game = without_structure(matching_pennies())
+        eps = 1e-3
+        point, bound, rep = solve_monotone(game, eps)
+        assert rep.status == "converged"
+        assert bound <= eps
+        gain = deviation_gain(game, point)
+        assert gain.value + gain.residual <= eps
+
+    def test_player_with_one_strategy(self):
+        # the column player's simplex is a single point (diameter 0), so
+        # its added curvature is the cap L/2
+        game = fee_game(SparseMatrix.from_dense(np.array([[1.0, -1.0]])),
+                        0.0, 0.0, 0.0).game_spec()
+        assert game.Y.diameter() == 0
         eps = 1e-3
         point, bound, rep = solve_monotone(game, eps)
         assert rep.status == "converged"

@@ -277,6 +277,24 @@ def unconstrained_subproblem(seed, n=20, ax=1.0, ay=1.0, wnorm=1.0):
     return sub, z_star
 
 
+def own_certificate(operator, X, Y, Lop, mu, ledger):
+    """A saddle problem's own displacement certificate for an operator
+    with Lipschitz bound Lop and strong-monotonicity modulus mu."""
+    prob = OperatorProblem(operator, X, Y, ledger, Lop)
+    return lambda z: displacement_certificate(prob, z, 1.0 / (2 * Lop), mu)
+
+
+def solve_to_own_certificate(sub, target, max_iter=1_000_000):
+    """solve_apd_bilinear on sub until its own certificate (Lipschitz
+    bound max(ax, ay) + |W|, modulus min(ax, ay)) is at most target."""
+    f = sub.phi_form
+    led = QueryLedger()
+    cert = own_certificate(sub.operator, sub.X, sub.Y,
+                           max(f.ax, f.ay) + f.w_norm(), min(f.ax, f.ay), led)
+    return solve_apd_bilinear(sub, max_iter, led, certificate=cert,
+                              target=target)
+
+
 class TestApdBilinear:
     def test_symmetric_scalar_saddle(self):
         # min_x max_y xy + x^2/2 - y^2/2 has its saddle at the origin
@@ -287,14 +305,14 @@ class TestApdBilinear:
                                y_center=np.array([-1.0]),
                                eta=1.0, X=box, Y=box, L_sub=2.0,
                                phi_form=form, mu_sub=1.0)
-        rep = solve_apd_bilinear(sub, target_sq_dist=1e-10)
+        rep = solve_to_own_certificate(sub, 1e-10)
         assert rep.status == "converged"
         assert float(rep.point.x[0] ** 2 + rep.point.y[0] ** 2) <= 1e-10
 
     def test_matches_linear_system_saddle(self):
         sub, z_star = unconstrained_subproblem(seed=20)
         target = 1e-12
-        rep = solve_apd_bilinear(sub, target_sq_dist=target)
+        rep = solve_to_own_certificate(sub, target)
         got = rep.point.concat()
         assert rep.status == "converged"
         assert np.linalg.norm(got - z_star) <= np.sqrt(target)
@@ -306,8 +324,7 @@ class TestApdBilinear:
             sub, z_star = unconstrained_subproblem(seed=21, n=10, ax=s, ay=s)
             d0_sq = float(np.sum(z_star ** 2))  # start is the origin
             target = d0_sq * 1e-10
-            rep = solve_apd_bilinear(sub, target_sq_dist=target,
-                                     max_iter=50_000_000)
+            rep = solve_to_own_certificate(sub, target, max_iter=50_000_000)
             Lp = s + 1.0
             envelope = 20.0 * (Lp / s) * np.log(d0_sq / target)
             assert rep.status == "converged"
@@ -317,7 +334,7 @@ class TestApdBilinear:
 
     def test_linear_convergence_of_certified_bounds(self):
         sub, _ = unconstrained_subproblem(seed=22, ax=0.05, ay=0.05)
-        rep = solve_apd_bilinear(sub, target_sq_dist=1e-16)
+        rep = solve_to_own_certificate(sub, 1e-16)
         its = np.array([i for i, _ in rep.residual_history], dtype=float)
         vals = np.log([b for _, b in rep.residual_history])
         tail = len(its) // 4
@@ -334,17 +351,11 @@ class TestApdBilinear:
         sub.phi_form = None
         sub.h_grad = lambda x, y: (x, -y)
         with pytest.raises(StructureError, match="solve_eg"):
-            solve_apd_bilinear(sub, target_sq_dist=1e-8)
+            solve_apd_bilinear(sub, 1000)
 
     def test_generic_fallback_matches_linear_system(self):
         sub, z_star = unconstrained_subproblem(seed=24)
         form = sub.phi_form
-        # oracle-only view of the same subproblem
-        oracle = SaddleSubproblem(
-            c_x=sub.c_x, c_y=sub.c_y, x_center=sub.x_center,
-            y_center=sub.y_center, eta=sub.eta, X=sub.X, Y=sub.Y,
-            L_sub=sub.L_sub, mu_sub=sub.mu_sub,
-            h_grad=None, phi_form=None)
         W, ax, ay, bx, by = form.W, form.ax, form.ay, form.bx, form.by
 
         def op(x, y, ledger=None, bucket="h"):
@@ -353,10 +364,12 @@ class TestApdBilinear:
             return W.T @ y + ax * x + bx, ay * y + by - W @ x
 
         target = 1e-12
-        Lop, mu = oracle.operator_bounds()
-        rep = solve_operator_eg(op, sub.X, sub.Y, sub.x_center, sub.y_center,
-                                gamma=1.0 / (np.sqrt(2) * sub.L_sub),
-                                budget=10_000_000, target_sq_dist=target,
-                                mu_min=mu, Lop=sub.L_sub)
+        led = QueryLedger()
+        rep = solve_operator_eg(
+            op, sub.X, sub.Y, sub.x_center, sub.y_center,
+            gamma=1.0 / (np.sqrt(2) * sub.L_sub), budget=10_000_000,
+            ledger=led, target=target,
+            certificate=own_certificate(op, sub.X, sub.Y, sub.L_sub,
+                                        sub.mu_sub, led))
         assert rep.status == "converged"
         assert np.linalg.norm(rep.point.concat() - z_star) <= np.sqrt(target)
