@@ -101,8 +101,8 @@ class BilinearSaddleForm:
             self.matvec = functools.partial(spmv, self.W)
             self.rmatvec = functools.partial(spmv_transpose, self.W)
         else:
-            self.matvec = functools.partial(np.matmul, self.W)
-            self.rmatvec = functools.partial(np.matmul, self.W.T)
+            self.matvec = functools.partial(np.dot, self.W)
+            self.rmatvec = functools.partial(np.dot, self.W.T)
 
     def w_norm(self):
         if self._w_norm_cache is None:

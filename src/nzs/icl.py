@@ -49,7 +49,9 @@ class IclSchedule:
 
 
 def schedule_params(mu, nu, delta, L, eps, D_X, D_Y):
-    """Outer schedule for a strongly monotone near-zero-sum game."""
+    """Outer schedule for a strongly monotone near-zero-sum game; None
+    when both sets are single points (D_X = D_Y = 0): nothing is left to
+    schedule."""
     m = min(mu, nu)
     if m <= 0:
         raise ValueError("min(mu, nu) must be positive; reduce the game "
@@ -62,6 +64,8 @@ def schedule_params(mu, nu, delta, L, eps, D_X, D_Y):
     theta = m / (1.0 / eta + m)
     eps_t = theta * eps / (4.0 * eta)
     D_sq = D_X ** 2 + D_Y ** 2
+    if D_sq == 0:
+        return None
     T = max(1, math.ceil((1.0 / theta) * math.log(2.0 * D_sq / eps)))
     inner_target = eps_t ** 2 / (8.0 * L ** 2 * D_sq)
     return IclSchedule(eta, theta, eps_t, T, inner_target, D_sq)
@@ -141,6 +145,9 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
       until the same certificate, polled inside the solve, is at most
       eps. Proximal iterations follow only if it is not.
 
+    A game whose two sets are single points is solved by its one point:
+    no query, certified_sq_distance 0 and schedule None.
+
     max_outer (at least 1) caps the outer iterations. The reported
     certified_sq_distance is the smaller of the contraction bound after
     the proximal iterations run and the last whole-game certificate;
@@ -154,13 +161,16 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         raise ValueError("max_outer must be at least 1")
     sched = schedule_params(game.mu, game.nu, game.delta, game.L, eps,
                             game.X.diameter(), game.Y.diameter())
+    ledger = QueryLedger()
+    z = JointPoint(game.X.canonical_point(), game.Y.canonical_point())
+    if sched is None:  # the one feasible point is the equilibrium
+        return SolveReport(
+            point=z, ledger=ledger, iterations=0, certified_sq_distance=0.0,
+            extras={"schedule": None, "trace": [z] if keep_trace else None})
     eps_t = sched.eps_t
     L_sub = 2.0 * game.L
     gamma_ex = 1.0 / (np.sqrt(2.0) * L_sub)
-    ledger = QueryLedger()
     T = sched.T if max_outer is None else min(sched.T, max_outer)
-
-    z = JointPoint(game.X.canonical_point(), game.Y.canonical_point())
 
     certificate = game_certificate(game, ledger)
     by_certificate = stop == "certificate" and certificate is not None
@@ -262,7 +272,8 @@ def solve_monotone(game, eps):
     reduced = game.shift_curvature(u1_x=-a_x, u1_y=a_y, u2_x=a_x, u2_y=-a_y)
 
     D_sq = DX2 + DY2
-    eps_acc = eps ** 2 / (32.0 * game.L ** 2 * D_sq)
+    # on a single point solve_icl returns it at once and the bound is 0
+    eps_acc = eps ** 2 / (32.0 * game.L ** 2 * D_sq) if D_sq > 0 else eps
     report = solve_icl(reduced, eps_acc)
     gamma = 1.0 / (np.sqrt(2.0) * reduced.L)
     point, bound = extract_approx_ne(reduced, report.point, gamma,

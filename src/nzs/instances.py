@@ -262,8 +262,8 @@ def _sample_without_replacement(rng, total, count):
     """Seeded partial Fisher-Yates over a virtual index space [0, total)."""
     state = {}
     out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        j = int(rng.integers(i, total))
+    # one call draws the same stream as rng.integers(i, total) for each i
+    for i, j in enumerate(rng.integers(np.arange(count), total).tolist()):
         out[i] = state.get(j, j)
         state[j] = state.get(i, i)
     return out
@@ -314,6 +314,11 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
     delta. The linear terms are chosen so the game operator vanishes at a
     random interior target, which becomes known_ne. Ball feasible sets are
     sized at ten times the equilibrium norm so the target stays interior.
+
+    The game makes one product G z per point: the four partial gradients
+    and g's value share the last (z, G z), matched to a new point by
+    value, so a whole-game query costs one product, not two, with the
+    same bits as computing it afresh.
     """
     if min(mu, nu) < 0 or delta < 0 or coupling_norm < 0:
         raise ValueError("moduli must be nonnegative")
@@ -360,23 +365,42 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
     L = max(np.linalg.norm(-G - Hu1, 2), np.linalg.norm(-G + Hu1, 2)) * (1 + 1e-9)
     L = max(L, mu, nu, delta)
 
-    def g_val(x, y):
+    last = [None]  # (z, G z) at the last point seen, read and set whole
+
+    def z_and_gz(x, y):
+        """(z, G z) at z = (x, y), with G z reused when z equals the last
+        point by value, so a point mutated in place is recomputed."""
         z = np.concatenate([x, y])
-        return float(0.5 * z @ (G @ z) + c @ z)
+        seen = last[0]
+        if seen is not None and np.array_equal(seen[0], z):
+            return z, seen[1]
+        gz = np.dot(G, z)
+        last[0] = (z, gz)
+        return z, gz
+
+    def g_val(x, y):
+        z, gz = z_and_gz(x, y)
+        return float(0.5 * z @ gz + c @ z)
 
     def h_val(x, y):
         return float(0.5 * mu * (x @ x) - 0.5 * nu * (y @ y)
-                     + y @ (K @ x) + kx @ x + ky @ y)
+                     + y @ np.dot(K, x) + kx @ x + ky @ y)
 
-    def g_grad(x, y, block):  # block xs or ys of grad g = G z + c
-        return (G @ np.concatenate([x, y]))[block] + c[block]
+    def g_grad(x, y, block):  # block xs or ys of grad g = G z + c, fresh
+        return z_and_gz(x, y)[1][block] + c[block]
+
+    def h_x(x, y):  # grad_x h
+        return mu * x + np.dot(K.T, y) + kx
+
+    def h_y(x, y):  # -grad_y h
+        return -nu * y + np.dot(K, x) + ky
 
     xs, ys = slice(None, n_x), slice(n_x, None)
     spec = GameSpec(
-        grad_u1_x=lambda x, y: -g_grad(x, y, xs) - (mu * x + K.T @ y + kx),
-        grad_u1_y=lambda x, y: -g_grad(x, y, ys) - (-nu * y + K @ x + ky),
-        grad_u2_x=lambda x, y: -g_grad(x, y, xs) + (mu * x + K.T @ y + kx),
-        grad_u2_y=lambda x, y: -g_grad(x, y, ys) + (-nu * y + K @ x + ky),
+        grad_u1_x=lambda x, y: -g_grad(x, y, xs) - h_x(x, y),
+        grad_u1_y=lambda x, y: -g_grad(x, y, ys) - h_y(x, y),
+        grad_u2_x=lambda x, y: -g_grad(x, y, xs) + h_x(x, y),
+        grad_u2_y=lambda x, y: -g_grad(x, y, ys) + h_y(x, y),
         L=float(L), mu=mu, nu=nu, delta=delta,
         X=X, Y=Y,
         known_ne=JointPoint(x_star, y_star),

@@ -6,6 +6,8 @@ exact (up to rounding); simplex projection uses the sort-and-threshold
 rule.
 """
 
+import math
+
 import numpy as np
 
 
@@ -117,7 +119,7 @@ class Ball(FeasibleSet):
     def project(self, v):
         v = self._check_dim(v)
         d = v - self.center
-        nd = np.linalg.norm(d)
+        nd = math.sqrt(d @ d)  # np.linalg.norm(d), without its wrapper
         # the slack absorbs rescaling roundoff so projecting twice is exact
         if nd <= self.radius * (1.0 + 1e-12):
             return v.copy()
@@ -125,7 +127,7 @@ class Ball(FeasibleSet):
 
     def lmo(self, c):
         c = self._check_dim(c)
-        nc = np.linalg.norm(c)
+        nc = math.sqrt(c @ c)
         if nc == 0.0:
             return self.center.copy()
         return self.center - c * (self.radius / nc)

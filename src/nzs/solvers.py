@@ -363,7 +363,7 @@ class PdhgKernel:
         if form is None or form.ax <= 0 or form.ay <= 0:
             raise StructureError(
                 "inner solver needs a bilinear form with strongly convex "
-                "parts; solve the subproblem with solve_eg or solve_ogda")
+                "parts; solve sub.operator with solve_operator_eg")
         self.form = form
         self.X, self.Y = X, Y
         self.x = np.array(x0, dtype=np.float64)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nzs.games import (GameSpec, JointPoint, QueryLedger, grad_g, operator_F,
-                       operator_H, probe_structure)
+from nzs.games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
+                       grad_g, operator_F, operator_H, probe_structure)
 from nzs.instances import (MatrixGame, apply_transaction_fee,
                            gen_quadratic_known_ne)
 from nzs.sets import Ball
@@ -118,6 +118,20 @@ class TestDecomposition:
         u1y = game.grad_u1_y(z.x, z.y)
         assert np.max(np.abs(u1x - (-g.x - H.x))) <= 1e-12
         assert np.max(np.abs(u1y - (-g.y + H.y))) <= 1e-12
+
+
+class TestDenseBilinearForm:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (7, 13),
+                                       (13, 7), (33, 2), (64, 64),
+                                       (200, 199), (200, 200)])
+    def test_products_match_matmul(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        W = rng.standard_normal(shape)
+        form = BilinearSaddleForm(W)
+        for _ in range(5):
+            x, y = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+            assert np.array_equal(form.matvec(x), np.matmul(W, x))
+            assert np.array_equal(form.rmatvec(y), np.matmul(W.T, y))
 
 
 class TestLedger:

@@ -446,6 +446,20 @@ class TestSolveIcl:
         assert z_a.distance_to(z_b) <= 1e-4
         assert z_a.distance_to(game.known_ne) ** 2 <= 1e-10
 
+    @pytest.mark.parametrize("stop", ["schedule", "certificate"])
+    def test_single_point_game_returns_its_point(self, stop):
+        game = fee_game(SparseMatrix.from_dense(np.array([[1.0]])),
+                        0.0, 0.1, 0.1).game_spec()
+        rep = solve_icl(game, 1e-7, keep_trace=True, stop=stop)
+        assert rep.status == "converged"
+        assert rep.certified_sq_distance == 0.0
+        assert rep.iterations == 0 and rep.extras["schedule"] is None
+        assert rep.point.x.tolist() == [1.0] and rep.point.y.tolist() == [1.0]
+        assert len(rep.extras["trace"]) == 1
+        assert rep.extras["trace"][0] is rep.point
+        ledger = rep.ledger
+        assert ledger.h_queries + ledger.g_queries + ledger.cert_queries == 0
+
 
 class TestSolveMonotone:
     def test_matching_pennies(self):
@@ -482,6 +496,14 @@ class TestSolveMonotone:
         assert bound <= eps
         gain = deviation_gain(game, point)
         assert gain.value + gain.residual <= eps
+
+    def test_single_point_game(self):
+        game = fee_game(SparseMatrix.from_dense(np.array([[1.0]])),
+                        0.0, 0.0, 0.0).game_spec()
+        point, bound, rep = solve_monotone(game, 1e-3)
+        assert rep.status == "converged" and bound == 0.0
+        assert rep.certified_sq_distance == 0.0
+        assert point.x.tolist() == [1.0] and point.y.tolist() == [1.0]
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1e-3])
     def test_rejects_eps_that_is_not_positive_and_finite(self, eps):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nzs.games import operator_F, probe_structure
-from nzs.instances import (MatrixGame, apply_transaction_fee, fee_game,
+from nzs.instances import (MatrixGame, _sample_without_replacement,
+                           apply_transaction_fee, fee_game,
                            gen_quadratic_known_ne, gen_sparse_experiment,
                            matching_pennies, reformulate_bilinear,
                            reformulate_general, split_pos_neg,
@@ -230,6 +231,27 @@ class TestSparseExperiment:
         with pytest.raises(ValueError):
             gen_sparse_experiment(3, 3, 10, seed=0, mu=0.0, nu=0.0)
 
+    @pytest.mark.parametrize("total,count", [
+        (10, 10), (1000, 37), (2 ** 32 - 7, 5), (2 ** 32 + 3, 100),
+        (2 ** 40, 3000), (5, 0)])
+    def test_one_draw_call_matches_scalar_draws(self, total, count):
+        # totals below, across and above 2**32 (ranges total - i cross it)
+        def scalar_draws(rng):
+            state = {}
+            out = np.empty(count, dtype=np.int64)
+            for i in range(count):
+                j = int(rng.integers(i, total))
+                out[i] = state.get(j, j)
+                state[j] = state.get(i, i)
+            return out
+
+        ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+        ref = scalar_draws(ref_rng)
+        got = _sample_without_replacement(rng, total, count)
+        assert np.array_equal(got, ref)
+        assert len(set(got.tolist())) == count
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestQuadraticKnownNe:
     def test_trivial_case_centers_at_origin(self):
@@ -250,6 +272,59 @@ class TestQuadraticKnownNe:
         rep = probe_structure(game, 200, seed=0)
         assert rep.monotonicity >= min(0.3, 0.9) - 1e-9
         assert rep.coupling_smoothness <= 0.5 + 1e-9
+
+
+QUAD_PARTIALS = ("grad_u1_x", "grad_u1_y", "grad_u2_x", "grad_u2_y")
+
+
+def quad_for_cache(seed=4):
+    return gen_quadratic_known_ne(40, 30, 0.3, 0.2, delta=0.4,
+                                  coupling_norm=1.0, seed=seed)
+
+
+class TestQuadraticOneProduct:
+    """The partial gradients share one G z per point; their bits must not
+    depend on which point the shared product was last taken at."""
+
+    @pytest.mark.parametrize("name", QUAD_PARTIALS)
+    def test_partial_ignores_the_point_held(self, name):
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal(40), rng.standard_normal(30)
+        fresh = getattr(quad_for_cache(), name)(x, y)
+        game = quad_for_cache()
+        for other in QUAD_PARTIALS:
+            getattr(game, other)(x + 1.0, y)  # holds another point
+            assert np.array_equal(getattr(game, name)(x, y), fresh)
+            got = getattr(game, name)(x, y)  # holds this point
+            assert np.array_equal(got, fresh)
+            got += 1.0  # a returned array is the caller's own
+            assert np.array_equal(getattr(game, name)(x, y), fresh)
+
+    def test_point_mutated_in_place_is_recomputed(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal(40), rng.standard_normal(30)
+        game = quad_for_cache()
+        game.grad_u1_x(x, y)
+        x[3] += 0.5
+        y[0] = -y[0]
+        assert np.array_equal(game.grad_u2_y(x, y),
+                              quad_for_cache().grad_u2_y(x, y))
+
+    def test_signed_zero_point_matches_fresh(self):
+        game = quad_for_cache()
+        game.grad_u1_x(np.zeros(40), np.zeros(30))
+        x, y = -np.zeros(40), -np.zeros(30)
+        for name in QUAD_PARTIALS:
+            assert np.array_equal(getattr(game, name)(x, y),
+                                  getattr(quad_for_cache(), name)(x, y))
+
+    def test_utilities_ignore_the_point_held(self):
+        rng = np.random.default_rng(6)
+        x, y = rng.standard_normal(40), rng.standard_normal(30)
+        want = (quad_for_cache().u1(x, y), quad_for_cache().u2(x, y))
+        game = quad_for_cache()
+        game.grad_u1_x(x + 1.0, y)
+        assert (game.u1(x, y), game.u2(x, y)) == want
 
 
 class TestClosedFormExamples:

@@ -214,3 +214,36 @@ class TestSimplexProjectionFunction:
             warnings.simplefilter("error")
             w = project_simplex(np.array([1e17, 1e17 + 64, 0.0]))
         assert w.tolist() == [0.0, 1.0, 0.0]
+
+
+def ball_project_by_norm(ball, v):
+    """Ball.project written with np.linalg.norm, the reference."""
+    d = v - ball.center
+    nd = np.linalg.norm(d)
+    if nd <= ball.radius * (1.0 + 1e-12):
+        return v.copy()
+    return ball.center + d * (ball.radius / nd)
+
+
+class TestBallNormIsBitwise:
+    @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+    def test_project_matches_linalg_norm(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 200)
+        ball = Ball(rng.standard_normal(6) * scale, 1.3 * scale)
+        for _ in range(300):
+            d = rng.standard_normal(6)
+            d *= rng.choice([0.5, 0.999999, 1.0, 1.0 + 1e-13, 1.5, 40.0]) \
+                * ball.radius / np.linalg.norm(d)
+            v = ball.center + d  # inside, on, and outside the boundary
+            p = ball.project(v)
+            assert np.array_equal(p, ball_project_by_norm(ball, v))
+            assert np.array_equal(ball.project(p),
+                                  ball_project_by_norm(ball, p))
+
+    def test_lmo_matches_linalg_norm(self):
+        rng = np.random.default_rng(9)
+        ball = Ball(rng.standard_normal(5), 2.0)
+        for scale in (1e-150, 1.0, 1e150):
+            c = rng.standard_normal(5) * scale
+            want = ball.center - c * (ball.radius / np.linalg.norm(c))
+            assert np.array_equal(ball.lmo(c), want)

@@ -350,7 +350,7 @@ class TestApdBilinear:
         sub, _ = unconstrained_subproblem(seed=23)
         sub.phi_form = None
         sub.h_grad = lambda x, y: (x, -y)
-        with pytest.raises(StructureError, match="solve_eg"):
+        with pytest.raises(StructureError, match="solve_operator_eg"):
             solve_apd_bilinear(sub, 1000)
 
     def test_generic_fallback_matches_linear_system(self):
