@@ -71,7 +71,7 @@ for name, run in [
     ("extragradient", lambda: solve_eg(game.game_spec(), SolverConfig(epsilon=eps))),
     ("optimistic", lambda: solve_ogda(game.game_spec(), SolverConfig(epsilon=eps))),
     ("coupling linearization",
-     lambda: solve_icl(reformulate_bilinear(game, beta).game_spec(), eps,
+     lambda: solve_icl(reformulate_bilinear(game, beta), eps,
                        stop="certificate")),
 ]:
     rep = run()

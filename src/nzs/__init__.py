@@ -6,12 +6,11 @@ from .sets import Ball, Box, FeasibleSet, ProductSet, Simplex, project_simplex
 from .games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
                     StructureReport, grad_g, operator_F, operator_H,
                     probe_structure)
-from .instances import (MatrixGame, ReformulatedGame, apply_transaction_fee,
-                        fee_game, gen_quadratic_known_ne,
-                        gen_sparse_experiment, matching_pennies,
-                        reformulate_bilinear, reformulate_general,
-                        split_pos_neg, stackelberg_example,
-                        stackelberg_reference_points)
+from .instances import (MatrixGame, apply_transaction_fee, fee_game,
+                        gen_quadratic_known_ne, gen_sparse_experiment,
+                        matching_pennies, reformulate_bilinear,
+                        reformulate_general, split_pos_neg,
+                        stackelberg_example, stackelberg_reference_points)
 from .solvers import (JointProblem, SaddleSubproblem, SolveReport,
                       SolverConfig, StructureError, displacement_certificate,
                       extract_approx_ne, solve_apd_bilinear, solve_eg,

@@ -6,8 +6,8 @@ CSV), gap (equilibrium diagnostics for a point file). Exit codes:
 0 success, 1 solver non-convergence (bench: a failed cell), 2 usage or
 validation error, arithmetic overflow on an extreme input included.
 
-The environment variable NZS_THREADS caps bench parallelism (default:
-all cores); each cell is serial, so reruns are reproducible cell-wise.
+bench --threads caps bench parallelism (default: all cores); each cell
+is serial, so reruns are reproducible cell-wise.
 """
 
 import argparse
@@ -38,13 +38,6 @@ T1_RHOS = [0.0, 0.0003, 0.0006, 0.0009, 0.0012, 0.0015, 0.0018]
 T4_RHOS = [0.0, 0.003, 0.006, 0.009, 0.012, 0.015, 0.018]
 
 
-def _threads():
-    raw = os.environ.get("NZS_THREADS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return max(1, os.cpu_count() or 1)
-
-
 def run_method(M, meta, rho, method, eps):
     """Solve one fee instance with one method; returns (report, row dict).
 
@@ -52,10 +45,11 @@ def run_method(M, meta, rho, method, eps):
     displacement certificate (stepsize 1/(2L), modulus min(mu, nu)/2),
     polled on solvers.drive's schedule: for the baselines at least
     solvers.CERTIFICATE_PERIOD iterations apart, for ICL at least one
-    outer iteration apart (stop="certificate").
-    That modulus holds only while min(mu, nu) > 0 and the coupling norm
-    bound beta = rho norm_abs/2 <= sqrt(mu nu)/2, so every method raises
-    ValueError otherwise.
+    outer iteration apart (stop="certificate"). ICL runs on
+    reformulate_bilinear(game, beta, L), which adds the curvature it moves
+    to the same L. That modulus holds only while min(mu, nu) > 0 and the
+    coupling norm bound beta = rho norm_abs/2 <= sqrt(mu nu)/2, so every
+    method raises ValueError otherwise.
     """
     mu, nu = float(meta["mu"]), float(meta["nu"])
     if not min(mu, nu) > 0:
@@ -74,8 +68,7 @@ def run_method(M, meta, rho, method, eps):
         solver = solve_eg if method == "eg" else solve_ogda
         rep = solver(spec, SolverConfig(epsilon=eps))
     elif method == "icl":
-        ref = reformulate_bilinear(game, beta)
-        spec = ref.game_spec(L=L + 2 * max(ref.beta1, ref.beta2))
+        spec = reformulate_bilinear(game, beta, L)
         rep = solve_icl(spec, eps, stop="certificate")
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -160,7 +153,7 @@ def bench_rows(n, m, nnz, seeds, rhos, methods, mu, nu, eps, threads=None):
                  for seed in seeds}
     cells = [(seed, instances[seed], rho, method, eps)
              for seed in seeds for rho in rhos for method in methods]
-    threads = threads or _threads()
+    threads = threads or os.cpu_count() or 1
     if threads > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_bench_cell, cells))

@@ -1,8 +1,9 @@
 """Problem-family constructors.
 
 Families: regularized matrix games with transaction fees, convex
-reformulations (bilinear and general coupling), seeded sparse benchmark
-instances, synthetic quadratic games with a known equilibrium, a tiny
+reformulations (bilinear and general coupling, each returning a
+curvature-shifted GameSpec), seeded sparse benchmark instances,
+synthetic quadratic games with a known equilibrium, a tiny
 leader-follower example with closed-form solutions, and matching
 pennies.
 """
@@ -84,8 +85,8 @@ class MatrixGame:
         return self._spec(L, self.coupling_norm(), monotone_modulus)
 
     def _spec(self, L, beta, monotone_modulus=None):
-        """game_spec given L and the coupling norm beta = |C|, which the
-        reformulation knows without a norm estimate."""
+        """game_spec given L and the coupling norm beta = |C|, which
+        reformulate_bilinear knows without a norm estimate."""
         A, B, mu, nu = self.A, self.B, self.reg_mu, self.reg_nu
         K = self.competitive_matrix()
         if monotone_modulus is None:
@@ -170,32 +171,6 @@ def fee_game(M, rho, reg_mu, reg_nu):
 # convex reformulations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReformulatedGame:
-    """Bilinear-coupling game with curvature moved between the players.
-
-    Player 1 maximizes u1 - beta2 |y|^2 and player 2 maximizes
-    u2 - beta1 |x|^2. The equilibrium is unchanged, and the new coupling
-    part -<C x, y> + (beta1/2)|x|^2 + (beta2/2)|y|^2 is jointly convex
-    because sqrt(beta1 beta2) = |C|.
-    """
-
-    base: MatrixGame
-    beta: float
-    beta1: float
-    beta2: float
-
-    def game_spec(self, L=None):
-        """The base game's spec with the curvature shift; delta becomes
-        beta + max(beta1, beta2) and the moduli are stated as mu/2, nu/2,
-        which the case rules of reformulate_bilinear guarantee."""
-        g, b1, b2 = self.base, self.beta1, self.beta2
-        if L is None:
-            L = g.smoothness() + 2 * max(b1, b2)
-        return g._spec(L, self.beta).shift_curvature(
-            u1_y=-b2, u2_x=-b1, L=L, mu=g.reg_mu / 2, nu=g.reg_nu / 2)
-
-
 def _certifiably_monotone(beta, mu, nu):
     """beta <= sqrt(mu nu)/2, the bound under which a fee game is
     certifiably monotone (and its bilinear reformulation jointly convex)."""
@@ -214,27 +189,42 @@ def require_monotone_coupling(beta, mu, nu):
             "monotone under this reformulation")
 
 
-def reformulate_bilinear(game, beta):
-    """Choose (beta1, beta2) from (2*beta vs mu, nu) and reformulate.
+def _curvature_split(beta, mu, nu):
+    """(beta1, beta2) with beta1*beta2 = beta^2, beta1 <= mu/2 and
+    beta2 <= nu/2, from 2*beta vs mu, nu. Requires beta <= sqrt(mu nu)/2.
 
-    Requires beta = |(A+B)/2| <= sqrt(mu nu)/2 so the reformulated
-    coupling part is certifiably jointly convex. Case rules:
-    both 2*beta <= mu and <= nu: beta1 = beta2 = beta;
+    Case rules: both 2*beta <= mu and <= nu: beta1 = beta2 = beta;
     mu <= 2*beta <= nu: beta1 = mu/2, beta2 = 2*beta^2/mu;
-    nu <= 2*beta <= mu: symmetric. Always beta1 <= mu/2, beta2 <= nu/2,
-    and beta1*beta2 = beta^2.
+    nu <= 2*beta <= mu: symmetric.
     """
-    mu, nu = game.reg_mu, game.reg_nu
     require_monotone_coupling(beta, mu, nu)
     if 2 * beta <= mu and 2 * beta <= nu:
-        b1 = b2 = beta
-    elif mu <= 2 * beta <= nu:
-        b1, b2 = mu / 2, 2 * beta ** 2 / mu
-    elif nu <= 2 * beta <= mu:
-        b1, b2 = 2 * beta ** 2 / nu, nu / 2
-    else:  # pragma: no cover - excluded by the beta precondition
-        raise ValueError("inconsistent curvature case")
-    return ReformulatedGame(game, beta, b1, b2)
+        return beta, beta
+    if mu <= 2 * beta <= nu:
+        return mu / 2, 2 * beta ** 2 / mu
+    if nu <= 2 * beta <= mu:
+        return 2 * beta ** 2 / nu, nu / 2
+    raise ValueError("inconsistent curvature case")  # pragma: no cover
+
+
+def reformulate_bilinear(game, beta, L=None):
+    """GameSpec of a MatrixGame with curvature moved between the players.
+
+    Player 1 maximizes u1 - beta2 |y|^2 and player 2 maximizes
+    u2 - beta1 |x|^2, with (beta1, beta2) from ``_curvature_split``. The
+    equilibrium is unchanged, and the new coupling part
+    -<C x, y> + (beta1/2)|x|^2 + (beta2/2)|y|^2 is jointly convex because
+    beta1*beta2 = beta^2, beta = |C| = |(A+B)/2|. L is the base game's
+    smoothness bound (default game.smoothness()); the spec's L is
+    L + 2*max(beta1, beta2), its delta beta + max(beta1, beta2), and its
+    moduli are stated as mu/2, nu/2.
+    """
+    mu, nu = game.reg_mu, game.reg_nu
+    b1, b2 = _curvature_split(beta, mu, nu)
+    if L is None:
+        L = game.smoothness()
+    return game._spec(L, beta).shift_curvature(
+        u1_y=-b2, u2_x=-b1, mu=mu / 2, nu=nu / 2)
 
 
 def reformulate_general(game, beta):

@@ -20,7 +20,9 @@ from .vecmat import SparseMatrix
 MAGIC = b"NZSINST1"
 
 _DTYPES = {"int64": "<i8", "float64": "<f8"}
-_ARRAYS = ("row_offsets", "col_indices", "values")
+# the CSR arrays in file order, each with the one dtype it may have
+_ARRAYS = (("row_offsets", "int64"), ("col_indices", "int64"),
+           ("values", "float64"))
 
 
 class FormatError(ValueError):
@@ -48,13 +50,14 @@ def _check_header(header):
                           "integers")
     arrays = header.get("arrays")
     if not (isinstance(arrays, list) and all(
-            isinstance(a, dict) and a.get("name") in _ARRAYS
-            and a.get("dtype") in _DTYPES
+            isinstance(a, dict) and (a.get("name"), a.get("dtype")) in _ARRAYS
             and _is_int(a.get("length")) and a["length"] >= 0
             for a in arrays)
-            and sorted(a["name"] for a in arrays) == sorted(_ARRAYS)):
+            and sorted(a["name"] for a in arrays)
+            == sorted(name for name, _ in _ARRAYS)):
         raise FormatError("instance header: 'arrays' must describe "
-                          + ", ".join(_ARRAYS) + " by name, dtype and length")
+                          + ", ".join(f"{n} ({d})" for n, d in _ARRAYS)
+                          + " by name, dtype and length")
     optional = {"norm": 1.0, "seed": -1}  # run_method's stand-ins
     for key in ("mu", "nu", "norm_abs", "norm", "seed"):
         if not _is_real(header.get(key, optional.get(key))):
@@ -63,11 +66,7 @@ def _check_header(header):
 
 def write_instance(path, M, meta):
     """Write a payoff matrix and its metadata to one binary file."""
-    arrays = [
-        ("row_offsets", "int64", M.row_offsets),
-        ("col_indices", "int64", M.col_indices),
-        ("values", "float64", M.values),
-    ]
+    arrays = [(n, d, getattr(M, n)) for n, d in _ARRAYS]
     header = dict(meta)
     header["format"] = 1
     header["shape"] = [M.n_rows, M.n_cols]

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 import time
 
 import numpy as np
@@ -139,6 +140,31 @@ class TestSolve:
                    "--out", str(tmp_path / "r.json")])
         assert rc == 2
         assert "norm_abs" in capsys.readouterr().err
+
+    def test_float_col_indices_exit_2_without_report(self, instance_file,
+                                                     tmp_path):
+        # col_indices declared float64 with fractional values: reading
+        # them as int64 would solve another matrix
+        raw = instance_file.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16:16 + hlen])
+        lengths = {a["name"]: a["length"] for a in header["arrays"]}
+        for a in header["arrays"]:
+            if a["name"] == "col_indices":
+                a["dtype"] = "float64"
+        blob = json.dumps(header).encode("utf-8")
+        start = 16 + hlen + 8 * lengths["row_offsets"]
+        end = start + 8 * lengths["col_indices"]
+        cols = np.frombuffer(raw[start:end], dtype="<i8") + 0.5
+        bad = tmp_path / "bad.nzs"
+        bad.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                        + raw[16 + hlen:start] + cols.astype("<f8").tobytes()
+                        + raw[end:])
+        out = tmp_path / "r.json"
+        rc = main(["solve", "--method", "ogda", "--instance", str(bad),
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
 
 class TestZeroCurvature:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nzs.games import operator_F, probe_structure
-from nzs.instances import (MatrixGame, _sample_without_replacement,
+from nzs.instances import (MatrixGame, _curvature_split,
+                           _sample_without_replacement,
                            apply_transaction_fee, fee_game,
                            gen_quadratic_known_ne, gen_sparse_experiment,
                            matching_pennies, reformulate_bilinear,
@@ -83,36 +84,60 @@ class TestTransactionFee:
         assert np.allclose(K.values, (1 - rho / 2) * M.values, rtol=1e-14)
 
 
+def shifts(game, spec):
+    """(beta1, beta2) as read off a reformulated spec's h_structure."""
+    return (game.reg_mu - spec.h_structure.ax,
+            game.reg_nu - spec.h_structure.ay)
+
+
+# gen_sparse_experiment(100, 80, 800, 7, 1e-4, 1.0) at rho = 0.0009 with
+# run_method's L = norm + rho norm_abs + max(mu, nu); the spec's L
+# (L + 2 max(beta1, beta2)) and smoothness() + 2 max(beta1, beta2) for
+# L=None, then mu, nu, delta, monotone_modulus, h_structure.ax, .ay
+FEE_REFORMULATED = {
+    "L": (2.0182301277428945, 2.016500807547136),
+    "mu": 5e-05, "nu": 0.5, "delta": 0.009115063871447272,
+    "monotone_modulus": 5e-05, "ax": 5e-05, "ay": 0.991535493819333,
+}
+
+
 class TestReformulateBilinear:
     def test_case_both_small(self):
         g = fee_game(random_sparse(36), 0.0, 0.3, 0.5)
-        ref = reformulate_bilinear(g, 0.1)
-        assert ref.beta1 == ref.beta2 == 0.1
+        spec = reformulate_bilinear(g, 0.1)
+        assert spec.h_structure.ax == 0.3 - 0.1
+        assert spec.h_structure.ay == 0.5 - 0.1
 
     def test_case_mu_small(self):
         g = fee_game(random_sparse(37), 0.0, 0.1, 1.0)
-        ref = reformulate_bilinear(g, 0.1)
-        assert ref.beta1 == pytest.approx(0.05)
-        assert ref.beta2 == pytest.approx(0.2)
-        assert ref.beta1 * ref.beta2 == pytest.approx(0.01)
+        beta1, beta2 = shifts(g, reformulate_bilinear(g, 0.1))
+        assert beta1 == pytest.approx(0.05)
+        assert beta2 == pytest.approx(0.2)
+        assert beta1 * beta2 == pytest.approx(0.01)
 
     def test_case_nu_small(self):
         g = fee_game(random_sparse(38), 0.0, 1.0, 0.1)
-        ref = reformulate_bilinear(g, 0.1)
-        assert ref.beta2 == pytest.approx(0.05)
-        assert ref.beta1 == pytest.approx(0.2)
+        beta1, beta2 = shifts(g, reformulate_bilinear(g, 0.1))
+        assert beta2 == pytest.approx(0.05)
+        assert beta1 == pytest.approx(0.2)
 
     def test_invariants_across_random_cases(self):
+        # the spec stores mu - beta1 and nu - beta2, which round beta1 and
+        # beta2 to a unit in the last place of mu and nu, so the product
+        # is checked on the split the spec is built from
         rng = np.random.default_rng(39)
         for _ in range(50):
             mu, nu = rng.uniform(0.05, 2.0, 2)
             beta = rng.uniform(0.0, 0.5 * np.sqrt(mu * nu))
-            ref = reformulate_bilinear(fee_game(random_sparse(40), 0.0, mu, nu),
-                                       beta)
-            assert ref.beta1 <= mu / 2 + 1e-15
-            assert ref.beta2 <= nu / 2 + 1e-15
+            spec = reformulate_bilinear(
+                fee_game(random_sparse(40), 0.0, mu, nu), beta)
+            beta1, beta2 = _curvature_split(beta, mu, nu)
+            assert spec.h_structure.ax == mu - beta1
+            assert spec.h_structure.ay == nu - beta2
+            assert beta1 <= mu / 2 + 1e-15
+            assert beta2 <= nu / 2 + 1e-15
             if beta > 0:
-                assert abs(ref.beta1 * ref.beta2 - beta ** 2) <= 1e-14 * beta ** 2
+                assert abs(beta1 * beta2 - beta ** 2) <= 1e-14 * beta ** 2
 
     def test_precondition_violation(self):
         g = fee_game(random_sparse(41), 0.0, 0.1, 0.1)
@@ -125,7 +150,7 @@ class TestReformulateBilinear:
         game = fee_game(M, 0.05, mu, nu)
         beta = game.coupling_norm()
         assert beta <= 0.5 * np.sqrt(mu * nu)
-        spec = reformulate_bilinear(game, beta).game_spec()
+        spec = reformulate_bilinear(game, beta)
         rep = probe_structure(spec, 200, seed=0)
         assert rep.coupling_convexity >= -1e-9
         assert rep.coupling_smoothness <= spec.delta + 1e-9
@@ -137,12 +162,28 @@ class TestReformulateBilinear:
         mu = nu = 1.0
         game = fee_game(M, 0.08, mu, nu)
         spec_raw = game.game_spec()
-        ref = reformulate_bilinear(game, game.coupling_norm())
-        spec_ref = ref.game_spec()
+        spec_ref = reformulate_bilinear(game, game.coupling_norm())
         cfg = SolverConfig(epsilon=1e-17)
         z_raw = solve_eg(spec_raw, cfg).point
         z_ref = solve_eg(spec_ref, cfg).point
         assert z_raw.distance_to(z_ref) <= 1e-8
+
+    @pytest.mark.parametrize("base_L", [True, False], ids=["L", "L=None"])
+    def test_golden_fee_instance_bit_for_bit(self, base_L):
+        mu, nu, rho = 1e-4, 1.0, 0.0009
+        _, data = gen_sparse_experiment(100, 80, 800, 7, mu, nu)
+        game = fee_game(data["M"], rho, mu, nu)
+        beta = 0.5 * rho * data["norm_abs"]
+        L = data["norm"] + rho * data["norm_abs"] + max(mu, nu)
+        spec = reformulate_bilinear(game, beta, L if base_L else None)
+        hs, want = spec.h_structure, FEE_REFORMULATED
+        assert spec.L == want["L"][0 if base_L else 1]
+        assert (spec.mu, spec.nu, spec.delta, spec.monotone_modulus,
+                hs.ax, hs.ay) == (want["mu"], want["nu"], want["delta"],
+                                  want["monotone_modulus"], want["ax"],
+                                  want["ay"])
+        assert not hs.bx.any() and not hs.by.any()
+        assert (hs.bx.shape, hs.by.shape) == ((100,), (80,))
 
 
 class TestReformulateGeneral:

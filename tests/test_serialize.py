@@ -68,6 +68,37 @@ class TestInstanceFile:
         with pytest.raises(FormatError, match=key):
             read_instance(path)
 
+    # a 2 x 3 CSR matrix as write_instance lays it out
+    WELL_TYPED = {"row_offsets": ("int64", [0, 2, 3]),
+                  "col_indices": ("int64", [0, 2, 1]),
+                  "values": ("float64", [1.0, -1.0, 0.5])}
+
+    @staticmethod
+    def write_raw(path, arrays):
+        header = {"shape": [2, 3], "mu": 1e-4, "nu": 1.0, "norm_abs": 1.0,
+                  "arrays": [{"name": n, "dtype": d, "length": len(v)}
+                             for n, (d, v) in arrays.items()]}
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(b"NZSINST1" + struct.pack("<Q", len(blob)) + blob
+                         + b"".join(np.asarray(v, dtype=np.dtype(d)
+                                               .newbyteorder("<")).tobytes()
+                                    for d, v in arrays.values()))
+
+    @pytest.mark.parametrize("name,dtype,values", [
+        ("col_indices", "float64", [0.0, 2.7, 1.2]),
+        ("row_offsets", "float64", [0, 2.9, 3]),
+        ("values", "int64", [1, -1, 0])])
+    def test_array_dtype_other_than_written_rejected(self, tmp_path, name,
+                                                     dtype, values):
+        # truncating float indices would load another, valid matrix
+        path = tmp_path / "inst.nzs"
+        self.write_raw(path, self.WELL_TYPED)
+        M, _ = read_instance(path)
+        assert M.to_dense().tolist() == [[1.0, 0.0, -1.0], [0.0, 0.5, 0.0]]
+        self.write_raw(path, {**self.WELL_TYPED, name: (dtype, values)})
+        with pytest.raises(FormatError, match="arrays"):
+            read_instance(path)
+
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "short.nzs"
         path.write_bytes(b"NZSINST1\x05")
