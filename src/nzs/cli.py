@@ -29,8 +29,8 @@ from .solvers import SolverConfig, solve_eg, solve_ogda
 from .vecmat import SpectralNormError
 
 CSV_HEADER = ["method", "rho", "seed", "queries_h", "queries_g",
-              "queries_cert", "iterations", "certified_sq_distance",
-              "wall_ms"]
+              "queries_cert", "queries_total", "iterations",
+              "certified_sq_distance", "wall_ms", "status"]
 
 METHODS = ("icl", "ogda", "eg")
 DEFAULT_SEEDS = list(range(0, 1000, 111))
@@ -79,9 +79,12 @@ def run_method(M, meta, rho, method, eps):
         "queries_h": led.main_queries(),
         "queries_g": led.g_queries,
         "queries_cert": led.cert_queries,
+        "queries_total": (led.main_queries() + led.g_queries
+                          + led.cert_queries),
         "iterations": rep.iterations,
         "certified_sq_distance": rep.certified_sq_distance,
         "wall_ms": round(wall_ms, 3),
+        "status": rep.status,
     }
     return rep, row
 
@@ -107,7 +110,6 @@ def cmd_solve(args):
     M, meta = read_instance(args.instance)
     rep, row = run_method(M, meta, args.rho, args.method, args.eps)
     row["eps"] = args.eps
-    row["status"] = rep.status
     out = args.out or (args.instance + f".{args.method}.report.json")
     write_report(out, row)
     if args.point_out:
@@ -140,7 +142,7 @@ def _bench_cell(cell):
         except Exception as exc:  # mark the cell failed, keep sweeping
             error = str(exc)
     return {**dict.fromkeys(CSV_HEADER, ""), "method": method, "rho": rho,
-            "seed": seed, "error": error}
+            "seed": seed, "status": "failed", "error": error}
 
 
 def bench_rows(n, m, nnz, seeds, rhos, methods, mu, nu, eps, threads=None):
@@ -235,12 +237,18 @@ def cmd_gap(args):
 
 # ---------------------------------------------------------------------------
 
-def _parse_float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_rho_list(text):
+    rhos = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(0.0 <= r <= 1.0 for r in rhos):
+        raise argparse.ArgumentTypeError("fees must be finite and in [0, 1]")
+    return rhos
 
 
-def _parse_int_list(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_seed_list(text):
+    seeds = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not all(seed >= 0 for seed in seeds):
+        raise argparse.ArgumentTypeError("seeds must be non-negative")
+    return seeds
 
 
 def _parse_threads(text):
@@ -291,8 +299,8 @@ def build_parser():
     b = sub.add_parser("bench", help="fee sweep benchmark to CSV")
     b.add_argument("--table", choices=("t1", "t4"), default="t1")
     b.add_argument("--scale", choices=("desk", "paper"), default="desk")
-    b.add_argument("--seeds", type=_parse_int_list, default=None)
-    b.add_argument("--rho-list", type=_parse_float_list, default=None)
+    b.add_argument("--seeds", type=_parse_seed_list, default=None)
+    b.add_argument("--rho-list", type=_parse_rho_list, default=None)
     b.add_argument("--methods", type=_parse_methods, default=list(METHODS))
     b.add_argument("--eps", type=_parse_eps, default=1e-7)
     b.add_argument("--threads", type=_parse_threads, default=None)

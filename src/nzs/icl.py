@@ -141,8 +141,9 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
       baselines stop on) on drive's schedule, at least one outer
       iteration apart, and stops once it is at most eps. A structured
       game with delta = 0 then takes one outer step at eta = inf: its
-      subproblem is the game itself, and solve_apd_bilinear runs on it
-      until the same certificate, polled inside the solve, is at most
+      subproblem is the game itself, and solve_apd_bilinear runs PDHG on
+      it with PDLP's restarts and primal weight (solvers.restart_pdhg),
+      polling the same certificate at each restart, until it is at most
       eps. Proximal iterations follow only if it is not.
 
     A game whose two sets are single points is solved by its one point:
@@ -185,7 +186,10 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         rep = solve_apd_bilinear(
             sub, _inner_budget(sched, pdhg_rate(sub.phi_form)), ledger,
             certificate=certificate, target=eps)
-        z, bound, outer = rep.point, rep.certified_sq_distance, 1
+        z, outer = rep.point, 1
+        # the last restart's certificate is of z only if it stopped the pass
+        if rep.status == "converged":
+            bound = rep.certified_sq_distance
         if keep_trace:
             trace.append(z)
 

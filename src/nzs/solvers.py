@@ -23,6 +23,16 @@ from .games import BilinearSaddleForm, JointPoint, QueryLedger
 CHECK_PERIOD = 4
 CERTIFICATE_PERIOD = 8
 
+# PDLP's restart rule and primal weight update (Applegate et al., NeurIPS
+# 2021), which restart_pdhg runs: an epoch ends once its residual falls to
+# RESTART_SUFFICIENT of its first, or to RESTART_NECESSARY and rises, or
+# once it is RESTART_ARTIFICIAL of all steps; the log primal weight then
+# moves WEIGHT_SMOOTHING of the way to the log ratio of the epoch's moves
+RESTART_SUFFICIENT = 0.2
+RESTART_NECESSARY = 0.8
+RESTART_ARTIFICIAL = 0.36
+WEIGHT_SMOOTHING = 0.5
+
 
 class StructureError(RuntimeError):
     """Raised when a solver is handed a problem without the structure it
@@ -356,7 +366,9 @@ class PdhgKernel:
     Stepsizes follow the strongly-convex parameterization: with
     s = min(1, 2 sqrt(ax ay) / |W|), tau = s/(2 ax), sigma = s/(2 ay), and
     extrapolation 1/(1+s), giving linear convergence at roughly
-    sqrt(ax ay)/|W| per iteration.
+    sqrt(ax ay)/|W| per iteration. Those steps balance the worst-case
+    moduli; set_weight rebalances them for a primal weight learned from
+    the iterates (restart_pdhg).
     """
 
     def __init__(self, form, X, Y, x0, y0):
@@ -370,16 +382,31 @@ class PdhgKernel:
         self.y = np.array(y0, dtype=np.float64)
         if form.w_norm() <= 1e-14:
             # decoupled: plain proximal iterations with a large step
-            self.tau = 4.0 / form.ax
-            self.sigma = 4.0 / form.ay
-            self.theta = 0.0
+            self._set_steps(4.0 / form.ax, 4.0 / form.ay, 0.0)
         else:
             s = 2.0 * pdhg_rate(form)
-            self.tau = s / (2.0 * form.ax)
-            self.sigma = s / (2.0 * form.ay)
-            self.theta = 1.0 / (1.0 + s)
-        self._x_scale = 1.0 + self.tau * form.ax
-        self._y_scale = 1.0 + self.sigma * form.ay
+            self._set_steps(s / (2.0 * form.ax), s / (2.0 * form.ay),
+                            1.0 / (1.0 + s))
+
+    def _set_steps(self, tau, sigma, theta):
+        self.tau, self.sigma, self.theta = tau, sigma, theta
+        self._x_scale = 1.0 + tau * self.form.ax
+        self._y_scale = 1.0 + sigma * self.form.ay
+
+    def set_weight(self, omega):
+        """Steps tau = 1/(omega |W|) and sigma = omega/|W| for primal
+        weight omega > 0, with extrapolation
+        1/(1 + min(2 ax tau, 2 ay sigma, 1)); at omega = sqrt(ax/ay) these
+        are the constructor's steps whenever 2 sqrt(ax ay) < |W|. A
+        decoupled form keeps its proximal steps."""
+        f = self.form
+        lw = f.w_norm()
+        if lw <= 1e-14:
+            return
+        tau, sigma = 1.0 / (omega * lw), omega / lw
+        self._set_steps(tau, sigma, 1.0 / (1.0 + min(2.0 * f.ax * tau,
+                                                     2.0 * f.ay * sigma,
+                                                     1.0)))
 
     def step(self, ledger):
         # x+ = P((x - tau (W'y + bx)) / (1 + tau ax)) and
@@ -415,6 +442,70 @@ def pdhg_rate(form):
     return min(0.5, np.sqrt(form.ax * form.ay) / lw)
 
 
+def primal_weight(omega, dx, dy):
+    """PDLP's primal weight after an epoch that moved x by dx and y by dy:
+    omega^(1 - WEIGHT_SMOOTHING) (|dy|/|dx|)^WEIGHT_SMOOTHING, or omega
+    when either move is 0."""
+    nx, ny = math.sqrt(dx @ dx), math.sqrt(dy @ dy)
+    if nx == 0 or ny == 0:
+        return omega
+    return omega ** (1.0 - WEIGHT_SMOOTHING) * (ny / nx) ** WEIGHT_SMOOTHING
+
+
+def restart_pdhg(kern, ledger, max_iter, certificate, target):
+    """Up to max_iter steps of kern, ledgered as h, with PDLP's restarts
+    and primal weight omega, first sqrt(ax/ay) (the constructor's steps).
+
+    The restart test runs as drive's stop_check every CHECK_PERIOD steps,
+    on the residual r = sqrt(omega |dx|^2 + |dy|^2 / omega) of the last
+    step: an epoch ends by the RESTART_* rule against its first r. A
+    restart polls certificate(z) of the concatenated iterate into
+    residual_history as (steps, value) and stops the solve once the value
+    is at most target; else kern takes the primal_weight of the moves
+    since the previous restart. certified_sq_distance is the last poll's
+    value, of the returned point only when status is "converged".
+    """
+    omega = math.sqrt(kern.form.ax / kern.form.ay)
+    steps = start = 0
+    x0, y0 = prev = kern.x, kern.y
+    r_first = r_last = None
+    history = []
+
+    def step():
+        nonlocal prev, steps
+        prev = kern.x, kern.y
+        kern.step(ledger)
+        steps += 1
+
+    def check():
+        nonlocal omega, start, x0, y0, r_first, r_last
+        if steps == start:
+            return None
+        dx, dy = kern.x - prev[0], kern.y - prev[1]
+        r = math.sqrt(omega * (dx @ dx) + (dy @ dy) / omega)
+        if r_first is None:
+            r_first = r_last = r
+        due = (r <= RESTART_SUFFICIENT * r_first
+               or r_last < r <= RESTART_NECESSARY * r_first
+               or steps - start >= RESTART_ARTIFICIAL * steps)
+        r_last = r
+        if not due:
+            return None
+        history.append((steps, certificate(np.concatenate([kern.x, kern.y]))))
+        if history[-1][1] <= target:
+            return history[-1][1]
+        omega = primal_weight(omega, kern.x - x0, kern.y - y0)
+        kern.set_weight(omega)
+        start, x0, y0, r_first = steps, kern.x, kern.y, None
+        return None
+
+    rep = drive(step, lambda: JointPoint(kern.x.copy(), kern.y.copy()),
+                ledger, max_iter, None, None, CHECK_PERIOD, check)
+    rep.certified_sq_distance = history[-1][1] if history else None
+    rep.residual_history, rep.extras = history, {}
+    return rep
+
+
 def solve_apd_bilinear(sub, max_iter, ledger=None, stop_check=None,
                        certificate=None, target=None):
     """Accelerated primal-dual solve of a structured saddle subproblem from
@@ -424,14 +515,23 @@ def solve_apd_bilinear(sub, max_iter, ledger=None, stop_check=None,
     return other than None or a Pending stops the solve and is attached
     to the report extras as "accepted" (ICL's inexactness check). An
     optional certificate(z) of the concatenated iterate is polled on
-    drive's schedule too, and stops the solve once it is at most target
-    (ICL's delta = 0 step at eta = inf polls the whole-game one).
+    drive's schedule too, and stops the solve once it is at most target.
+
+    A subproblem at eta = inf has no proximal term to balance the steps
+    (ICL's delta = 0 step, whose subproblem is the whole game): it runs
+    restart_pdhg instead, which polls certificate, required, at each
+    restart; stop_check must be None there.
 
     Raises StructureError when the subproblem has no bilinear structure;
     use solve_operator_eg on sub.operator in that case.
     """
     kern = PdhgKernel(sub.phi_form, sub.X, sub.Y, sub.x_center, sub.y_center)
     ledger = QueryLedger() if ledger is None else ledger
+    if sub.eta == math.inf:
+        if certificate is None or stop_check is not None:
+            raise ValueError("a solve at eta = inf stops on its certificate "
+                             "alone")
+        return restart_pdhg(kern, ledger, max_iter, certificate, target)
     return drive(
         lambda: kern.step(ledger),
         lambda: JointPoint(kern.x.copy(), kern.y.copy()), ledger, max_iter,

@@ -202,6 +202,7 @@ class TestMonotoneRange:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 3
         assert all(r["queries_h"] == "" for r in rows)
+        assert all(r["status"] == "failed" for r in rows)
         assert "3 failed cells" in capsys.readouterr().out
 
 
@@ -222,7 +223,13 @@ class TestBench:
             [r["queries_h"] for r in rows2]
         assert rows1[0].keys() == {
             "method", "rho", "seed", "queries_h", "queries_g",
-            "queries_cert", "iterations", "certified_sq_distance", "wall_ms"}
+            "queries_cert", "queries_total", "iterations",
+            "certified_sq_distance", "wall_ms", "status"}
+        for r in rows1:
+            assert int(r["queries_total"]) == (int(r["queries_h"])
+                                               + int(r["queries_g"])
+                                               + int(r["queries_cert"]))
+            assert r["status"] == "converged"
         methods = {r["method"] for r in rows1}
         assert methods == {"icl", "ogda", "eg"}
         assert len(rows1) == 2 * 2 * 3
@@ -234,6 +241,25 @@ class TestBench:
         out = tmp_path / "t1.csv"
         rc = main(["bench", "--seeds", "0", "--rho-list", "0",
                    "--threads", "1", "--out", str(out)] + flags)
+        assert rc == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--seeds", "0", "--rho-list", "nan"],
+                                       ["--seeds", "0", "--rho-list", "inf"],
+                                       ["--seeds", "0", "--rho-list",
+                                        "0,-0.001"],
+                                       ["--seeds", "0", "--rho-list", "1.5"],
+                                       ["--rho-list", "0", "--seeds", "-1"],
+                                       ["--rho-list", "0", "--seeds",
+                                        "0,-3"]])
+    def test_fee_or_seed_out_of_range_exits_2_without_csv(
+            self, tmp_path, capsys, flags):
+        # a fee outside [0, 1] or a negative seed fails every cell it
+        # reaches, so it is refused before the sweep starts
+        out = tmp_path / "t1.csv"
+        rc = main(["bench", "--methods", "ogda", "--threads", "1",
+                   "--out", str(out)] + flags)
         assert rc == 2
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err

@@ -27,8 +27,8 @@ from nzs.solvers import SolverConfig, solve_eg, solve_ogda
 # (f, h, g, cert queries, iterations, repr(certified_sq_distance),
 #  sha256 of the concatenated point's bytes)
 FEE_GOLDEN = {
-    ("icl", 0.0): (0, 1520, 1, 24, 1, "9.880988092877681e-08",
-                   "4adddd9b52c72d30e44497cd3ae18333c2902f424f7565d7e5ee5ea9e4bde787"),
+    ("icl", 0.0): (0, 288, 1, 26, 1, "3.982708410796007e-09",
+                   "05cd05fd4c8bd0b984a9c233af2f0f9321cce84b199a9d6e30b860a574de65ca"),
     ("ogda", 0.0): (1763, 0, 0, 28, 1763, "9.344892269634416e-08",
                     "84445ef0202c1f4a89443a4c74bdae934402e8cbc64a8c08cfdc3622efafeb28"),
     ("eg", 0.0): (2496, 0, 0, 26, 1248, "9.373542820446603e-08",
@@ -83,7 +83,7 @@ TRAJECTORY_GOLDEN = {
     "eg": (800, 0, 0,
            "0ceb2b9c4c7fe9273ea255db11484d7af458533e71a7ca2b9a656821d26905d0"),
     "icl-zero-coupling": (0, 400, 1,
-                          "f1ff41af9ffb5cc4080c6f2554fb42c9f74301b51d5efd852775675bbebfcd44"),
+                          "8f256c586dab42b0cdbf73bc2fb7aa8721b0bbfe501144c470e9b7c53698f5b9"),
 }
 
 

@@ -5,15 +5,17 @@ import pytest
 
 from nzs.games import (BilinearSaddleForm, JointPoint, QueryLedger,
                        operator_F)
+from nzs.icl import build_subproblem
 from nzs.instances import (fee_game, gen_quadratic_known_ne,
                            stackelberg_example)
 from nzs.sets import Ball, Box
 from nzs.solvers import (CHECK_PERIOD, JointProblem, OperatorProblem,
-                         Pending, SaddleSubproblem, SolverConfig,
+                         PdhgKernel, Pending, SaddleSubproblem, SolverConfig,
                          StructureError,
                          certificate_coefficient, displacement_certificate,
-                         drive, extract_approx_ne, solve_apd_bilinear,
-                         solve_eg, solve_ogda, solve_operator_eg)
+                         drive, extract_approx_ne, game_certificate,
+                         primal_weight, solve_apd_bilinear, solve_eg,
+                         solve_ogda, solve_operator_eg)
 from nzs.vecmat import SparseMatrix
 from nzs.diagnostics import deviation_gain
 
@@ -373,3 +375,88 @@ class TestApdBilinear:
                                         sub.mu_sub, led))
         assert rep.status == "converged"
         assert np.linalg.norm(rep.point.concat() - z_star) <= np.sqrt(target)
+
+
+class TestRestartedPass:
+    """A subproblem at eta = inf: PDHG with PDLP's restarts and primal
+    weight, polling its certificate at each restart."""
+
+    def test_primal_weight_moves_halfway_in_logs(self):
+        dx = np.array([3.0, 4.0])  # |dx| = 5
+        for omega, q in ((1e-2, 3.0), (5.0, 0.1), (0.7, 1.0)):
+            dy = 5.0 * q * np.array([0.6, 0.8, 0.0])
+            assert primal_weight(omega, dx, dy) == pytest.approx(
+                math.sqrt(omega * q), rel=1e-12)
+        assert primal_weight(0.3, np.zeros(2), np.ones(3)) == 0.3
+        assert primal_weight(0.3, np.ones(2), np.zeros(3)) == 0.3
+
+    def test_weight_of_the_moduli_ratio_gives_the_constructors_steps(self):
+        rng = np.random.default_rng(30)
+        W = rng.standard_normal((4, 6))
+        form = BilinearSaddleForm(W, ax=1e-4, ay=1.0)
+        big = Ball(np.zeros(6), 1e6), Ball(np.zeros(4), 1e6)
+        kern = PdhgKernel(form, *big, np.zeros(6), np.zeros(4))
+        steps = (kern.tau, kern.sigma, kern.theta)
+        kern.set_weight(math.sqrt(form.ax / form.ay))
+        assert (kern.tau, kern.sigma, kern.theta) == pytest.approx(steps,
+                                                                   rel=1e-12)
+
+    def test_zero_coupling_pass_converges_to_the_baselines_point(
+            self, monkeypatch):
+        game = sparse_game(31, n=40, mu=1e-4, nu=1.0, nnz=300).game_spec()
+        assert game.delta == 0
+        eps = 1e-8
+        ledger = QueryLedger()
+        cert = game_certificate(game, ledger)
+        polled, weights = [], []
+
+        def certificate(z):
+            polled.append(z.copy())
+            return cert(z)
+
+        set_weight = PdhgKernel.set_weight
+
+        def record(kern, omega):
+            weights.append(omega)
+            set_weight(kern, omega)
+
+        monkeypatch.setattr(PdhgKernel, "set_weight", record)
+        z0 = JointPoint(game.X.canonical_point(), game.Y.canonical_point())
+        sub = build_subproblem(game, z0, math.inf, ledger)
+        rep = solve_apd_bilinear(sub, 100_000, ledger,
+                                 certificate=certificate, target=eps)
+        assert rep.status == "converged"
+        recomputed = game_certificate(game, QueryLedger())(rep.point.concat())
+        assert recomputed == rep.certified_sq_distance <= eps
+        ref = solve_ogda(game, SolverConfig(epsilon=eps))
+        assert rep.point.distance_to(ref.point) <= 2 * math.sqrt(eps)
+
+        # one (steps, certificate) pair per restart; the last one stops
+        steps = [i for i, _ in rep.residual_history]
+        assert all(a < b for a, b in zip(steps, steps[1:]))
+        assert all(i % CHECK_PERIOD == 0 for i in steps)
+        assert steps[-1] == rep.iterations
+        assert len(polled) == len(steps) == len(weights) + 1 > 2
+        assert all(v > eps for _, v in rep.residual_history[:-1])
+
+        # each other restart moves omega halfway, in logs, to |dy|/|dx| of
+        # the move since the previous restart
+        nx = game.X.dimension
+        omega = math.sqrt(sub.phi_form.ax / sub.phi_form.ay)
+        anchors = [z0.concat()] + polled
+        for a, b, new in zip(anchors, anchors[1:], weights):
+            d = b - a
+            q = np.linalg.norm(d[nx:]) / np.linalg.norm(d[:nx])
+            assert new == pytest.approx(math.sqrt(omega * q), rel=1e-12)
+            omega = new
+
+    def test_stops_on_its_certificate_alone(self):
+        game = sparse_game(32, mu=1e-4).game_spec()
+        z0 = JointPoint(game.X.canonical_point(), game.Y.canonical_point())
+        sub = build_subproblem(game, z0, math.inf)
+        cert = game_certificate(game, QueryLedger())
+        with pytest.raises(ValueError, match="certificate alone"):
+            solve_apd_bilinear(sub, 100)
+        with pytest.raises(ValueError, match="certificate alone"):
+            solve_apd_bilinear(sub, 100, stop_check=lambda x, y: None,
+                               certificate=cert, target=1e-8)

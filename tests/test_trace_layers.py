@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nzs
+import nzs.cli  # binds nzs.cli and nzs.serialize, which the tracer wraps
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +47,22 @@ def test_traced_layers_record_calls(run):
         assert tracer.counters[f"games.ledger.{bucket}"] > 0
     assert (nzs.solvers.PdhgKernel.__dict__["step"],
             nzs.icl.solve_icl) == originals
+
+
+def test_zero_coupling_pass_records_its_steps(run):
+    # a delta = 0 fee game under the certificate stop takes ICL's one
+    # structured step at eta = inf, whose restarted PDHG must still be seen
+    # by the traced solve_apd_bilinear and PdhgKernel.step
+    _, meta = nzs.gen_sparse_experiment(40, 30, 200, 3, 1e-4, 1.0)
+    M = meta.pop("M")
+    tracer = run._install_tracer()
+    try:
+        rep, _ = nzs.cli.run_method(M, meta, 0.0, "icl", 1e-7)
+    finally:
+        tracer.restore()
+    totals = tracer.totals()
+    assert rep.iterations == rep.ledger.g_queries == 1
+    assert totals["solvers.solve_apd_bilinear"][0] == 1
+    assert totals["solvers.PdhgKernel.step"][0] == rep.ledger.h_queries > 0
+    assert (tracer.counters["solvers.solve_apd_bilinear.iterations"]
+            == rep.ledger.h_queries)
