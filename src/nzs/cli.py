@@ -12,6 +12,7 @@ is serial, so reruns are reproducible cell-wise.
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
@@ -239,16 +240,24 @@ def cmd_gap(args):
 
 def _parse_rho_list(text):
     rhos = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not all(0.0 <= r <= 1.0 for r in rhos):
-        raise argparse.ArgumentTypeError("fees must be finite and in [0, 1]")
+    if not rhos or not all(0.0 <= r <= 1.0 for r in rhos):
+        raise argparse.ArgumentTypeError(
+            "fees must be a non-empty list, each finite and in [0, 1]")
     return rhos
 
 
 def _parse_seed_list(text):
     seeds = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not all(seed >= 0 for seed in seeds):
-        raise argparse.ArgumentTypeError("seeds must be non-negative")
+    if not seeds or not all(seed >= 0 for seed in seeds):
+        raise argparse.ArgumentTypeError(
+            "seeds must be a non-empty list of non-negative integers")
     return seeds
+
+
+def _parse_finite(text):
+    if not math.isfinite(float(text)):
+        raise argparse.ArgumentTypeError("value must be finite")
+    return float(text)
 
 
 def _parse_threads(text):
@@ -280,8 +289,8 @@ def build_parser():
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--nnz", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--mu", type=float, default=1e-4)
-    g.add_argument("--nu", type=float, default=1.0)
+    g.add_argument("--mu", type=_parse_finite, default=1e-4)
+    g.add_argument("--nu", type=_parse_finite, default=1.0)
     g.add_argument("--normalize", action=argparse.BooleanOptionalAction,
                    default=True)
     g.add_argument("--out", required=True)

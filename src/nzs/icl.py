@@ -18,6 +18,13 @@ from .solvers import (Pending, SaddleSubproblem, SolveReport, drive,
                       solve_apd_bilinear, solve_operator_eg)
 
 
+# the multi-secant start of the proximal inner solves: the window holds
+# SECANT_DEPTH + 1 outer differences, and SECANT_RIDGE regularizes their
+# Gram matrix scaled to unit diagonal
+SECANT_DEPTH = 8
+SECANT_RIDGE = 1e-10
+
+
 class IclError(RuntimeError):
     pass
 
@@ -120,6 +127,62 @@ def _inner_budget(sched, per_iter):
     return int(80.0 * span / per_iter) + 400
 
 
+class SecantStart:
+    """Multi-secant (Anderson type-II) prediction of the next proximal
+    outer iterate (Walker & Ni, SIAM J. Numer. Anal. 2011).
+
+    record(z_prev, z_next) keeps the last SECANT_DEPTH + 1 differences
+    z_{i+1} - z_i of concatenated iterates in one preallocated ring. Once
+    it is full, predict(z, X, Y) returns P_{X x Y}(z + V c), where c
+    minimizes |U c - d| for d the newest difference, U the window's older
+    SECANT_DEPTH differences and V its newer SECANT_DEPTH. c is solved
+    through U's Gram matrix, scaled to unit diagonal plus SECANT_RIDGE, by
+    Cholesky. If the outer map is z -> A z + b with A having at most
+    SECANT_DEPTH distinct eigenvalues on the differences, z + V c is the
+    next iterate. predict returns None while the ring is not full, and
+    when that Gram matrix is singular: a zero difference, or a failed
+    Cholesky.
+    """
+
+    def __init__(self, size):
+        self.diffs = np.empty((SECANT_DEPTH + 1, size))
+        self.recorded = 0
+
+    def record(self, z_prev, z_next):
+        np.subtract(z_next, z_prev,
+                    out=self.diffs[self.recorded % (SECANT_DEPTH + 1)])
+        self.recorded += 1
+
+    def predict(self, z, X, Y):
+        m = SECANT_DEPTH
+        if self.recorded <= m:
+            return None
+        order = (np.arange(m + 1) + self.recorded) % (m + 1)  # oldest first
+        gram = self.diffs @ self.diffs.T
+        older = order[:-1]
+        diag = gram[older, older]
+        if not np.all(diag > 0) or not np.all(np.isfinite(gram)):
+            return None
+        s = 1.0 / np.sqrt(diag)
+        a = gram[np.ix_(older, older)] * np.outer(s, s)
+        a[np.diag_indices(m)] += SECANT_RIDGE
+        try:
+            low = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return None
+        c = s * gram[older, order[-1]]
+        for i in range(m):  # forward, then back substitution
+            c[i] = (c[i] - low[i, :i] @ c[:i]) / low[i, i]
+        for i in reversed(range(m)):
+            c[i] = (c[i] - low[i + 1:, i] @ c[i + 1:]) / low[i, i]
+        weights = np.zeros(m + 1)  # c on V's rows of the ring, no copy
+        weights[order[1:]] = s * c
+        step = weights @ self.diffs
+        nx = X.dimension
+        return JointPoint(X.project(z.x + step[:nx]),
+                          Y.project(z.y + step[nx:]))
+
+
 def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     """Outer loop of iterative coupling linearization.
 
@@ -129,7 +192,13 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     passes the inexactness check at tolerance eps_t, its one stop rule;
     the check is polled on drive's schedule at the inner solver's
     contraction rate. An inner solve that exhausts _inner_budget without
-    passing raises IclError.
+    passing raises IclError. It starts at the subproblem's center z_t
+    until SECANT_DEPTH + 1 proximal outer steps are done, and from then on
+    at SecantStart's prediction of its prox point (at z_t again when the
+    prediction fails). Only the start moves: the subproblem, eps_t and the
+    check are the same, so every accepted gap is still at most eps_t.
+    extras["secant_starts"] counts the outer steps that started at a
+    prediction.
 
     stop selects when the outer loop ends:
 
@@ -193,9 +262,17 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         if keep_trace:
             trace.append(z)
 
+    secant = SecantStart(game.X.dimension + game.Y.dimension)
+    secant_starts = 0
+
     def outer_step():
-        nonlocal z
+        nonlocal z, secant_starts
         sub = build_subproblem(game, z, sched.eta, ledger)
+        start = secant.predict(z, sub.X, sub.Y)
+        if start is None:
+            start = z
+        else:
+            secant_starts += 1
 
         def stop_check(x, y):
             """The inner solve's one stop rule: extract a candidate by one
@@ -210,11 +287,11 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         if sub.phi_form is not None:
             rate = pdhg_rate(sub.phi_form)
             rep = solve_apd_bilinear(sub, _inner_budget(sched, rate), ledger,
-                                     stop_check=stop_check)
+                                     stop_check=stop_check, start=start)
         else:
             rate = max(sub.mu_sub / (np.sqrt(2.0) * sub.L_sub), 1e-8)
             rep = solve_operator_eg(
-                sub.operator, sub.X, sub.Y, sub.x_center, sub.y_center,
+                sub.operator, sub.X, sub.Y, start.x, start.y,
                 gamma=gamma_ex, budget=_inner_budget(sched, rate),
                 ledger=ledger, stop_check=stop_check)
 
@@ -222,7 +299,9 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
             raise IclError(
                 f"inner solve stalled: gap did not reach {eps_t:.3e} "
                 f"within {rep.iterations} iterations")
-        z, gap = rep.extras["accepted"]
+        z_next, gap = rep.extras["accepted"]
+        secant.record(z.concat(), z_next.concat())
+        z = z_next
         history.append((rep.iterations, gap))
         if keep_trace:
             trace.append(z)
@@ -248,7 +327,8 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         certified_sq_distance=certified,
         residual_history=history,
         status="converged" if certified <= eps else "max_iter",
-        extras={"schedule": sched, "trace": trace},
+        extras={"schedule": sched, "trace": trace,
+                "secant_starts": secant_starts},
     )
 
 

@@ -65,15 +65,17 @@ def _check_header(header):
 
 
 def write_instance(path, M, meta):
-    """Write a payoff matrix and its metadata to one binary file."""
+    """Write a payoff matrix and its metadata to one binary file; a
+    non-finite float in meta, which JSON cannot hold, raises ValueError
+    before the file is opened."""
     arrays = [(n, d, getattr(M, n)) for n, d in _ARRAYS]
     header = dict(meta)
     header["format"] = 1
     header["shape"] = [M.n_rows, M.n_cols]
     header["arrays"] = [{"name": n, "dtype": d, "length": len(a)}
                         for n, d, a in arrays]
-    blob = json.dumps(header, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))

@@ -507,9 +507,10 @@ def restart_pdhg(kern, ledger, max_iter, certificate, target):
 
 
 def solve_apd_bilinear(sub, max_iter, ledger=None, stop_check=None,
-                       certificate=None, target=None):
+                       certificate=None, target=None, start=None):
     """Accelerated primal-dual solve of a structured saddle subproblem from
-    its center, up to max_iter steps ledgered as h.
+    start, a JointPoint in X x Y (default: the subproblem's center), up to
+    max_iter steps ledgered as h.
 
     An optional stop_check(x, y) callback is polled on drive's schedule; a
     return other than None or a Pending stops the solve and is attached
@@ -525,7 +526,9 @@ def solve_apd_bilinear(sub, max_iter, ledger=None, stop_check=None,
     Raises StructureError when the subproblem has no bilinear structure;
     use solve_operator_eg on sub.operator in that case.
     """
-    kern = PdhgKernel(sub.phi_form, sub.X, sub.Y, sub.x_center, sub.y_center)
+    if start is None:
+        start = JointPoint(sub.x_center, sub.y_center)
+    kern = PdhgKernel(sub.phi_form, sub.X, sub.Y, start.x, start.y)
     ledger = QueryLedger() if ledger is None else ledger
     if sub.eta == math.inf:
         if certificate is None or stop_check is not None:

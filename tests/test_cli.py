@@ -44,6 +44,29 @@ class TestGenerate:
     def test_bad_flags_exit_2(self, tmp_path):
         assert main(["generate", "--n", "3"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--mu", "--nu"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_curvature_exits_2_without_file(self, tmp_path, capsys,
+                                                       flag, value):
+        # such a header would hold NaN or Infinity, which is not JSON and
+        # which nzs solve refuses
+        out = tmp_path / "x.nzs"
+        rc = main(["generate", "--n", "3", "--m", "3", "--nnz", "4",
+                   "--seed", "0", f"{flag}={value}", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_write_instance_refuses_non_finite_metadata(self, tmp_path, value):
+        _, meta = gen_sparse_experiment(3, 3, 4, 0, 1e-4, 1.0)
+        M = meta.pop("M")
+        meta["mu"] = value
+        out = tmp_path / "x.nzs"
+        with pytest.raises(ValueError):
+            write_instance(out, M, meta)
+        assert not out.exists()
+
 
 class TestSolve:
     @pytest.mark.parametrize("method", ["eg", "ogda", "icl"])
@@ -252,11 +275,14 @@ class TestBench:
                                        ["--seeds", "0", "--rho-list", "1.5"],
                                        ["--rho-list", "0", "--seeds", "-1"],
                                        ["--rho-list", "0", "--seeds",
-                                        "0,-3"]])
+                                        "0,-3"],
+                                       ["--seeds", "0", "--rho-list", ","],
+                                       ["--rho-list", "0", "--seeds", ","]])
     def test_fee_or_seed_out_of_range_exits_2_without_csv(
             self, tmp_path, capsys, flags):
         # a fee outside [0, 1] or a negative seed fails every cell it
-        # reaches, so it is refused before the sweep starts
+        # reaches, and an empty list leaves no cell, so each is refused
+        # before the sweep starts
         out = tmp_path / "t1.csv"
         rc = main(["bench", "--methods", "ogda", "--threads", "1",
                    "--out", str(out)] + flags)

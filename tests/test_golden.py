@@ -4,10 +4,17 @@ Speed work on the solvers' hot path (products, projections, in-place
 temporaries) must not change one bit of any output. A change to when
 solvers poll their stop tests moves the stop pins but not
 TRAJECTORY_GOLDEN, which pins the iterates of runs that never stop.
-These values were recorded with the sort-and-threshold projection summed
-by np.cumsum and products through scipy's csr_matrix @ x, on x86-64 with
-numpy's bundled OpenBLAS; the certificates' dot products go through
-BLAS, so another BLAS build may legitimately move the last bits.
+ICL runs longer than SECANT_DEPTH + 1 proximal outer steps start their
+later inner solves at a multi-secant prediction (icl.SecantStart), so
+their pins depend on it; shorter runs, such as the fee rows (at most 9
+outer steps) and TRAJECTORY_GOLDEN, do not.
+These values were recorded on x86-64 under Python 3.11 with numpy 2.4.6
+(its bundled OpenBLAS), scipy 1.17.1, pytest 9.0.3 and hypothesis
+6.155.2, the versions CI installs. The simplex projection sums by
+np.add.accumulate and sparse products run scipy's csr_matvec kernel row
+by row. Dot products, dense products and the secant window's Gram
+matrix go through BLAS, so another BLAS build may legitimately move the
+last bits.
 """
 
 import dataclasses
@@ -43,8 +50,8 @@ FEE_GOLDEN = {
 
 # dense W and ball sets; ICL with its default full schedule
 QUAD_GOLDEN = {
-    "icl": (0, 3443, 53, 474, 53, "7.860948430761068e-20",
-            "bb5d2b6542a08468b33c8f6bf30b43d7e7e45c5d210f3ff92e580d6b8dc7a5b6"),
+    "icl": (0, 2551, 53, 418, 53, "7.395897836941308e-20",
+            "a2d4ddd2c7daa78a7c2f8d59645403d541bde1943c284b36939d50a4ce45972e"),
     "ogda": (374, 0, 0, 20, 374, "9.752899565390502e-08",
              "8052be4d024508865071873c0c7c40f59868d7e88a334cec700108e86a50f4ad"),
     "eg": (534, 0, 0, 20, 267, "6.427738878927585e-08",
@@ -55,18 +62,18 @@ QUAD_GOLDEN = {
 # solves on the h_grad oracle (the game without h_structure), the
 # whole-game certificate stop, and a general reformulation
 QUAD_ICL_ROUTES = {
-    "inner-eg": (0, 18910, 53, 918, 53, "9.386322279777962e-20",
-                 "5460053bb5d4c019319c84bcdaf00c83bdc1b56bb62eb4969e47da995e7612d0"),
-    "stop-certificate": (0, 2288, 12, 220, 12, "2.9016491549543397e-08",
-                         "48c94eb090c54599488a5f0c6d7fe22b67fe32cd33bddadbe61c2c2064558561"),
-    "reformulate-general": (0, 2755, 61, 342, 61, "4.939003208644639e-20",
-                            "930cba022f8eb18f1636c36e4878e4cb3d5d1823f1449caf0aed30ad541278f1"),
+    "inner-eg": (0, 14280, 53, 840, 53, "6.244279056323805e-20",
+                 "53383dd960dd8c186bab2fc6a3a3a3e73b207085e54f9abcb9d9ff94377cd1ed"),
+    "stop-certificate": (0, 2125, 12, 214, 12, "2.9016510708669844e-08",
+                         "468ddca4e59238d4076c868db4072e6247a3c15ab258fb2071686c57a5e863df"),
+    "reformulate-general": (0, 2764, 61, 422, 61, "2.444746587202767e-19",
+                            "d3e12cda9543eb793f5b09a53a2d8ec67530e7fd6d2688f73fbb7dc2b48d0ac7"),
 }
 
 # solve_monotone: (fingerprint of the report, repr(gap_bound))
 MONOTONE_GOLDEN = {
-    "fee-game": ((1, 24652, 33, 412, 33, "np.float64(2.896683609468093e-13)",
-                  "dc1d7832077c580f8be7468d84bf19f02b79cd4689f41eb19c5f8e7c160a4753"),
+    "fee-game": ((1, 21051, 33, 346, 33, "np.float64(1.1241783601579751e-13)",
+                  "7485163fb0401f1f6b831fd44050e0331c0e7ff2f8496ca3b516f4a13034aa9d"),
                  "np.float64(0.0050125)"),
     "matching-pennies": ((1, 0, 45, 92, 45, "np.float64(0.0)",
                           "5e5c794534608bdcc5f3c19fd8d94ad66ab3aedaeb79694b00adab9d1df8e25f"),

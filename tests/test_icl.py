@@ -6,9 +6,9 @@ import pytest
 
 from nzs.games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
                        grad_g, operator_F)
-from nzs.icl import (IclError, IclSchedule, build_subproblem,
-                     check_inexactness, schedule_params, solve_icl,
-                     solve_monotone)
+from nzs.icl import (SECANT_DEPTH, IclError, IclSchedule, SecantStart,
+                     build_subproblem, check_inexactness, schedule_params,
+                     solve_icl, solve_monotone)
 from nzs.instances import (fee_game, gen_quadratic_known_ne, matching_pennies,
                            stackelberg_example, stackelberg_reference_points)
 from nzs.sets import Ball
@@ -459,6 +459,87 @@ class TestSolveIcl:
         assert rep.extras["trace"][0] is rep.point
         ledger = rep.ledger
         assert ledger.h_queries + ledger.g_queries + ledger.cert_queries == 0
+
+
+def affine_window(a, b, z0, steps):
+    """The iterates z_0 .. z_steps of z -> a z + b (a elementwise),
+    recorded into a SecantStart."""
+    secant = SecantStart(z0.shape[0])
+    zs = [z0]
+    for _ in range(steps):
+        zs.append(a * zs[-1] + b)
+        secant.record(zs[-2], zs[-1])
+    return secant, zs
+
+
+class TestSecantStart:
+    N_X = 6
+
+    def affine_contraction(self, seed=0):
+        rng = np.random.default_rng(seed)
+        # SECANT_DEPTH // 2 distinct contraction factors over 12 coordinates
+        levels = np.linspace(0.3, 0.9, SECANT_DEPTH // 2)
+        a = rng.permutation(np.resize(levels, 2 * self.N_X))
+        return a, rng.standard_normal(2 * self.N_X), rng.standard_normal(
+            2 * self.N_X)
+
+    def test_predicts_the_next_iterate_of_an_affine_contraction(self):
+        a, b, z0 = self.affine_contraction()
+        secant, zs = affine_window(a, b, z0, SECANT_DEPTH + 1)
+        big = Ball(np.zeros(self.N_X), 1e3)  # no projection is active
+        z = JointPoint.split(zs[-1], self.N_X)
+        start = secant.predict(z, big, big)
+        want = a * zs[-1] + b
+        err = np.linalg.norm(start.concat() - want)
+        assert err <= 1e-8 * np.linalg.norm(want - zs[-1])
+
+    def test_no_prediction_until_the_window_is_full(self):
+        a, b, z0 = self.affine_contraction()
+        secant, zs = affine_window(a, b, z0, SECANT_DEPTH)
+        big = Ball(np.zeros(self.N_X), 1e3)
+        assert secant.predict(JointPoint.split(zs[-1], self.N_X),
+                              big, big) is None
+
+    def test_start_lies_in_the_sets(self):
+        a, b, z0 = self.affine_contraction(seed=1)
+        b += 5.0  # the fixed point lies far outside the balls
+        secant, zs = affine_window(a, b, z0, SECANT_DEPTH + 1)
+        z = JointPoint.split(zs[-1], self.N_X)
+        X = Ball(np.zeros(self.N_X), np.linalg.norm(z.x))
+        Y = Ball(np.zeros(self.N_X), np.linalg.norm(z.y))
+        start = secant.predict(z, X, Y)
+        assert X.contains(start.x) and Y.contains(start.y)
+        free = secant.predict(z, Ball(np.zeros(self.N_X), 1e9),
+                              Ball(np.zeros(self.N_X), 1e9))
+        assert np.linalg.norm(free.x) > X.radius  # the projection acted
+        assert np.linalg.norm(free.y) > Y.radius
+
+    def test_singular_gram_gives_no_prediction(self):
+        a, b, z0 = self.affine_contraction()
+        secant, zs = affine_window(a, b, z0, SECANT_DEPTH)
+        secant.record(zs[-1], zs[-1])  # a zero difference, then in U
+        big = Ball(np.zeros(self.N_X), 1e3)
+        for k in range(SECANT_DEPTH + 1):
+            zs.append(a * zs[-1] + b)
+            secant.record(zs[-2], zs[-1])
+            start = secant.predict(JointPoint.split(zs[-1], self.N_X),
+                                   big, big)
+            # the zero difference leaves the window at the last record
+            assert (start is None) == (k < SECANT_DEPTH)
+
+    def test_singular_window_starts_at_the_center(self):
+        # matching pennies' reduced game sits at its equilibrium from the
+        # start: every outer difference is 0, so no solve starts elsewhere
+        _, _, rep = solve_monotone(matching_pennies(), 1e-3)
+        assert rep.iterations > SECANT_DEPTH + 1
+        assert rep.extras["secant_starts"] == 0
+
+    def test_every_step_after_a_full_window_starts_at_a_prediction(self):
+        game = quad_game(seed=1, n_x=20, n_y=20, mu=0.05, nu=0.05,
+                         delta=0.01, coupling_norm=1.0)
+        rep = solve_icl(game, 1e-7)
+        assert rep.iterations > SECANT_DEPTH + 1
+        assert rep.extras["secant_starts"] == rep.iterations - SECANT_DEPTH - 1
 
 
 class TestSolveMonotone:

@@ -348,6 +348,20 @@ class TestApdBilinear:
         assert slope < 0
         assert 1 - ss_res / ss_tot >= 0.95
 
+    def test_starts_at_start_else_at_the_center(self):
+        sub, z_star = unconstrained_subproblem(seed=25)
+        seen = []
+
+        def look(x, y):  # polled once, before the first step
+            seen.append(np.concatenate([x, y]))
+
+        start = JointPoint.split(z_star, 20)
+        solve_apd_bilinear(sub, 1, stop_check=look, start=start)
+        solve_apd_bilinear(sub, 1, stop_check=look)
+        assert np.array_equal(seen[0], z_star)
+        assert np.array_equal(start.concat(), z_star)  # not written into
+        assert np.array_equal(seen[1], np.zeros(40))
+
     def test_structure_error_names_fallback(self):
         sub, _ = unconstrained_subproblem(seed=23)
         sub.phi_form = None
