@@ -238,11 +238,16 @@ def cmd_gap(args):
 
 # ---------------------------------------------------------------------------
 
+def _parse_fee(text):
+    if not 0.0 <= float(text) <= 1.0:  # NaN fails the test too
+        raise argparse.ArgumentTypeError("fee must be finite and in [0, 1]")
+    return float(text)
+
+
 def _parse_rho_list(text):
-    rhos = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not rhos or not all(0.0 <= r <= 1.0 for r in rhos):
-        raise argparse.ArgumentTypeError(
-            "fees must be a non-empty list, each finite and in [0, 1]")
+    rhos = [_parse_fee(tok) for tok in text.split(",") if tok.strip()]
+    if not rhos:
+        raise argparse.ArgumentTypeError("fees must be a non-empty list")
     return rhos
 
 
@@ -299,7 +304,7 @@ def build_parser():
     s = sub.add_parser("solve", help="solve one instance with one method")
     s.add_argument("--method", choices=METHODS, required=True)
     s.add_argument("--instance", required=True)
-    s.add_argument("--rho", type=float, default=0.0)
+    s.add_argument("--rho", type=_parse_fee, default=0.0)
     s.add_argument("--eps", type=_parse_eps, default=1e-7)
     s.add_argument("--out")
     s.add_argument("--point-out", dest="point_out")
@@ -319,7 +324,7 @@ def build_parser():
     q = sub.add_parser("gap", help="diagnostics for a point on an instance")
     q.add_argument("--instance", required=True)
     q.add_argument("--point", required=True)
-    q.add_argument("--rho", type=float, default=0.0)
+    q.add_argument("--rho", type=_parse_fee, default=0.0)
     q.add_argument("--out")
     q.set_defaults(func=cmd_gap)
     return p

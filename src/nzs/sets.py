@@ -2,53 +2,83 @@
 
 Supported sets are probability simplices, Euclidean balls, boxes, and
 products of those. All projections and linear-minimization oracles are
-exact (up to rounding); simplex projection uses the sort-and-threshold
-rule.
+exact (up to rounding). Simplex projection finds its threshold by
+Newton's method without sorting, and a Simplex starts each projection at
+the threshold of its last one.
 """
 
 import math
 
 import numpy as np
 
+_NON_FINITE = "cannot project a vector with a non-finite entry onto the simplex"
 
-def project_simplex(v, ranks=None):
+
+def project_simplex(v, hint=None):
     """Euclidean projection of v onto the probability simplex.
 
     Points already feasible within 1e-12 mass slack are returned
-    unchanged, which makes the projection exactly idempotent. ``ranks``
-    is the vector 1.0, ..., n; Simplex passes a cached copy.
-
-    Sort-and-threshold rule (Duchi et al. 2008): u is v sorted in
-    descending order, cs[j] = u[0] + ... + u[j] - 1 summed left to right,
-    k + 1 counts the j with u[j] (j + 1) > cs[j], and the result is
-    max(v - cs[k]/(k + 1), 0). Solver iterates, and so query counts, are
-    pinned bit for bit, so this operation order must not change.
+    unchanged, which makes the projection exactly idempotent. Otherwise
+    the result is max(v - tau, 0) at the root tau of the convex,
+    decreasing f(t) = sum(max(v - t, 0)) - 1, found by Newton's method
+    without sorting (Michelot 1986; Condat 2016). Each pass sets
+    tau = (v . 1{v > t} - 1)/|{v > t}|, the sum a BLAS dot. From below
+    the root the active set only shrinks; from above, one pass lands
+    below it. The passes use t = tau - 2**-30 (1 + |tau|), a shift wider
+    than tau's rounding, until the active count repeats, then t = tau
+    until the count stops falling. The shifted passes end on one set from
+    any start, so the result has the same bits whether they start at
+    ``hint`` (a Simplex passes its last threshold: about three passes per
+    solver step) or at the mean excess (sum(v) - 1)/n, which is at or
+    below the root and is used without a hint or for one at or above
+    max(v). Entries within rounding of the root may fall either side, so
+    this rule and the sort-and-threshold rule it replaced (Duchi et al.
+    2008) can differ in the last bits. Where max(v - tau, 0) rounds too
+    coarsely at the scale of |tau| for the mass slack, its active part is
+    projected once more.
     """
+    return _project_simplex(v, hint)[0]
+
+
+def _project_simplex(v, hint):
+    """(projection, threshold); the threshold is None where v is returned."""
     n = v.shape[0]
     if n == 1:
-        return np.ones(1)
-    u = np.negative(v)
-    u.sort()
-    np.negative(u, out=u)  # v in descending order
-    if u[-1] >= 0.0 and abs(v.sum() - 1.0) <= 1e-12:
-        return v.copy()
-    if ranks is None:
-        ranks = np.arange(1.0, n + 1)
-    cs = np.add.accumulate(u)
-    cs -= 1.0
-    u *= ranks
-    k = np.count_nonzero(u > cs) - 1
-    if k < 0:
-        # at |v| beyond 2**53 even u[0] > u[0] - 1 fails; shifting v along
-        # the ones vector leaves its projection unchanged
-        if not np.all(np.isfinite(v)):
-            raise ValueError("cannot project a vector with a non-finite "
-                             "entry onto the simplex")
-        return project_simplex(v - v.max(), ranks)
-    tau = cs[k] / (k + 1)
+        return np.ones(1), None
+    low = v.min()
+    if low >= 0.0 and abs(v.sum() - 1.0) <= 1e-12:
+        return v.copy(), None
+    if not math.isfinite(low):  # a NaN or -inf; +inf ends with no entry active
+        raise ValueError(_NON_FINITE)
+    tau = float(v.sum() - 1.0) / n if hint is None else hint
+    last, slack = -1, 2.0 ** -30
+    for _ in range(2 * n + 3):  # n + 1 passes a phase, one from above
+        active = v > tau - slack * (1.0 + abs(tau))
+        count = int(np.count_nonzero(active))
+        if count == last or (count > last and not slack):
+            if not slack:  # at t = tau the count stopped falling
+                break
+            slack = 0.0  # the shifted passes settled: go on at t = tau
+            continue
+        if count == 0:
+            if not np.all(np.isfinite(v)):
+                raise ValueError(_NON_FINITE)
+            if last < 0 and hint is not None:  # a hint at or above max(v)
+                return _project_simplex(v, None)
+            # at |v| beyond 2**53 even max(v) > max(v) - 1 fails; shifting
+            # v along the ones vector leaves its projection unchanged
+            top = float(v.max())
+            w, tau = _project_simplex(v - top, None)
+            return w, tau + top
+        last = count
+        tau = float(np.dot(v, active) - 1.0) / count
     w = v - tau
     np.maximum(w, 0.0, out=w)
-    return w
+    if count * abs(tau) > 256.0:
+        # w rounds at the scale of tau, so its mass may miss 1 by more than
+        # the 1e-12 slack; its active part projects at the scale of 1
+        w[active] = _project_simplex(w[active], None)[0]
+    return w, tau
 
 
 class FeasibleSet:
@@ -87,10 +117,13 @@ class Simplex(FeasibleSet):
         if n < 1:
             raise ValueError("simplex dimension must be >= 1")
         self.dimension = int(n)
-        self._ranks = np.arange(1.0, self.dimension + 1)
+        self._tau = None  # the last threshold, the next projection's hint
 
     def project(self, v):
-        return project_simplex(self._check_dim(v), self._ranks)
+        w, tau = _project_simplex(self._check_dim(v), self._tau)
+        if tau is not None:
+            self._tau = tau
+        return w
 
     def lmo(self, c):
         c = self._check_dim(c)

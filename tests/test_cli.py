@@ -153,6 +153,23 @@ class TestSolve:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("rho", ["nan", "inf", "-0.1", "1.5"])
+    @pytest.mark.parametrize("command", ["solve", "gap"])
+    def test_fee_outside_unit_interval_exits_2_at_parse_time(
+            self, instance_file, tmp_path, capsys, command, rho):
+        # as --rho-list does; a NaN fee used to reach the coupling check
+        # and be reported as a coupling norm
+        out, point = tmp_path / "r.json", tmp_path / "pt.json"
+        write_point(point, JointPoint(np.full(40, 1 / 40),
+                                      np.full(40, 1 / 40)))
+        args = (["--method", "ogda"] if command == "solve"
+                else ["--point", str(point)])
+        rc = main([command, "--instance", str(instance_file),
+                   f"--rho={rho}", "--out", str(out)] + args)
+        assert rc == 2
+        assert not out.exists()
+        assert "fee must be finite and in [0, 1]" in capsys.readouterr().err
+
     def test_header_without_norm_abs_exits_2(self, instance_file, tmp_path,
                                               capsys):
         M, meta = read_instance(instance_file)

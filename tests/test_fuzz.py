@@ -6,6 +6,9 @@ The files are a small valid instance and point with a few bytes
 overwritten, cut short, or one header or point entry replaced by an
 awkward JSON value. Solves are cut to a few steps: these tests are about
 input handling, not convergence.
+
+The simplex projection is fuzzed on tied, mixed-sign vectors for its
+optimality conditions, idempotence and independence of its start.
 """
 
 import contextlib
@@ -13,12 +16,14 @@ import io
 import json
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nzs.cli as cli
 import nzs.icl as icl
 from nzs.serialize import MAGIC, read_instance, read_point
+from nzs.sets import Simplex, project_simplex
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
                 database=None,
@@ -133,3 +138,35 @@ def test_mutated_point(instance_bytes, tmp_path, data):
     except ValueError:
         pass
     exit_code(["gap", "--instance", str(path), "--point", str(point)])
+
+
+ENTRY = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def tied_vectors(draw):
+    """A vector and a second one of its length, their entries drawn from
+    one pool of up to five finite values of either sign."""
+    pool = st.sampled_from(draw(st.lists(ENTRY, min_size=1, max_size=5)))
+    n = draw(st.integers(1, 40))
+    vectors = st.lists(pool, min_size=n, max_size=n)
+    return np.array(draw(vectors)), np.array(draw(vectors))
+
+
+@FUZZ
+@given(pair=tied_vectors(), hint=st.floats(-2e6, 2e6, allow_nan=False))
+def test_simplex_projection(pair, hint):
+    v, other = pair
+    w = project_simplex(v)
+    assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+    # KKT: the active entries share the threshold v_i - w_i and the rest
+    # lie at or below it, to rounding at the scale of v's entries
+    tol = 4 * np.spacing(max(1.0, float(np.abs(v).max())))
+    tau = np.median(v[w > 0] - w[w > 0])
+    assert np.all(np.abs(v[w > 0] - w[w > 0] - tau) <= tol)
+    assert np.all(v[w == 0] <= tau + tol)
+    assert np.array_equal(project_simplex(w), w)
+    assert np.array_equal(project_simplex(v, hint), w)
+    S = Simplex(v.shape[0])
+    S.project(other)
+    assert np.array_equal(S.project(v), w)

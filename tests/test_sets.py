@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -151,8 +152,8 @@ class TestDiameter:
 
 
 def reference_project_simplex(v):
-    """The sort-and-threshold rule as first written (sort, np.cumsum,
-    np.arange per call); project_simplex must match it bit for bit."""
+    """The sort-and-threshold rule (Duchi et al. 2008): sort, np.cumsum,
+    np.arange per call; project_simplex agrees with it to a few ulps."""
     n = v.shape[0]
     if n == 1:
         return np.ones(1)
@@ -165,6 +166,47 @@ def reference_project_simplex(v):
     w = v - tau
     np.maximum(w, 0.0, out=w)
     return w
+
+
+def newton_project_simplex(v):
+    """project_simplex's rule written plainly from the mean excess:
+    passes at the shifted threshold until the active count repeats, then
+    at the threshold itself until it stops falling; project_simplex must
+    match it bit for bit."""
+    n = v.shape[0]
+    if n == 1:
+        return np.ones(1)
+    if v.min() >= 0.0 and abs(v.sum() - 1.0) <= 1e-12:
+        return v.copy()
+    tau, last = (v.sum() - 1.0) / n, -1
+    for slack in (2.0 ** -30, 0.0):
+        while True:
+            active = v > tau - slack * (1.0 + abs(tau))
+            count = active.sum()
+            if count == last or (slack == 0.0 and count > last):
+                break
+            assert count > 0  # no case here needs the shift by max(v)
+            last = count
+            tau = (v @ active - 1.0) / count
+    w = np.maximum(v - tau, 0.0)
+    if count * abs(tau) > 256.0:
+        w[active] = newton_project_simplex(w[active])
+    return w
+
+
+def exact_project_simplex(v):
+    """The projection of v's exact values in rational arithmetic, with
+    the threshold max over k of (v[0] + ... + v[k-1] - 1)/k, v sorted in
+    descending order."""
+    q = [Fraction(float(x)) for x in v]
+    u = sorted(q, reverse=True)
+    tau = max((sum(u[:k]) - 1) / k for k in range(1, len(u) + 1))
+    return [max(x - tau, Fraction(0)) for x in q]
+
+
+def ulps(v):
+    """A few units in the last place at the scale of v's entries and 1."""
+    return 4 * np.spacing(max(1.0, float(np.abs(v).max())))
 
 
 def bitwise_cases():
@@ -186,9 +228,47 @@ def bitwise_cases():
 class TestSimplexProjectionFunction:
     def test_bitwise_equal_to_reference(self):
         for v in bitwise_cases():
-            ref = reference_project_simplex(v)
+            ref = newton_project_simplex(v)
             assert np.array_equal(project_simplex(v), ref)
             assert np.array_equal(Simplex(v.shape[0]).project(v), ref)
+
+    def test_within_a_few_ulps_of_the_sort_rule(self):
+        for v in bitwise_cases():
+            gap = np.abs(project_simplex(v) - reference_project_simplex(v))
+            assert gap.max() <= ulps(v)
+
+    def test_exact_in_rational_arithmetic(self):
+        rng = np.random.default_rng(28)
+        cases = [rng.integers(-4, 5, size=rng.integers(2, 9)) / 4.0
+                 for _ in range(40)]
+        cases += [rng.standard_normal(rng.integers(2, 9)) * s
+                  for s in (0.1, 1.0, 30.0) for _ in range(20)]
+        for v in cases:
+            got = project_simplex(v)
+            want = exact_project_simplex(v)
+            assert all(abs(Fraction(float(g)) - x) <= Fraction(ulps(v))
+                       for g, x in zip(got, want))
+
+    @pytest.mark.parametrize("shift", [-3.0, -1e-9, 1e-9, 0.4, "max"])
+    def test_a_hint_anywhere_gives_the_cold_bits(self, shift):
+        # projecting v + c has threshold tau + c: it leaves the next
+        # projection a hint below the root (c < 0), above it (c > 0), or
+        # at or above max(v)
+        for v in bitwise_cases():
+            if v.shape[0] == 1:
+                continue
+            c = v.max() - v.min() + 1.0 if shift == "max" else shift
+            S = Simplex(v.shape[0])
+            S.project(v + c)
+            assert np.array_equal(S.project(v), project_simplex(v))
+
+    def test_a_hint_carried_along_a_drifting_sequence(self):
+        rng = np.random.default_rng(29)
+        for n, scale in ((50, 1e-3), (1000, 1e-5)):
+            S, v = Simplex(n), rng.standard_normal(n) * 0.01 + 1.0 / n
+            for _ in range(300):
+                v = v + rng.standard_normal(n) * scale
+                assert np.array_equal(S.project(v), project_simplex(v))
 
     def test_input_untouched(self):
         for v in bitwise_cases():
@@ -203,13 +283,23 @@ class TestSimplexProjectionFunction:
             assert np.all(w >= 0)
             assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("v", [[1e6 / 3] * 3, [999999.9] * 7,
+                                   [123456.7] * 11 + [0.5]])
+    def test_ties_near_1e6_keep_mass_one_and_idempotence(self, v):
+        # max(v - tau, 0) rounds at the scale of tau; the sort rule's
+        # results missed mass 1 by 6e-11 to 9e-10 and moved when projected
+        # again
+        w = project_simplex(np.array(v))
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert np.array_equal(project_simplex(w), w)
+
     def test_non_finite_input_raises(self):
         with pytest.raises(ValueError, match="non-finite"):
             project_simplex(np.array([np.inf, 0.0, 0.5]))
 
     def test_feasible_where_the_threshold_rounds_away(self):
-        # at 1e17 no entry passes u[j] (j + 1) > cs[j]; the projection of
-        # v - max(v) is returned instead
+        # at 1e17 even max(v) - 1 rounds to max(v), so no entry stays
+        # active; the projection of v - max(v) is returned instead
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w = project_simplex(np.array([1e17, 1e17 + 64, 0.0]))
