@@ -4,8 +4,7 @@ from .vecmat import (SparseMatrix, SpectralNormError, as_vector, spmv,
                      spmv_transpose, spectral_norm)
 from .sets import Ball, Box, FeasibleSet, ProductSet, Simplex, project_simplex
 from .games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
-                    StructureReport, grad_g, operator_F, operator_H,
-                    probe_structure)
+                    StructureReport, grad_g, operator_H, probe_structure)
 from .instances import (MatrixGame, apply_transaction_fee, fee_game,
                         gen_quadratic_known_ne, gen_sparse_experiment,
                         matching_pennies, reformulate_bilinear,

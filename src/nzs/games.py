@@ -121,13 +121,15 @@ class BilinearSaddleForm:
 class GameSpec:
     """Oracle bundle and constants for one game.
 
-    The four gradient oracles take (x, y) arrays and return arrays. L is
-    a smoothness bound for both utilities; mu and nu are the strong
-    convexity/concavity moduli of the competitive part; delta bounds the
-    coupling part's smoothness. monotone_modulus is a certified lower
-    bound on the strong monotonicity of the game operator (defaults to
-    min(mu, nu), which is valid whenever the coupling part is jointly
-    convex).
+    The four gradient oracles take (x, y) arrays and return arrays. F(z)
+    is the game operator -(grad_x u1, grad_y u2) at z = (x, y), in a fresh
+    array; None builds it from grad_u1_x and grad_u2_y, so a copy that
+    replaces either must pass F=None. L is a smoothness bound for both
+    utilities; mu and nu are the strong convexity/concavity moduli of the
+    competitive part; delta bounds the coupling part's smoothness.
+    monotone_modulus is a certified lower bound on the strong monotonicity
+    of the game operator (defaults to min(mu, nu), which is valid whenever
+    the coupling part is jointly convex).
     """
 
     grad_u1_x: callable
@@ -147,8 +149,12 @@ class GameSpec:
     best_response_x: callable = None
     best_response_y: callable = None
     monotone_modulus: float = None
+    F: callable = None
 
     def __post_init__(self):
+        if self.F is None:
+            self.F = _stacked_operator(self.grad_u1_x, self.grad_u2_y,
+                                       self.X.dimension)
         if not (0 <= self.mu <= self.L and 0 <= self.nu <= self.L):
             raise ValueError("moduli must satisfy 0 <= mu, nu <= L")
         if not (0 <= self.delta <= self.L):
@@ -185,7 +191,7 @@ class GameSpec:
         u2_x - u1_x in x and u1_y - u2_y in y. L grows by twice the largest
         coefficient, delta by the largest curvature added to the coupling
         part, and monotone_modulus resets to min(mu, nu); constants
-        override any field. Best responses and known_ne are kept only
+        override any field. F, best responses and known_ne are kept only
         while no player's curvature in its own strategy moves.
         """
         d_ax, d_ay = u2_x - u1_x, u1_y - u2_y
@@ -205,8 +211,20 @@ class GameSpec:
             monotone_modulus=None)
         if u1_x or u2_y:
             fields.update(known_ne=None, best_response_x=None,
-                          best_response_y=None)
+                          best_response_y=None, F=None)
         return dataclasses.replace(self, **{**fields, **constants})
+
+
+def _stacked_operator(grad_u1_x, grad_u2_y, nx):
+    """z -> -(grad_u1_x(x, y), grad_u2_y(x, y)) for z = (x, y), x of
+    length nx, in one fresh array."""
+    def F(z):
+        x, y = z[:nx], z[nx:]
+        out = np.empty(z.shape[0])
+        np.negative(grad_u1_x(x, y), out=out[:nx])
+        np.negative(grad_u2_y(x, y), out=out[nx:])
+        return out
+    return F
 
 
 def _plus(f, k, on_y):
@@ -253,16 +271,6 @@ def operator_H(game, z, ledger=None):
     return JointPoint(hx, hy)
 
 
-def operator_F(game, z, ledger=None):
-    """Game operator -(grad_x u1, grad_y u2)."""
-    x, y = z.x, z.y
-    fx = -game.grad_u1_x(x, y)
-    fy = -game.grad_u2_y(x, y)
-    if ledger is not None:
-        ledger.f_queries += 1
-    return JointPoint(fx, fy)
-
-
 @dataclass
 class StructureReport:
     """Sampled structural estimates for a game.
@@ -292,26 +300,20 @@ def probe_structure(game, n_pairs, seed=0):
         noise = rng.standard_normal(S.dimension)
         return S.project(S.canonical_point() + max(S.diameter(), 1.0) * noise)
 
-    mono = np.inf
-    gsec = np.inf
+    mono = gsec = np.inf
     gsmooth = 0.0
     done = 0
     while done < n_pairs:
         z = JointPoint(draw(game.X), draw(game.Y))
         zp = JointPoint(draw(game.X), draw(game.Y))
-        dx = zp.x - z.x
-        dy = zp.y - z.y
-        nsq = float(dx @ dx + dy @ dy)
+        d = zp.concat() - z.concat()
+        nsq = float(d @ d)
         if nsq < 1e-24:
             continue  # degenerate pair, resample
-        f1 = operator_F(game, z)
-        f2 = operator_F(game, zp)
-        mono = min(mono, (float((f2.x - f1.x) @ dx + (f2.y - f1.y) @ dy)) / nsq)
-        g1 = grad_g(game, z)
-        g2 = grad_g(game, zp)
-        gdx = g2.x - g1.x
-        gdy = g2.y - g1.y
-        gsec = min(gsec, (float(gdx @ dx + gdy @ dy)) / nsq)
-        gsmooth = max(gsmooth, float(np.sqrt(gdx @ gdx + gdy @ gdy) / np.sqrt(nsq)))
+        df = game.F(zp.concat()) - game.F(z.concat())
+        dg = grad_g(game, zp).concat() - grad_g(game, z).concat()
+        mono = min(mono, float(df @ d) / nsq)
+        gsec = min(gsec, float(dg @ d) / nsq)
+        gsmooth = max(gsmooth, float(np.sqrt(dg @ dg) / np.sqrt(nsq)))
         done += 1
     return StructureReport(mono, gsec, gsmooth, n_pairs)

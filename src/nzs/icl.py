@@ -7,6 +7,7 @@ direct variational-inequality check at the scheduled tolerance, which is
 what the outer-loop contraction needs.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -264,6 +265,8 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
 
     secant = SecantStart(game.X.dimension + game.Y.dimension)
     secant_starts = 0
+    # candidates keep their own sets, so a Simplex's hint is from one family
+    cand_X, cand_Y = copy.copy(game.X), copy.copy(game.Y)
 
     def outer_step():
         nonlocal z, secant_starts
@@ -279,8 +282,8 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
             projected step; (candidate, gap) if its gap is at most eps_t,
             else a Pending at the inner solver's rate, set below."""
             gx, gy = sub.operator(x, y, ledger, "cert")
-            cand = JointPoint(sub.X.project(x - gamma_ex * gx),
-                              sub.Y.project(y - gamma_ex * gy))
+            cand = JointPoint(cand_X.project(x - gamma_ex * gx),
+                              cand_Y.project(y - gamma_ex * gy))
             gap = check_inexactness(sub, cand, ledger)
             return (cand, gap) if gap <= eps_t else Pending(gap, eps_t, rate)
 

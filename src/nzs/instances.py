@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .vecmat import SparseMatrix, spmv, spmv_transpose, spectral_norm
+from .vecmat import (SparseMatrix, spmv, spmv_stacked, spmv_transpose,
+                     spectral_norm)
 from .sets import Simplex, Ball, Box
 from .games import BilinearSaddleForm, GameSpec, JointPoint
 
@@ -87,7 +88,7 @@ class MatrixGame:
     def _spec(self, L, beta, monotone_modulus=None):
         """game_spec given L and the coupling norm beta = |C|, which
         reformulate_bilinear knows without a norm estimate."""
-        A, B, mu, nu = self.A, self.B, self.reg_mu, self.reg_nu
+        A, B, mu, nu, n = self.A, self.B, self.reg_mu, self.reg_nu, self.n
         K = self.competitive_matrix()
         if monotone_modulus is None:
             if beta == 0:
@@ -104,7 +105,14 @@ class MatrixGame:
         def u2(x, y):
             return float(y @ spmv(B, x) + 0.5 * mu * (x @ x) - 0.5 * nu * (y @ y))
 
-        X, Y = Simplex(self.n), Simplex(self.m)
+        def F(z):  # the partials' ops in their order, in one buffer
+            x, y = z[:n], z[n:]
+            out = spmv_stacked(A, y, B, x)
+            out[:n] -= mu * x
+            out[n:] -= nu * y
+            return np.negative(out, out=out)
+
+        X, Y = Simplex(n), Simplex(self.m)
         return GameSpec(
             grad_u1_x=lambda x, y: spmv_transpose(A, y) - mu * x,
             grad_u1_y=lambda x, y: spmv(A, x) + nu * y,
@@ -115,7 +123,7 @@ class MatrixGame:
             h_structure=BilinearSaddleForm(Wm, ax=mu, ay=nu),
             best_response_x=_quad_best_response(lambda y: spmv_transpose(A, y), mu, X),
             best_response_y=_quad_best_response(lambda x: spmv(B, x), nu, Y),
-            monotone_modulus=monotone_modulus,
+            monotone_modulus=monotone_modulus, F=F,
         )
 
 
@@ -305,10 +313,8 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
     random interior target, which becomes known_ne. Ball feasible sets are
     sized at ten times the equilibrium norm so the target stays interior.
 
-    The game makes one product G z per point: the four partial gradients
-    and g's value share the last (z, G z), matched to a new point by
-    value, so a whole-game query costs one product, not two, with the
-    same bits as computing it afresh.
+    The game operator F makes one product G z per query, with the bits of
+    the partials it stands for.
     """
     if min(mu, nu) < 0 or delta < 0 or coupling_norm < 0:
         raise ValueError("moduli must be nonnegative")
@@ -355,29 +361,16 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
     L = max(np.linalg.norm(-G - Hu1, 2), np.linalg.norm(-G + Hu1, 2)) * (1 + 1e-9)
     L = max(L, mu, nu, delta)
 
-    last = [None]  # (z, G z) at the last point seen, read and set whole
-
-    def z_and_gz(x, y):
-        """(z, G z) at z = (x, y), with G z reused when z equals the last
-        point by value, so a point mutated in place is recomputed."""
-        z = np.concatenate([x, y])
-        seen = last[0]
-        if seen is not None and np.array_equal(seen[0], z):
-            return z, seen[1]
-        gz = np.dot(G, z)
-        last[0] = (z, gz)
-        return z, gz
-
     def g_val(x, y):
-        z, gz = z_and_gz(x, y)
-        return float(0.5 * z @ gz + c @ z)
+        z = np.concatenate([x, y])
+        return float(0.5 * z @ np.dot(G, z) + c @ z)
 
     def h_val(x, y):
         return float(0.5 * mu * (x @ x) - 0.5 * nu * (y @ y)
                      + y @ np.dot(K, x) + kx @ x + ky @ y)
 
-    def g_grad(x, y, block):  # block xs or ys of grad g = G z + c, fresh
-        return z_and_gz(x, y)[1][block] + c[block]
+    def g_grad(x, y, block):  # block xs or ys of grad g = G z + c
+        return np.dot(G, np.concatenate([x, y]))[block] + c[block]
 
     def h_x(x, y):  # grad_x h
         return mu * x + np.dot(K.T, y) + kx
@@ -385,8 +378,17 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
     def h_y(x, y):  # -grad_y h
         return -nu * y + np.dot(K, x) + ky
 
+    def F(z):  # -(-grad g - grad_x h, -grad g + (-grad_y h)), op by op
+        x, y = z[:n_x], z[n_x:]
+        out = np.dot(G, z)
+        out += c
+        np.negative(out, out=out)
+        out[:n_x] -= h_x(x, y)
+        out[n_x:] += h_y(x, y)
+        return np.negative(out, out=out)
+
     xs, ys = slice(None, n_x), slice(n_x, None)
-    spec = GameSpec(
+    return GameSpec(
         grad_u1_x=lambda x, y: -g_grad(x, y, xs) - h_x(x, y),
         grad_u1_y=lambda x, y: -g_grad(x, y, ys) - h_y(x, y),
         grad_u2_x=lambda x, y: -g_grad(x, y, xs) + h_x(x, y),
@@ -397,9 +399,8 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
         u1=lambda x, y: -g_val(x, y) - h_val(x, y),
         u2=lambda x, y: -g_val(x, y) + h_val(x, y),
         h_structure=BilinearSaddleForm(K, ax=mu, ay=nu, bx=kx, by=-ky),
-        monotone_modulus=min(mu, nu),
+        monotone_modulus=min(mu, nu), F=F,
     )
-    return spec
 
 
 # ---------------------------------------------------------------------------

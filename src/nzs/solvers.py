@@ -105,20 +105,15 @@ class OperatorProblem:
 
 
 class JointProblem(OperatorProblem):
-    """The same view of a game's operator F = -(grad_x u1, grad_y u2),
-    with L = game.L; F ledgers the query as f, or as cert for any other
-    bucket."""
+    """The same view of a game's operator game.F, with L = game.L; F
+    ledgers the query as f, or as cert for any other bucket."""
 
     def __init__(self, game, ledger=None):
         super().__init__(None, game.X, game.Y, ledger, game.L)
         self.game = game
 
     def F(self, z, bucket="f"):
-        x = z[:self.nx]
-        y = z[self.nx:]
-        out = np.empty(z.shape[0])
-        np.negative(self.game.grad_u1_x(x, y), out=out[:self.nx])
-        np.negative(self.game.grad_u2_y(x, y), out=out[self.nx:])
+        out = self.game.F(z)
         if bucket == "f":
             self.ledger.f_queries += 1
         else:

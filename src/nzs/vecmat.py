@@ -1,7 +1,8 @@
 """Dense vector validation and compressed-sparse-row matrix kernels.
 
-Every oracle in the library reduces to the three kernels here: CSR
-matrix-vector products (forward and transposed) and a power-iteration
+Every oracle in the library reduces to the kernels here: CSR
+matrix-vector products (forward, transposed, and the stacked pair
+[A.T y, B x] of a fee game's whole-game query) and a power-iteration
 spectral norm. Products run row-sequentially so serial runs are
 bitwise reproducible.
 
@@ -15,7 +16,8 @@ of x overlap. A matrix caches only its values in those two orders.
 
 The products call scipy's compiled CSR kernel (``csr_matvec``, the
 routine that ``csr_matrix @ x`` ends in) on the grouped arrays into a
-zeroed buffer and put the rows back in order with one ``take``. Each row
+zeroed buffer and put the rows back in order with one ``take``; the
+stacked pair runs both products into one buffer. Each row
 is still summed left to right from 0.0 in ascending column order
 (ascending row order for the transpose), as ``csr_matrix @ x`` sums it;
 only the order in which rows are visited changes. So every product is
@@ -138,11 +140,6 @@ class SparseMatrix:
         rows, cols = np.nonzero(a)
         return cls.from_coo(rows, cols, a[rows, cols], a.shape)
 
-    @classmethod
-    def identity(cls, n):
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
     # -- basic views -------------------------------------------------------
 
     @property
@@ -173,13 +170,6 @@ class SparseMatrix:
 
     def scaled(self, c):
         return self.with_values(self.values * float(c))
-
-    def transpose(self):
-        t = _sp.csr_matrix((self.values, self.col_indices, self.row_offsets),
-                           shape=self.shape).T.tocsr()
-        return SparseMatrix(self.n_cols, self.n_rows, t.indptr.astype(np.int64),
-                            t.indices.astype(np.int64), t.data,
-                            validate=False)
 
 
 class _GroupedRows:
@@ -242,15 +232,20 @@ class _Layout:
         return s
 
 
-def _product(A, transposed, v):
+def _grouped_product(A, transposed, v, out):
+    """A @ v (A.T @ v if transposed) into the zeroed out, rows grouped."""
     rows = A._layout.side(transposed)
     values = A._grouped[transposed]
     if values is None:
         values = A._grouped[transposed] = A.values[rows.src]
-    out = np.zeros(rows.n_rows)
     _csr_matvec(rows.n_rows, rows.n_cols, rows.indptr, rows.indices, values,
                 np.ascontiguousarray(v), out)
-    return out.take(rows.inv)
+    return rows
+
+
+def _product(A, transposed, v):
+    out = np.zeros(A.n_cols if transposed else A.n_rows)
+    return out.take(_grouped_product(A, transposed, v, out).inv)
 
 
 def spmv(A, x):
@@ -273,6 +268,26 @@ def spmv_transpose(A, y):
         raise ValueError(f"dimension mismatch: matrix is {A.shape}, vector has "
                          f"length {y.shape}")
     return _product(A, 1, y)
+
+
+def spmv_stacked(A, y, B, x):
+    """[A.T @ y, B @ x] in one fresh array, bitwise equal to
+    spmv_transpose(A, y) and spmv(B, x) concatenated: both grouped
+    products run into one zeroed buffer, whose halves are put in row
+    order straight into the result.
+    """
+    y, x = np.asarray(y, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    if y.shape != (A.n_rows,) or x.shape != (B.n_cols,):
+        raise ValueError(f"dimension mismatch: matrices {A.shape}, {B.shape}"
+                         f" and vectors {y.shape}, {x.shape}")
+    n = A.n_cols
+    grouped, out = np.zeros(n + B.n_rows), np.empty(n + B.n_rows)
+    top, bottom = grouped[:n], grouped[n:]
+    # mode="clip" takes straight into out; "raise" would buffer
+    top.take(_grouped_product(A, 1, y, top).inv, out=out[:n], mode="clip")
+    bottom.take(_grouped_product(B, 0, x, bottom).inv, out=out[n:],
+                mode="clip")
+    return out
 
 
 def spectral_norm(A, tol=1e-8, max_iter=10000, seed=0):

@@ -9,7 +9,13 @@ input handling, not convergence.
 
 The simplex projection is fuzzed on tied, mixed-sign vectors for its
 optimality conditions, idempotence and independence of its start.
+
+A game's operator F must equal -(grad_x u1, grad_y u2) of its partials
+bit for bit, signed zeros included: on fee games, their convex
+reformulations, curvature shifts and copies, and on quadratic games.
 """
+
+import dataclasses
 
 import contextlib
 import io
@@ -22,8 +28,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nzs.cli as cli
 import nzs.icl as icl
+from nzs.instances import (MatrixGame, fee_game, gen_quadratic_known_ne,
+                           reformulate_bilinear, reformulate_general)
 from nzs.serialize import MAGIC, read_instance, read_point
 from nzs.sets import Simplex, project_simplex
+from nzs.vecmat import SparseMatrix
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
                 database=None,
@@ -170,3 +179,75 @@ def test_simplex_projection(pair, hint):
     S = Simplex(v.shape[0])
     S.project(other)
     assert np.array_equal(S.project(v), w)
+
+
+COORD = st.floats(-1e3, 1e3, allow_nan=False)
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def fee_games(draw):
+    """A fee game with n = m or n != m, a fee in [0, 1] and regularizers
+    in [0, 1], its payoff entries uniform on [-1, 1]."""
+    n = draw(st.integers(1, 12))
+    m = n if draw(st.booleans()) else draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nnz = draw(st.integers(1, n * m))
+    idx = rng.choice(n * m, size=nnz, replace=False)
+    M = SparseMatrix.from_coo(idx // n, idx % n, rng.uniform(-1, 1, nnz),
+                              (m, n))
+    return fee_game(M, draw(UNIT), draw(UNIT), draw(UNIT))
+
+
+def assert_operator_bits(data, spec):
+    """spec.F at drawn points against the negated partials, bit for bit."""
+    nx, size = spec.X.dimension, spec.X.dimension + spec.Y.dimension
+    for _ in range(3):
+        z = np.array(data.draw(st.lists(COORD, min_size=size, max_size=size)))
+        x, y = z[:nx], z[nx:]
+        want = np.concatenate([-spec.grad_u1_x(x, y), -spec.grad_u2_y(x, y)])
+        assert spec.F(z).tobytes() == want.tobytes()
+
+
+def assert_variants_keep_bits(data, spec):
+    """F of curvature shifts and copies: kept while grad_u1_x and
+    grad_u2_y are, rebuilt from the new partials otherwise."""
+    a, b, c = data.draw(UNIT), data.draw(UNIT), data.draw(UNIT)
+    own = spec.shift_curvature(u1_x=-a, u2_y=-b)
+    assert (own.F is spec.F) == (a == b == 0)
+    other = spec.shift_curvature(u1_y=c, u2_x=c)
+    assert other.F is spec.F
+    copy = dataclasses.replace(spec, h_structure=None)
+    for variant in (spec, own, other, copy):
+        assert_operator_bits(data, variant)
+
+
+@FUZZ
+@given(game=fee_games(), data=st.data())
+def test_fee_game_operator(game, data):
+    spec = game.game_spec()
+    assert_variants_keep_bits(data, spec)
+    assert_operator_bits(data, reformulate_general(
+        spec, data.draw(UNIT) * min(spec.mu, spec.nu) / 2))
+
+
+@FUZZ
+@given(game=fee_games(), ratio=st.floats(0.25, 4.0), data=st.data())
+def test_bilinear_reformulation_operator(game, ratio, data):
+    # regularizers with mu nu >= 4 beta^2, so that the reformulation exists
+    beta = game.coupling_norm()
+    game = MatrixGame(game.A, game.B, 2 * beta * ratio + 1e-3,
+                      2 * beta / ratio + 1e-3)
+    assert_operator_bits(data, reformulate_bilinear(game, beta))
+
+
+@FUZZ
+@given(n_x=st.integers(1, 8), n_y=st.integers(1, 8),
+       moduli=st.tuples(*[st.floats(0.0, 2.0)] * 4),
+       seed=st.integers(0, 2 ** 32 - 1), share=UNIT, data=st.data())
+def test_quadratic_game_operator(n_x, n_y, moduli, seed, share, data):
+    mu, nu, delta, coupling = moduli
+    spec = gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling, seed)
+    assert_variants_keep_bits(data, spec)
+    assert_operator_bits(data, reformulate_general(
+        spec, share * min(mu, nu) / 2))

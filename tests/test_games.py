@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from nzs.games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
-                       grad_g, operator_F, operator_H, probe_structure)
+                       grad_g, operator_H, probe_structure)
 from nzs.instances import (MatrixGame, apply_transaction_fee,
                            gen_quadratic_known_ne)
 from nzs.sets import Ball
+from nzs.solvers import JointProblem
 from nzs.vecmat import SparseMatrix
 
 
@@ -89,7 +90,7 @@ class TestDecomposition:
         for _ in range(100):
             z = JointPoint(game.X.project(rng.standard_normal(5) * 2),
                            game.Y.project(rng.standard_normal(4) * 2))
-            F = operator_F(game, z)
+            F = JointPoint.split(game.F(z.concat()), 5)
             g = grad_g(game, z)
             H = operator_H(game, z)
             assert np.max(np.abs(F.x - g.x - H.x)) <= 1e-12
@@ -100,7 +101,7 @@ class TestDecomposition:
         rng = np.random.default_rng(3)
         z = JointPoint(game.X.project(rng.standard_normal(6)),
                        game.Y.project(rng.standard_normal(5)))
-        F = operator_F(game, z)
+        F = JointPoint.split(game.F(z.concat()), 6)
         H = operator_H(game, z)
         assert np.allclose(F.x, H.x, atol=1e-12)
         assert np.allclose(F.y, H.y, atol=1e-12)
@@ -139,8 +140,9 @@ class TestLedger:
         game = zero_sum_quadratic()
         led = QueryLedger()
         z = game.known_ne
-        operator_F(game, z, led)
-        operator_F(game, z, led)
+        prob = JointProblem(game, led)
+        prob.F(z.concat())
+        prob.F(z.concat())
         operator_H(game, z, led)
         grad_g(game, z, led)
         assert (led.f_queries, led.h_queries, led.g_queries) == (2, 1, 1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nzs.games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
-                       grad_g, operator_F)
+                       grad_g)
 from nzs.icl import (SECANT_DEPTH, IclError, IclSchedule, SecantStart,
                      build_subproblem, check_inexactness, schedule_params,
                      solve_icl, solve_monotone)
@@ -167,7 +167,7 @@ class TestBuildSubproblem:
                        game.Y.project(rng.standard_normal(game.Y.dimension)))
         sub = build_subproblem(game, z, eta=1.7)
         gx, gy = sub.operator(z.x, z.y)
-        F = operator_F(game, z)
+        F = JointPoint.split(game.F(z.concat()), game.X.dimension)
         scale = max(1.0, np.max(np.abs(F.x)), np.max(np.abs(F.y)))
         assert np.max(np.abs(gx - F.x)) <= 1e-12 * scale
         assert np.max(np.abs(gy - F.y)) <= 1e-12 * scale

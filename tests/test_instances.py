@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nzs.games import operator_F, probe_structure
+from nzs.games import probe_structure
 from nzs.instances import (MatrixGame, _curvature_split,
                            _sample_without_replacement,
                            apply_transaction_fee, fee_game,
@@ -304,8 +304,8 @@ class TestQuadraticKnownNe:
         for seed in range(50):
             game = gen_quadratic_known_ne(6, 5, 0.5, 1.5, delta=0.4,
                                           coupling_norm=1.0, seed=seed)
-            F = operator_F(game, game.known_ne)
-            assert np.linalg.norm(np.concatenate([F.x, F.y])) <= 1e-10
+            F = game.F(game.known_ne.concat())
+            assert np.linalg.norm(F) <= 1e-10
 
     def test_probe_matches_declared_constants(self):
         game = gen_quadratic_known_ne(5, 5, 0.3, 0.9, delta=0.5,
@@ -324,8 +324,8 @@ def quad_for_cache(seed=4):
 
 
 class TestQuadraticOneProduct:
-    """The partial gradients share one G z per point; their bits must not
-    depend on which point the shared product was last taken at."""
+    """The partial gradients and utilities of a quadratic game, and the
+    bits they return, do not depend on the points queried before."""
 
     @pytest.mark.parametrize("name", QUAD_PARTIALS)
     def test_partial_ignores_the_point_held(self, name):
@@ -334,9 +334,9 @@ class TestQuadraticOneProduct:
         fresh = getattr(quad_for_cache(), name)(x, y)
         game = quad_for_cache()
         for other in QUAD_PARTIALS:
-            getattr(game, other)(x + 1.0, y)  # holds another point
+            getattr(game, other)(x + 1.0, y)  # another point first
             assert np.array_equal(getattr(game, name)(x, y), fresh)
-            got = getattr(game, name)(x, y)  # holds this point
+            got = getattr(game, name)(x, y)  # this point again
             assert np.array_equal(got, fresh)
             got += 1.0  # a returned array is the caller's own
             assert np.array_equal(getattr(game, name)(x, y), fresh)
@@ -372,8 +372,7 @@ class TestClosedFormExamples:
     def test_equilibrium_satisfies_variational_inequality(self):
         game = stackelberg_example()
         nash, _ = stackelberg_reference_points()
-        F = operator_F(game, nash)
-        fz = np.concatenate([F.x, F.y])
+        fz = game.F(nash.concat())
         zs = nash.concat()
         # corners of the box product
         for cx1 in (0.0, 1.0):

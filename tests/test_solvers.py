@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nzs.games import (BilinearSaddleForm, JointPoint, QueryLedger,
-                       operator_F)
+from nzs.games import BilinearSaddleForm, JointPoint, QueryLedger
 from nzs.icl import build_subproblem
 from nzs.instances import (fee_game, gen_quadratic_known_ne,
                            stackelberg_example)
@@ -241,7 +240,7 @@ class TestBaselines:
         rep = solve_ogda(game, SolverConfig(epsilon=1e-9, max_iter=1))
         gamma = 1.0 / (2 * game.L)
         z0 = JointPoint(game.X.canonical_point(), game.Y.canonical_point())
-        F0 = operator_F(game, z0)
+        F0 = JointPoint.split(game.F(z0.concat()), game.X.dimension)
         expect_x = game.X.project(z0.x - gamma * F0.x)
         expect_y = game.Y.project(z0.y - gamma * F0.y)
         assert np.allclose(rep.point.x, expect_x, atol=1e-14)

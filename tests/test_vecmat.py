@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from nzs.vecmat import (SparseMatrix, SpectralNormError, as_vector,
-                        spectral_norm, spmv, spmv_transpose)
+                        spectral_norm, spmv, spmv_stacked, spmv_transpose)
 
 
 def dense_row_reference(A, x):
@@ -17,6 +17,20 @@ def dense_row_reference(A, x):
             acc += A.values[k] * x[A.col_indices[k]]
         out[i] = acc
     return out
+
+
+def identity(n):
+    idx = np.arange(n, dtype=np.int64)
+    return SparseMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx,
+                        np.ones(n))
+
+
+def transpose(A):
+    """A.T as a SparseMatrix in canonical CSR form, built by scipy."""
+    t = sp.csr_matrix((A.values, A.col_indices, A.row_offsets),
+                      shape=A.shape).T.tocsr()
+    return SparseMatrix(A.n_cols, A.n_rows, t.indptr.astype(np.int64),
+                        t.indices.astype(np.int64), t.data, validate=False)
 
 
 def random_csr(rng, m, n, nnz):
@@ -89,7 +103,7 @@ class TestStructureValidation:
 
 class TestSpmv:
     def test_identity(self):
-        I2 = SparseMatrix.identity(2)
+        I2 = identity(2)
         assert spmv(I2, np.array([3.0, -1.0])).tolist() == [3.0, -1.0]
 
     def test_fee_matrix_hand_product(self):
@@ -115,7 +129,7 @@ class TestSpmv:
         assert err <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_dimension_mismatch(self):
-        A = SparseMatrix.identity(3)
+        A = identity(3)
         with pytest.raises(ValueError):
             spmv(A, np.zeros(4))
 
@@ -179,7 +193,7 @@ class TestScipyBitwise:
 
     def test_scalar_rejected(self):
         with pytest.raises(ValueError):
-            spmv(SparseMatrix.identity(1), np.float64(2.0))
+            spmv(identity(1), np.float64(2.0))
 
 
 class TestLayout:
@@ -218,7 +232,7 @@ class TestLayout:
         rng = np.random.default_rng(17)
         A = random_csr(rng, 300, 250, 3000)
         spmv_transpose(A, rng.standard_normal(300))
-        T = A.transpose()
+        T = transpose(A)
         ref = sp.csr_matrix(sp.csr_matrix(
             (A.values, A.col_indices, A.row_offsets), shape=A.shape).T)
         assert T.shape == (250, 300)
@@ -232,7 +246,7 @@ class TestLayout:
 
 class TestSpmvTranspose:
     def test_identity(self):
-        I2 = SparseMatrix.identity(2)
+        I2 = identity(2)
         assert spmv_transpose(I2, np.array([3.0, -1.0])).tolist() == [3.0, -1.0]
 
     def test_first_row_readoff(self):
@@ -244,7 +258,7 @@ class TestSpmvTranspose:
         for _ in range(5):
             A = random_csr(rng, 19, 31, 80)
             y = rng.standard_normal(19)
-            ref = dense_row_reference(A.transpose(), y)
+            ref = dense_row_reference(transpose(A), y)
             assert np.array_equal(spmv_transpose(A, y), ref)
 
     def test_dimension_mismatch(self):
@@ -253,18 +267,43 @@ class TestSpmvTranspose:
             spmv_transpose(A, np.zeros(7))
 
 
+class TestSpmvStacked:
+    """[A.T y, B x] in one array, with the bits of the two products."""
+
+    @pytest.mark.parametrize("shape", [(23, 17), (30, 30), (1, 9), (9, 1)])
+    def test_bitwise_equal_to_the_two_products(self, shape):
+        m, n = shape
+        rng = np.random.default_rng(m * 100 + n)
+        A = random_csr(rng, m, n, min(m * n, 3 * max(m, n)))
+        B = A.with_values(rng.standard_normal(A.nnz))  # A's pattern
+        C = random_csr(rng, m, n, min(m * n, 2 * max(m, n)))  # another one
+        for _ in range(4):
+            x, y = rng.standard_normal(n), rng.standard_normal(m)
+            for other in (B, A, C):
+                want = np.concatenate([spmv_transpose(A, y), spmv(other, x)])
+                got = spmv_stacked(A, y, other, x)
+                assert got.tobytes() == want.tobytes()
+
+    def test_dimension_mismatch(self):
+        A = random_csr(np.random.default_rng(1), 5, 7, 10)
+        with pytest.raises(ValueError):
+            spmv_stacked(A, np.zeros(7), A, np.zeros(7))
+        with pytest.raises(ValueError):
+            spmv_stacked(A, np.zeros(5), A, np.zeros(5))
+
+
 class TestSpectralNorm:
     def test_diagonal(self):
         A = SparseMatrix.from_dense(np.diag([3.0, 4.0]))
         assert spectral_norm(A, tol=1e-10) == pytest.approx(4.0, rel=1e-8)
 
     def test_identity(self):
-        assert spectral_norm(SparseMatrix.identity(6)) == pytest.approx(1.0, rel=1e-8)
+        assert spectral_norm(identity(6)) == pytest.approx(1.0, rel=1e-8)
 
     def test_zero(self):
         A = SparseMatrix(3, 3, [0, 0, 0, 0], [], [])
         assert spectral_norm(A) == 0.0
-        assert spectral_norm(SparseMatrix.identity(3).scaled(0.0)) == 0.0
+        assert spectral_norm(identity(3).scaled(0.0)) == 0.0
 
     def test_against_svd(self):
         rng = np.random.default_rng(11)
@@ -302,4 +341,4 @@ class TestSpectralNorm:
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            spectral_norm(SparseMatrix.identity(2), tol=0.0)
+            spectral_norm(identity(2), tol=0.0)
