@@ -46,6 +46,7 @@ C = game.coupling_matrix()
 absM = M.with_values(np.abs(M.values))
 print(f"\ncommon-loss matrix norm: {spectral_norm(C):.3f}"
       f" = rho/2 * {spectral_norm(absM):.3f}")
+assert np.isclose(spectral_norm(C), rho / 2 * spectral_norm(absM), rtol=1e-9)
 
 spec = game.game_spec()
 z = JointPoint(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
@@ -80,3 +81,4 @@ for name, run in [
     print(f"  {name:<24} {queries:>7} queries "
           f"(+{led.cert_queries} for certificates), "
           f"certified squared error {rep.certified_sq_distance:.1e}")
+    assert rep.status == "converged" and rep.certified_sq_distance <= eps

@@ -20,16 +20,19 @@ print(f"  simultaneous equilibrium: x = {nash.x}, y = {nash.y}")
 print(f"  leader-follower optimum : x = {leader.x}, y = {leader.y}")
 print(f"  separation: {nash.distance_to(leader):.4f}")
 
-limit = stackelberg_demo(tol=1e-12)
+limit = stackelberg_demo()
 print("\nbest-response descent (player 2 folded in) converged to:")
 print(f"  x = {limit.x}, y = {limit.y}")
 print(f"  distance to leader-follower optimum: "
       f"{limit.distance_to(leader):.2e}")
 print(f"  distance to the equilibrium:         "
       f"{limit.distance_to(nash):.2e}   <- not the equilibrium")
+assert limit.distance_to(leader) <= 1e-6
+assert limit.distance_to(nash) >= 1e-2
 
 rep = solve_icl(game, 2.5e-13)
 print("\ncoupling linearization on the same game converged to:")
 print(f"  x = {rep.point.x}, y = {rep.point.y}")
 print(f"  distance to the equilibrium:         "
       f"{rep.point.distance_to(nash):.2e}")
+assert rep.point.distance_to(nash) <= 1e-6

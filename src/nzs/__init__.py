@@ -1,14 +1,14 @@
 """Solvers and benchmarks for two-player monotone near-zero-sum games."""
 
-from .vecmat import (SparseMatrix, SpectralNormError, as_vector, spmv,
-                     spmv_transpose, spectral_norm)
+from .vecmat import (SparseMatrix, SpectralNormError, spmv, spmv_transpose,
+                     spectral_norm)
 from .sets import Ball, Box, FeasibleSet, ProductSet, Simplex, project_simplex
 from .games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
-                    StructureReport, grad_g, operator_H, probe_structure)
+                    grad_g, operator_H)
 from .instances import (MatrixGame, apply_transaction_fee, fee_game,
                         gen_quadratic_known_ne, gen_sparse_experiment,
                         matching_pennies, reformulate_bilinear,
-                        reformulate_general, split_pos_neg,
+                        reformulate_general, split_pos_neg, stackelberg_demo,
                         stackelberg_example, stackelberg_reference_points)
 from .solvers import (JointProblem, SaddleSubproblem, SolveReport,
                       SolverConfig, StructureError, displacement_certificate,
@@ -17,6 +17,6 @@ from .solvers import (JointProblem, SaddleSubproblem, SolveReport,
 from .icl import (IclError, IclSchedule, build_subproblem, check_inexactness,
                   schedule_params, solve_icl, solve_monotone)
 from .diagnostics import (GapEstimate, GapReport, deviation_gain, gap_report,
-                          potential_gap, stackelberg_demo)
+                          potential_gap)
 
 __version__ = "0.1.0"

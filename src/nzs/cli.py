@@ -156,9 +156,10 @@ def bench_rows(n, m, nnz, seeds, rhos, methods, mu, nu, eps, threads=None):
                  for seed in seeds}
     cells = [(seed, instances[seed], rho, method, eps)
              for seed in seeds for rho in rhos for method in methods]
-    threads = threads or os.cpu_count() or 1
-    if threads > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # no more workers than cells: a pool forks all of them at once
+    workers = min(threads or os.cpu_count() or 1, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_cell, cells))
     else:
         rows = [_bench_cell(c) for c in cells]
@@ -238,49 +239,39 @@ def cmd_gap(args):
 
 # ---------------------------------------------------------------------------
 
-def _parse_fee(text):
-    if not 0.0 <= float(text) <= 1.0:  # NaN fails the test too
-        raise argparse.ArgumentTypeError("fee must be finite and in [0, 1]")
-    return float(text)
+def _arg(convert, test, message):
+    """An argparse type: convert(text) when test holds of it, else a usage
+    error with message (also when convert raises ValueError)."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if test(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(message)
+    return parse
 
 
-def _parse_rho_list(text):
-    rhos = [_parse_fee(tok) for tok in text.split(",") if tok.strip()]
-    if not rhos:
-        raise argparse.ArgumentTypeError("fees must be a non-empty list")
-    return rhos
+def _tokens(convert):
+    return lambda text: [convert(t) for t in text.split(",") if t.strip()]
 
 
-def _parse_seed_list(text):
-    seeds = [int(tok) for tok in text.split(",") if tok.strip()]
-    if not seeds or not all(seed >= 0 for seed in seeds):
-        raise argparse.ArgumentTypeError(
-            "seeds must be a non-empty list of non-negative integers")
-    return seeds
-
-
-def _parse_finite(text):
-    if not math.isfinite(float(text)):
-        raise argparse.ArgumentTypeError("value must be finite")
-    return float(text)
-
-
-def _parse_threads(text):
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError("threads must be a positive integer")
-    return int(text)
-
-
-def _parse_eps(text):
-    if not 0 < float(text) < float("inf"):
-        raise argparse.ArgumentTypeError("eps must be positive and finite")
-    return float(text)
-
-
-def _parse_methods(text):
-    if not set(text.split(",")) <= set(METHODS):
-        raise argparse.ArgumentTypeError(f"methods must be among {METHODS}")
-    return text.split(",")
+_parse_fee = _arg(float, lambda v: 0.0 <= v <= 1.0,  # NaN fails too
+                  "fee must be finite and in [0, 1]")
+_parse_rho_list = _arg(_tokens(_parse_fee), bool,
+                       "fees must be a non-empty list")
+_parse_seed_list = _arg(_tokens(int), lambda v: v and min(v) >= 0,
+                        "seeds must be a non-empty list of non-negative "
+                        "integers")
+_parse_finite = _arg(float, math.isfinite, "value must be finite")
+_parse_threads = _arg(int, lambda v: v >= 1,
+                      "threads must be a positive integer")
+_parse_eps = _arg(float, lambda v: 0 < v < math.inf,
+                  "eps must be positive and finite")
+_parse_methods = _arg(lambda text: text.split(","),
+                      lambda v: set(v) <= set(METHODS),
+                      f"methods must be among {METHODS}")
 
 
 def build_parser():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import JointPoint, grad_g
-from .instances import stackelberg_example, stackelberg_reference_points
+from .sets import ProductSet
 
 
 @dataclass
@@ -69,7 +69,7 @@ def potential_gap(game, z, inner_budget=500):
     x, y = z.x, z.y
     g_at_z = game.g_value(x, y)
     nx = game.X.dimension
-    Z = game.joint_set()
+    Z = ProductSet([game.X, game.Y])
 
     def psi(w):
         xt, yt = w[:nx], w[nx:]
@@ -132,40 +132,5 @@ def gap_report(game, z, inner_budget=500):
     return GapReport(pg.value, pg.residual, dg.value, dg.residual, method)
 
 
-def stackelberg_demo(tol=1e-10, max_iter=200000):
-    """Best-response dynamic on the closed-form two-by-one example.
-
-    The second player's best response has the closed form
-    y(x) = clip(x2/4 - 1, [-1, 0]); minimizing f(x) = -u1(x, y(x)) by
-    projected gradient converges to the leader-follower point, which is
-    not the equilibrium of the simultaneous game.
-    """
-    game = stackelberg_example()
-    X = game.X
-
-    def y_of_x(x):
-        return np.clip(x[1] / 4.0 - 1.0, -1.0, 0.0)
-
-    def f_grad(x):
-        yv = y_of_x(x)
-        interior = -1.0 < yv < 0.0
-        # f(x) = (x1-1)^2/2 + (x2-1)^2/2 - x1 y(x) / 2
-        g1 = (x[0] - 1.0) - 0.5 * yv
-        g2 = (x[1] - 1.0)
-        if interior:
-            g2 += -0.5 * x[0] * 0.25  # chain rule through the follower
-        return np.array([g1, g2])
-
-    x = X.canonical_point()
-    step = 0.5
-    for _ in range(max_iter):
-        x_new = X.project(x - step * f_grad(x))
-        if np.linalg.norm(x_new - x) <= tol * step:
-            x = x_new
-            break
-        x = x_new
-    return JointPoint(x, np.array([y_of_x(x)]))
-
-
 __all__ = ["GapEstimate", "GapReport", "potential_gap", "deviation_gain",
-           "gap_report", "stackelberg_demo", "stackelberg_reference_points"]
+           "gap_report"]

@@ -1,4 +1,4 @@
-"""Game specification, utility decomposition, and structural probes.
+"""Game specification and utility decomposition.
 
 A two-player game is described by the four partial gradients of the
 utilities u1(x, y) and u2(x, y). Decomposed quantities are always
@@ -174,10 +174,6 @@ class GameSpec:
     def h_value(self, x, y):
         return 0.5 * (-self.u1(x, y) + self.u2(x, y))
 
-    def joint_set(self):
-        from .sets import ProductSet
-        return ProductSet([self.X, self.Y])
-
     def diameter_sq(self):
         return self.X.diameter() ** 2 + self.Y.diameter() ** 2
 
@@ -269,51 +265,3 @@ def operator_H(game, z, ledger=None):
     if ledger is not None:
         ledger.h_queries += 1
     return JointPoint(hx, hy)
-
-
-@dataclass
-class StructureReport:
-    """Sampled structural estimates for a game.
-
-    monotonicity: min over pairs of <F(z')-F(z), z'-z> / |z'-z|^2.
-    coupling_convexity: same secant quantity for grad g (>= 0 when the
-    coupling part is jointly convex).
-    coupling_smoothness: max over pairs of |grad g(z')-grad g(z)| / |z'-z|
-    (an empirical lower bound for delta).
-    """
-
-    monotonicity: float
-    coupling_convexity: float
-    coupling_smoothness: float
-    n_pairs: int
-
-
-def probe_structure(game, n_pairs, seed=0):
-    """Estimate monotonicity and coupling structure from random pairs."""
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    if game.diameter_sq() == 0:
-        raise ValueError("both strategy sets are single points; no pairs")
-    rng = np.random.default_rng(seed)
-
-    def draw(S):  # a canonical point plus Gaussian noise, projected
-        noise = rng.standard_normal(S.dimension)
-        return S.project(S.canonical_point() + max(S.diameter(), 1.0) * noise)
-
-    mono = gsec = np.inf
-    gsmooth = 0.0
-    done = 0
-    while done < n_pairs:
-        z = JointPoint(draw(game.X), draw(game.Y))
-        zp = JointPoint(draw(game.X), draw(game.Y))
-        d = zp.concat() - z.concat()
-        nsq = float(d @ d)
-        if nsq < 1e-24:
-            continue  # degenerate pair, resample
-        df = game.F(zp.concat()) - game.F(z.concat())
-        dg = grad_g(game, zp).concat() - grad_g(game, z).concat()
-        mono = min(mono, float(df @ d) / nsq)
-        gsec = min(gsec, float(dg @ d) / nsq)
-        gsmooth = max(gsmooth, float(np.sqrt(dg @ dg) / np.sqrt(nsq)))
-        done += 1
-    return StructureReport(mono, gsec, gsmooth, n_pairs)

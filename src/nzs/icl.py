@@ -92,16 +92,12 @@ def build_subproblem(game, z_t, eta, ledger=None):
             d_bx=cg.x - z_t.x / eta,
             d_by=cg.y - z_t.y / eta)
 
-    def h_grad(x, y):  # (grad_x h, grad_y h)
-        H = operator_H(game, JointPoint(x, y))
-        return H.x, -H.y
-
     return SaddleSubproblem(
         c_x=cg.x, c_y=cg.y,
         x_center=z_t.x.copy(), y_center=z_t.y.copy(),
         eta=eta, X=game.X, Y=game.Y,
         L_sub=game.L + 1.0 / eta,
-        h_grad=h_grad,
+        h_operator=lambda x, y: operator_H(game, JointPoint(x, y)),
         phi_form=phi_form,
         mu_sub=1.0 / eta + min(game.mu, game.nu),
     )
@@ -189,7 +185,7 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
 
     The game picks the inner solver: solve_apd_bilinear on the flattened
     subproblem when game.h_structure is set, else solve_operator_eg on its
-    h_grad oracle. Every subproblem is solved until an extracted candidate
+    h_operator oracle. Every subproblem is solved until an extracted candidate
     passes the inexactness check at tolerance eps_t, its one stop rule;
     the check is polled on drive's schedule at the inner solver's
     contraction rate. An inner solve that exhausts _inner_budget without

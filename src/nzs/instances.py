@@ -4,8 +4,8 @@ Families: regularized matrix games with transaction fees, convex
 reformulations (bilinear and general coupling, each returning a
 curvature-shifted GameSpec), seeded sparse benchmark instances,
 synthetic quadratic games with a known equilibrium, a tiny
-leader-follower example with closed-form solutions, and matching
-pennies.
+leader-follower example with closed-form solutions and the best-response
+dynamic that misses its equilibrium, and matching pennies.
 """
 
 import dataclasses
@@ -458,6 +458,38 @@ def stackelberg_reference_points():
     nash = JointPoint(np.array([5 / 8, 1.0]), np.array([-3 / 4]))
     stack = JointPoint(np.array([40 / 63, 68 / 63]), np.array([-46 / 63]))
     return nash, stack
+
+
+def stackelberg_demo():
+    """Best-response dynamic on the closed-form two-by-one example.
+
+    The second player's best response has the closed form
+    y(x) = clip(x2/4 - 1, [-1, 0]); minimizing f(x) = -u1(x, y(x)) by
+    projected gradient converges to the leader-follower point, which is
+    not the equilibrium of the simultaneous game. It stops at a step that
+    moves x by at most 1e-12 times the stepsize, or after 200,000 steps.
+    """
+    X = stackelberg_example().X
+
+    def y_of_x(x):
+        return np.clip(x[1] / 4.0 - 1.0, -1.0, 0.0)
+
+    def f_grad(x):
+        yv = y_of_x(x)
+        # f(x) = (x1-1)^2/2 + (x2-1)^2/2 - x1 y(x) / 2
+        g1 = (x[0] - 1.0) - 0.5 * yv
+        g2 = (x[1] - 1.0)
+        if -1.0 < yv < 0.0:
+            g2 += -0.5 * x[0] * 0.25  # chain rule through the follower
+        return np.array([g1, g2])
+
+    x = X.canonical_point()
+    step = 0.5
+    for _ in range(200000):
+        x, x_old = X.project(x - step * f_grad(x)), x
+        if np.linalg.norm(x - x_old) <= 1e-12 * step:
+            break
+    return JointPoint(x, np.array([y_of_x(x)]))
 
 
 def matching_pennies():

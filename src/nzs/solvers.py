@@ -313,8 +313,8 @@ class SaddleSubproblem:
                   - <c_y, y> - |y - y_c|^2 / (2 eta)
 
     phi_form holds the flattened bilinear-plus-quadratic structure of phi
-    when h is structured; h_grad is the oracle fallback. The saddle
-    operator is (grad_x phi, -grad_y phi).
+    when h is structured; h_operator, the fallback, returns the JointPoint
+    (grad_x h, -grad_y h). The saddle operator is (grad_x phi, -grad_y phi).
     """
 
     c_x: np.ndarray
@@ -326,7 +326,7 @@ class SaddleSubproblem:
     Y: object
     L_sub: float
     mu_sub: float
-    h_grad: callable = None
+    h_operator: callable = None
     phi_form: BilinearSaddleForm = None
 
     def __post_init__(self):
@@ -343,9 +343,9 @@ class SaddleSubproblem:
             gy += f.by
             gy -= f.matvec(x)
         else:
-            hx, hy = self.h_grad(x, y)
-            gx = hx + self.c_x + (x - self.x_center) / self.eta
-            gy = -hy + self.c_y + (y - self.y_center) / self.eta
+            H = self.h_operator(x, y)
+            gx = H.x + self.c_x + (x - self.x_center) / self.eta
+            gy = H.y + self.c_y + (y - self.y_center) / self.eta
         if ledger is not None:
             if bucket == "h":
                 ledger.h_queries += 1

@@ -1,4 +1,4 @@
-"""Dense vector validation and compressed-sparse-row matrix kernels.
+"""Compressed-sparse-row matrix kernels.
 
 Every oracle in the library reduces to the kernels here: CSR
 matrix-vector products (forward, transposed, and the stacked pair
@@ -36,16 +36,6 @@ class SpectralNormError(RuntimeError):
     def __init__(self, message, estimate):
         super().__init__(message)
         self.estimate = estimate
-
-
-def as_vector(entries):
-    """Copy ``entries`` into a 1-D float64 array, rejecting NaN/Inf."""
-    v = np.array(entries, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return v
 
 
 def _coo_indices(idx, n, name):

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from nzs.cli import bench_rows
-from nzs.diagnostics import (deviation_gain, potential_gap, stackelberg_demo)
+from nzs.diagnostics import deviation_gain, potential_gap
 from nzs.games import BilinearSaddleForm, GameSpec, JointPoint, QueryLedger
 from nzs.icl import solve_icl, solve_monotone
 from nzs.instances import (apply_transaction_fee, gen_quadratic_known_ne,
-                           fee_game, matching_pennies, stackelberg_example,
-                           stackelberg_reference_points)
+                           fee_game, matching_pennies, stackelberg_demo,
+                           stackelberg_example, stackelberg_reference_points)
 from nzs.sets import Ball
 from nzs.solvers import (JointProblem, OperatorProblem, SaddleSubproblem,
                          SolverConfig, displacement_certificate,
@@ -56,7 +56,7 @@ def test_criterion_2_closed_form_example_equilibria(report):
     nash, stack = stackelberg_reference_points()
     d_icl = solve_icl(game, 2.5e-13).point.distance_to(nash)
     d_eg = solve_eg(game, SolverConfig(epsilon=2.5e-13)).point.distance_to(nash)
-    limit = stackelberg_demo(tol=1e-12)
+    limit = stackelberg_demo()
     d_demo = limit.distance_to(stack)
     d_split = limit.distance_to(nash)
     elapsed = time.perf_counter() - t0

@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from nzs.cli import main, run_method
+import nzs.cli
+from nzs.cli import bench_rows, main, run_method
 from nzs.games import JointPoint
 from nzs.instances import gen_sparse_experiment
 from nzs.serialize import read_instance, write_instance, write_point
@@ -318,6 +319,33 @@ class TestBench:
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
 
+
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+        # a stand-in pool that records its size and runs the cells in this
+        # process; a real pool forks all its workers at the first submit
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(nzs.cli, "ProcessPoolExecutor", RecordingPool)
+        rows = bench_rows(20, 20, 60, [0], [0.0, 0.0003], ["ogda"], 0.05,
+                          1.0, 1e-4, threads=64)
+        assert sizes == [2]
+        assert [r["status"] for r in rows] == ["converged"] * 2
+        bench_rows(20, 20, 60, [0], [0.0], ["ogda"], 0.05, 1.0, 1e-4,
+                   threads=64)
+        assert sizes == [2]  # one cell runs without a pool
 
 class TestGap:
     def test_gap_on_solver_output(self, instance_file, tmp_path):

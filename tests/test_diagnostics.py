@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from nzs.diagnostics import (deviation_gain, gap_report, potential_gap,
-                             stackelberg_demo)
+from nzs.diagnostics import deviation_gain, gap_report, potential_gap
 from nzs.games import JointPoint
 from nzs.icl import solve_icl
 from nzs.instances import (fee_game, gen_quadratic_known_ne, matching_pennies,
-                           stackelberg_example, stackelberg_reference_points)
+                           stackelberg_demo, stackelberg_example,
+                           stackelberg_reference_points)
 from nzs.vecmat import SparseMatrix
 
 
@@ -131,12 +131,12 @@ class TestValueOracleRequirement:
 class TestBestResponseDemo:
     def test_converges_to_leader_follower_point(self):
         nash, stack = stackelberg_reference_points()
-        limit = stackelberg_demo(tol=1e-12)
+        limit = stackelberg_demo()
         assert limit.distance_to(stack) <= 1e-6
 
     def test_limit_differs_from_equilibrium(self):
         nash, _ = stackelberg_reference_points()
-        limit = stackelberg_demo(tol=1e-12)
+        limit = stackelberg_demo()
         assert limit.distance_to(nash) >= 1e-2
 
     def test_simultaneous_solver_finds_equilibrium_instead(self):

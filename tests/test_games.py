@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nzs.games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
-                       grad_g, operator_H, probe_structure)
+                       grad_g, operator_H)
 from nzs.instances import (MatrixGame, apply_transaction_fee,
                            gen_quadratic_known_ne)
 from nzs.sets import Ball
@@ -158,15 +158,32 @@ class TestLedger:
                 known_ne=JointPoint(np.array([5.0, 0.0]), np.zeros(2)))
 
 
-class TestProbeStructure:
-    def test_strongly_monotone_zero_sum(self):
-        game = zero_sum_quadratic(seed=7, mu=1.0, nu=1.0)
-        rep = probe_structure(game, 200, seed=0)
-        assert rep.monotonicity >= 1.0 - 1e-9
+class TestShiftCurvature:
+    def test_value_oracles_gain_the_squares(self):
+        game = gen_quadratic_known_ne(4, 3, 0.8, 1.2, delta=0.5,
+                                      coupling_norm=0.9, seed=3)
+        shifted = game.shift_curvature(u1_x=0.1, u2_y=-0.2)
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            x, y = rng.standard_normal(4), rng.standard_normal(3)
+            assert shifted.u1(x, y) == game.u1(x, y) + 0.1 * float(x @ x)
+            assert shifted.u2(x, y) == game.u2(x, y) - 0.2 * float(y @ y)
+        # a utility with no added term keeps its oracle
+        assert game.shift_curvature(u1_x=0.1).u2 is game.u2
 
-    def test_linear_coupling_has_zero_smoothness_estimate(self):
+
+class TestProbeStructure:
+    """Declared structure constants against the exact values of the
+    affine operators' Jacobians (conftest.affine_structure)."""
+
+    def test_strongly_monotone_zero_sum(self, structure):
+        game = zero_sum_quadratic(seed=7, mu=1.0, nu=1.0)
+        monotonicity, _, _ = structure(game)
+        assert monotonicity >= 1.0 - 1e-9
+
+    def test_linear_coupling_has_zero_smoothness_estimate(self, structure):
         # g(x, y) = <a, x> + <b, y> linear, h = (|x|^2 - |y|^2)/2:
-        # the coupling gradient is constant, so the empirical bound is zero
+        # the coupling gradient is constant, so its Jacobian is zero
         a = np.array([0.3, -0.2])
         b = np.array([-0.1, 0.4])
 
@@ -177,28 +194,15 @@ class TestProbeStructure:
             grad_u2_y=lambda x, y: -b - y,
             L=2.0, mu=1.0, nu=1.0, delta=0.0,
             X=Ball(np.zeros(2), 2.0), Y=Ball(np.zeros(2), 2.0))
-        rep = probe_structure(game, 100, seed=1)
-        assert rep.coupling_smoothness <= 1e-12
+        _, _, coupling_smoothness = structure(game)
+        assert coupling_smoothness <= 1e-12
 
-    def test_generated_instances_match_declared_constants(self):
+    def test_generated_instances_match_declared_constants(self, structure):
         for seed in range(5):
             game = gen_quadratic_known_ne(6, 4, 0.4, 1.1, delta=0.6,
                                           coupling_norm=10.0 ** (seed - 3),
                                           seed=seed)
-            rep = probe_structure(game, 150, seed=seed)
-            assert rep.monotonicity >= min(game.mu, game.nu) - 1e-9
-            assert rep.coupling_smoothness <= game.delta + 1e-9
-            assert rep.coupling_convexity >= -1e-9
-
-    def test_rejects_empty_sample(self):
-        with pytest.raises(ValueError):
-            probe_structure(zero_sum_quadratic(), 0)
-
-    def test_rejects_a_game_of_two_single_points(self):
-        # every pair would be degenerate, so sampling could never end
-        game = MatrixGame(SparseMatrix.from_dense(np.array([[1.0]])),
-                          SparseMatrix.from_dense(np.array([[-1.0]]))
-                          ).game_spec()
-        assert game.diameter_sq() == 0
-        with pytest.raises(ValueError, match="single points"):
-            probe_structure(game, 10)
+            monotonicity, convexity, smoothness = structure(game)
+            assert monotonicity >= min(game.mu, game.nu) - 1e-9
+            assert smoothness <= game.delta + 1e-9
+            assert convexity >= -1e-9

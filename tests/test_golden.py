@@ -62,7 +62,7 @@ QUAD_GOLDEN = {
 }
 
 # the same game through ICL's other routes: operator extragradient inner
-# solves on the h_grad oracle (the game without h_structure), the
+# solves on the h_operator oracle (the game without h_structure), the
 # whole-game certificate stop, and a general reformulation
 QUAD_ICL_ROUTES = {
     "inner-eg": (0, 14280, 53, 840, 53, "6.244279056323805e-20",

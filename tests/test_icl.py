@@ -18,7 +18,7 @@ from nzs.diagnostics import deviation_gain
 
 
 def without_structure(game):
-    """game with its h_structure dropped: ICL's h_grad oracle route."""
+    """game with its h_structure dropped: ICL's h_operator oracle route."""
     return dataclasses.replace(game, h_structure=None)
 
 
@@ -405,7 +405,7 @@ class TestSolveIcl:
 
     def test_structureless_zero_coupling_game_takes_the_proximal_loop(self):
         # delta = 0 but no h_structure: no structured pass, the proximal
-        # iterations on the h_grad oracle certify instead
+        # iterations on the h_operator oracle certify instead
         game, _, z_exact = linear_coupling_pair(seed=13)
         game = without_structure(game)
         eps = 1e-10
@@ -415,6 +415,27 @@ class TestSolveIcl:
         assert len(rep.residual_history) == rep.iterations
         assert rep.certified_sq_distance <= eps
         assert rep.point.distance_to(z_exact) ** 2 <= rep.certified_sq_distance
+
+    @pytest.mark.parametrize("stop", ["schedule", "certificate"])
+    def test_decoupled_game_converges_within_its_certificate(self, stop):
+        # no bilinear term (|W| = 0): PDHG takes plain proximal steps
+        game = gen_quadratic_known_ne(6, 5, 0.5, 0.8, delta=0.1,
+                                      coupling_norm=0.0, seed=3)
+        assert game.h_structure.w_norm() == 0
+        rep = solve_icl(game, 1e-9, stop=stop)
+        assert rep.status == "converged"
+        # known_ne is the equilibrium only up to rounding
+        assert (rep.point.distance_to(game.known_ne) ** 2
+                <= rep.certified_sq_distance + 1e-24)
+
+    def test_decoupled_zero_coupling_game_takes_four_h_queries(self):
+        # the restarted eta = inf pass certifies at its first restart
+        game = gen_quadratic_known_ne(6, 5, 0.5, 0.8, delta=0.0,
+                                      coupling_norm=0.0, seed=3)
+        rep = solve_icl(game, 1e-9, stop="certificate")
+        assert rep.status == "converged" and rep.iterations == 1
+        assert (rep.ledger.h_queries, rep.ledger.g_queries) == (4, 1)
+        assert rep.point.distance_to(game.known_ne) == 0.0
 
     def test_truncated_run_is_not_converged(self):
         eps = 1e-9

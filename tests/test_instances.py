@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from nzs.games import probe_structure
 from nzs.instances import (MatrixGame, _curvature_split,
                            _sample_without_replacement,
                            apply_transaction_fee, fee_game,
@@ -144,16 +143,16 @@ class TestReformulateBilinear:
         with pytest.raises(ValueError):
             reformulate_bilinear(g, 1.0)
 
-    def test_reformulated_coupling_is_jointly_convex(self):
+    def test_reformulated_coupling_is_jointly_convex(self, structure):
         M = random_sparse(42, 8, 8, 30)
         mu = nu = 1.0
         game = fee_game(M, 0.05, mu, nu)
         beta = game.coupling_norm()
         assert beta <= 0.5 * np.sqrt(mu * nu)
         spec = reformulate_bilinear(game, beta)
-        rep = probe_structure(spec, 200, seed=0)
-        assert rep.coupling_convexity >= -1e-9
-        assert rep.coupling_smoothness <= spec.delta + 1e-9
+        _, convexity, smoothness = structure(spec)
+        assert convexity >= -1e-9
+        assert smoothness <= spec.delta + 1e-9
 
     def test_equilibrium_preserved(self):
         # both the raw and the reformulated game solved by the baseline
@@ -191,12 +190,12 @@ class TestReformulateGeneral:
         game = gen_quadratic_known_ne(4, 4, 1.0, 1.0, 0.2, 0.5, seed=0)
         assert reformulate_general(game, 0.0) is game
 
-    def test_shifted_coupling_stays_monotone(self):
+    def test_shifted_coupling_stays_monotone(self, structure):
         game = gen_quadratic_known_ne(5, 5, 1.0, 1.2, delta=0.3,
                                       coupling_norm=0.5, seed=1)
         new = reformulate_general(game, 0.25)
-        rep = probe_structure(new, 200, seed=2)
-        assert rep.coupling_convexity >= -1e-9
+        _, convexity, _ = structure(new)
+        assert convexity >= -1e-9
         assert new.mu == pytest.approx(game.mu - 0.25)
         assert new.nu == pytest.approx(game.nu - 0.25)
         assert new.delta == pytest.approx(2 * 0.25)
@@ -307,12 +306,12 @@ class TestQuadraticKnownNe:
             F = game.F(game.known_ne.concat())
             assert np.linalg.norm(F) <= 1e-10
 
-    def test_probe_matches_declared_constants(self):
+    def test_probe_matches_declared_constants(self, structure):
         game = gen_quadratic_known_ne(5, 5, 0.3, 0.9, delta=0.5,
                                       coupling_norm=0.8, seed=12)
-        rep = probe_structure(game, 200, seed=0)
-        assert rep.monotonicity >= min(0.3, 0.9) - 1e-9
-        assert rep.coupling_smoothness <= 0.5 + 1e-9
+        monotonicity, _, smoothness = structure(game)
+        assert monotonicity >= min(0.3, 0.9) - 1e-9
+        assert smoothness <= 0.5 + 1e-9
 
 
 QUAD_PARTIALS = ("grad_u1_x", "grad_u1_y", "grad_u2_x", "grad_u2_y")

@@ -13,8 +13,8 @@ from nzs.solvers import (CHECK_PERIOD, JointProblem, OperatorProblem,
                          StructureError,
                          certificate_coefficient, displacement_certificate,
                          drive, extract_approx_ne, game_certificate,
-                         primal_weight, solve_apd_bilinear, solve_eg,
-                         solve_ogda, solve_operator_eg)
+                         pdhg_rate, primal_weight, solve_apd_bilinear,
+                         solve_eg, solve_ogda, solve_operator_eg)
 from nzs.vecmat import SparseMatrix
 from nzs.diagnostics import deviation_gain
 
@@ -364,7 +364,7 @@ class TestApdBilinear:
     def test_structure_error_names_fallback(self):
         sub, _ = unconstrained_subproblem(seed=23)
         sub.phi_form = None
-        sub.h_grad = lambda x, y: (x, -y)
+        sub.h_operator = lambda x, y: JointPoint(x, y)
         with pytest.raises(StructureError, match="solve_operator_eg"):
             solve_apd_bilinear(sub, 1000)
 
@@ -413,6 +413,17 @@ class TestRestartedPass:
         kern.set_weight(math.sqrt(form.ax / form.ay))
         assert (kern.tau, kern.sigma, kern.theta) == pytest.approx(steps,
                                                                    rel=1e-12)
+
+    def test_decoupled_form_keeps_its_proximal_steps(self):
+        # |W| = 0: plain proximal steps 4/ax and 4/ay without extrapolation,
+        # whatever the primal weight
+        form = BilinearSaddleForm(np.zeros((4, 6)), ax=0.5, ay=2.0)
+        big = Ball(np.zeros(6), 1e6), Ball(np.zeros(4), 1e6)
+        kern = PdhgKernel(form, *big, np.zeros(6), np.zeros(4))
+        assert (kern.tau, kern.sigma, kern.theta) == (8.0, 2.0, 0.0)
+        kern.set_weight(3.0)
+        assert (kern.tau, kern.sigma, kern.theta) == (8.0, 2.0, 0.0)
+        assert pdhg_rate(form) == 0.5
 
     def test_zero_coupling_pass_converges_to_the_baselines_point(
             self, monkeypatch):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nzs.vecmat import (SparseMatrix, SpectralNormError, as_vector,
-                        spectral_norm, spmv, spmv_stacked, spmv_transpose)
+from nzs.vecmat import (SparseMatrix, SpectralNormError, spectral_norm, spmv,
+                        spmv_stacked, spmv_transpose)
 
 
 def dense_row_reference(A, x):
@@ -40,21 +40,6 @@ def random_csr(rng, m, n, nnz):
 
 
 FEE_A = np.array([[297.0, -200.0], [-100.0, 396.0]])
-
-
-class TestAsVector:
-    def test_copies_and_casts(self):
-        v = as_vector([1, 2, 3])
-        assert v.dtype == np.float64 and v.tolist() == [1.0, 2.0, 3.0]
-
-    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [np.inf, 1.0], [1.0, -np.inf]])
-    def test_rejects_nonfinite(self, bad):
-        with pytest.raises(ValueError):
-            as_vector(bad)
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            as_vector([[1.0, 2.0]])
 
 
 class TestStructureValidation:
