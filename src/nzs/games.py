@@ -9,7 +9,8 @@ computed from those partials, so the identities
     H = (grad_x h, -grad_y h)
     F = grad g + H = -(grad_x u1, grad_y u2)
 
-hold by construction.
+hold by construction, unless a family supplies F or grad g as its own
+oracle.
 """
 
 import dataclasses
@@ -124,9 +125,13 @@ class GameSpec:
     The four gradient oracles take (x, y) arrays and return arrays. F(z)
     is the game operator -(grad_x u1, grad_y u2) at z = (x, y), in a fresh
     array; None builds it from grad_u1_x and grad_u2_y, so a copy that
-    replaces either must pass F=None. L is a smoothness bound for both
-    utilities; mu and nu are the strong convexity/concavity moduli of the
-    competitive part; delta bounds the coupling part's smoothness.
+    replaces either must pass F=None. coupling_grad(z) is the coupling
+    part's gradient -(grad u1 + grad u2)/2 at z, in a fresh array; None
+    builds it from the four partials, so a copy that changes their
+    coupling part must pass coupling_grad=None. L is a smoothness bound
+    for both utilities; mu and nu are the strong convexity/concavity
+    moduli of the competitive part; delta bounds the coupling part's
+    smoothness.
     monotone_modulus is a certified lower bound on the strong monotonicity
     of the game operator (defaults to min(mu, nu), which is valid whenever
     the coupling part is jointly convex).
@@ -150,11 +155,16 @@ class GameSpec:
     best_response_y: callable = None
     monotone_modulus: float = None
     F: callable = None
+    coupling_grad: callable = None
 
     def __post_init__(self):
         if self.F is None:
             self.F = _stacked_operator(self.grad_u1_x, self.grad_u2_y,
                                        self.X.dimension)
+        if self.coupling_grad is None:
+            self.coupling_grad = _stacked_coupling_gradient(
+                self.grad_u1_x, self.grad_u1_y, self.grad_u2_x,
+                self.grad_u2_y, self.X.dimension)
         if not (0 <= self.mu <= self.L and 0 <= self.nu <= self.L):
             raise ValueError("moduli must satisfy 0 <= mu, nu <= L")
         if not (0 <= self.delta <= self.L):
@@ -188,7 +198,9 @@ class GameSpec:
         coefficient, delta by the largest curvature added to the coupling
         part, and monotone_modulus resets to min(mu, nu); constants
         override any field. F, best responses and known_ne are kept only
-        while no player's curvature in its own strategy moves.
+        while no player's curvature in its own strategy moves, and
+        coupling_grad only while the coupling part is unchanged
+        (u1_x + u2_x = u1_y + u2_y = 0).
         """
         d_ax, d_ay = u2_x - u1_x, u1_y - u2_y
         coupling = max(abs(u1_x + u2_x), abs(u1_y + u2_y))
@@ -208,6 +220,8 @@ class GameSpec:
         if u1_x or u2_y:
             fields.update(known_ne=None, best_response_x=None,
                           best_response_y=None, F=None)
+        if coupling:
+            fields.update(coupling_grad=None)
         return dataclasses.replace(self, **{**fields, **constants})
 
 
@@ -221,6 +235,16 @@ def _stacked_operator(grad_u1_x, grad_u2_y, nx):
         np.negative(grad_u2_y(x, y), out=out[nx:])
         return out
     return F
+
+
+def _stacked_coupling_gradient(g1x, g1y, g2x, g2y, nx):
+    """z -> -(grad u1 + grad u2)/2 at z = (x, y) from the four partials,
+    in one fresh array."""
+    def coupling_grad(z):
+        x, y = z[:nx], z[nx:]
+        return -0.5 * np.concatenate([g1x(x, y) + g2x(x, y),
+                                      g1y(x, y) + g2y(x, y)])
+    return coupling_grad
 
 
 def _plus(f, k, on_y):
@@ -248,13 +272,13 @@ def _plus_squares(u, cx, cy):
 
 
 def grad_g(game, z, ledger=None):
-    """Coupling-part gradient -(grad u1 + grad u2)/2, as a JointPoint."""
-    x, y = z.x, z.y
-    gx = -0.5 * (game.grad_u1_x(x, y) + game.grad_u2_x(x, y))
-    gy = -0.5 * (game.grad_u1_y(x, y) + game.grad_u2_y(x, y))
+    """Coupling-part gradient -(grad u1 + grad u2)/2, as a JointPoint:
+    one game.coupling_grad query on the concatenated point."""
+    g = game.coupling_grad(np.concatenate([z.x, z.y]))
     if ledger is not None:
         ledger.g_queries += 1
-    return JointPoint(gx, gy)
+    nx = z.x.shape[0]
+    return JointPoint(g[:nx], g[nx:])
 
 
 def operator_H(game, z, ledger=None):

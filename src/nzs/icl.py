@@ -189,7 +189,8 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     passes the inexactness check at tolerance eps_t, its one stop rule;
     the check is polled on drive's schedule at the inner solver's
     contraction rate. An inner solve that exhausts _inner_budget without
-    passing raises IclError. It starts at the subproblem's center z_t
+    passing raises IclError, whose message gives eps_t, the steps run and
+    the smallest gap checked. It starts at the subproblem's center z_t
     until SECANT_DEPTH + 1 proximal outer steps are done, and from then on
     at SecantStart's prediction of its prox point (at z_t again when the
     prediction fails). Only the start moves: the subproblem, eps_t and the
@@ -273,14 +274,18 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         else:
             secant_starts += 1
 
+        least_gap = math.inf
+
         def stop_check(x, y):
             """The inner solve's one stop rule: extract a candidate by one
             projected step; (candidate, gap) if its gap is at most eps_t,
             else a Pending at the inner solver's rate, set below."""
+            nonlocal least_gap
             gx, gy = sub.operator(x, y, ledger, "cert")
             cand = JointPoint(cand_X.project(x - gamma_ex * gx),
                               cand_Y.project(y - gamma_ex * gy))
             gap = check_inexactness(sub, cand, ledger)
+            least_gap = min(least_gap, gap)
             return (cand, gap) if gap <= eps_t else Pending(gap, eps_t, rate)
 
         if sub.phi_form is not None:
@@ -297,7 +302,8 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         if "accepted" not in rep.extras:
             raise IclError(
                 f"inner solve stalled: gap did not reach {eps_t:.3e} "
-                f"within {rep.iterations} iterations")
+                f"within {rep.iterations} iterations; the smallest gap "
+                f"checked was {least_gap:.3e}")
         z_next, gap = rep.extras["accepted"]
         secant.record(z.concat(), z_next.concat())
         z = z_next

@@ -313,8 +313,12 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
     random interior target, which becomes known_ne. Ball feasible sets are
     sized at ten times the equilibrium norm so the target stays interior.
 
-    The game operator F makes one product G z per query, with the bits of
-    the partials it stands for.
+    Each query is one dense product: F(z) = J z + b, with the operator's
+    Jacobian J = G + [[mu I, K'], [-K, nu I]] and b = c + (kx, -ky) built
+    once, and coupling_grad(z) = G z + c. grad_u1_x and grad_u2_y are read
+    off F's product, so F is their negation bit for bit; grad_u1_y,
+    grad_u2_x and the coupling gradient round differently from the
+    partials' formula, and match it to rounding only.
     """
     if min(mu, nu) < 0 or delta < 0 or coupling_norm < 0:
         raise ValueError("moduli must be nonnegative")
@@ -324,6 +328,7 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
     if delta > 0:
         R = rng.standard_normal((n, n))
         G = R @ R.T
+        del R
         G *= delta / np.linalg.norm(G, 2)
     else:
         G = np.zeros((n, n))
@@ -352,11 +357,7 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
     X = Ball(np.zeros(n_x), rx)
     Y = Ball(np.zeros(n_y), ry)
 
-    Hu1 = np.zeros((n, n))
-    Hu1[:n_x, :n_x] = -mu * np.eye(n_x)
-    Hu1[:n_x, n_x:] = -K.T
-    Hu1[n_x:, :n_x] = -K
-    Hu1[n_x:, n_x:] = nu * np.eye(n_y)
+    Hu1 = -np.block([[mu * np.eye(n_x), K.T], [K, -nu * np.eye(n_y)]])
     # u1 = -g - h, u2 = -g + h
     L = max(np.linalg.norm(-G - Hu1, 2), np.linalg.norm(-G + Hu1, 2)) * (1 + 1e-9)
     L = max(L, mu, nu, delta)
@@ -369,37 +370,45 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
         return float(0.5 * mu * (x @ x) - 0.5 * nu * (y @ y)
                      + y @ np.dot(K, x) + kx @ x + ky @ y)
 
+    # F's Jacobian G + [[mu I, K'], [-K, nu I]], built in place, and R
+    # freed above: the set-up's peak memory counts each n x n array alive
+    J = G.copy()
+    J[:n_x, n_x:] += K.T
+    J[n_x:, :n_x] -= K
+    J.flat[::n + 1] += np.repeat([mu, nu], [n_x, n_y])
+    b = c + np.concatenate([kx, -ky])
+
+    def affine(M, v):  # z -> M z + v in a fresh array
+        def apply(z):
+            out = np.dot(M, z)
+            out += v
+            return out
+        return apply
+
+    F, coupling_grad = affine(J, b), affine(G, c)
+
     def g_grad(x, y, block):  # block xs or ys of grad g = G z + c
-        return np.dot(G, np.concatenate([x, y]))[block] + c[block]
+        return coupling_grad(np.concatenate([x, y]))[block]
 
     def h_x(x, y):  # grad_x h
         return mu * x + np.dot(K.T, y) + kx
 
-    def h_y(x, y):  # -grad_y h
+    def h_y(x, y):  # grad_y h
         return -nu * y + np.dot(K, x) + ky
-
-    def F(z):  # -(-grad g - grad_x h, -grad g + (-grad_y h)), op by op
-        x, y = z[:n_x], z[n_x:]
-        out = np.dot(G, z)
-        out += c
-        np.negative(out, out=out)
-        out[:n_x] -= h_x(x, y)
-        out[n_x:] += h_y(x, y)
-        return np.negative(out, out=out)
 
     xs, ys = slice(None, n_x), slice(n_x, None)
     return GameSpec(
-        grad_u1_x=lambda x, y: -g_grad(x, y, xs) - h_x(x, y),
+        grad_u1_x=lambda x, y: -F(np.concatenate([x, y]))[xs],
         grad_u1_y=lambda x, y: -g_grad(x, y, ys) - h_y(x, y),
         grad_u2_x=lambda x, y: -g_grad(x, y, xs) + h_x(x, y),
-        grad_u2_y=lambda x, y: -g_grad(x, y, ys) + h_y(x, y),
+        grad_u2_y=lambda x, y: -F(np.concatenate([x, y]))[ys],
         L=float(L), mu=mu, nu=nu, delta=delta,
         X=X, Y=Y,
         known_ne=JointPoint(x_star, y_star),
         u1=lambda x, y: -g_val(x, y) - h_val(x, y),
         u2=lambda x, y: -g_val(x, y) + h_val(x, y),
         h_structure=BilinearSaddleForm(K, ax=mu, ay=nu, bx=kx, by=-ky),
-        monotone_modulus=min(mu, nu), F=F,
+        monotone_modulus=min(mu, nu), F=F, coupling_grad=coupling_grad,
     )
 
 

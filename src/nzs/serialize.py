@@ -113,9 +113,10 @@ def read_instance(path):
 
 
 def write_point(path, point):
+    """Write a point file: {"x": [...], "y": [...]}, in one write."""
+    text = json.dumps({"x": point.x.tolist(), "y": point.y.tolist()})
     with open(path, "w") as fh:
-        json.dump({"x": list(map(float, point.x)),
-                   "y": list(map(float, point.y))}, fh)
+        fh.write(text)
 
 
 def read_point(path):

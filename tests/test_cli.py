@@ -133,7 +133,8 @@ class TestSolve:
         assert report["certified_sq_distance"] > 1e-12
         assert rc == 1
 
-    def test_stalled_icl_exit_1(self, instance_file, tmp_path, monkeypatch):
+    def test_stalled_icl_exit_1(self, instance_file, tmp_path, monkeypatch,
+                                capsys):
         # an inner budget of one step cannot pass the inexactness check
         import nzs.icl
 
@@ -143,6 +144,9 @@ class TestSolve:
                    str(instance_file), "--rho", "0.001", "--out", str(out)])
         assert rc == 1
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: inner solve stalled: gap did not reach")
+        assert "within 1 iterations; the smallest gap checked was" in err
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1e-7"])
     @pytest.mark.parametrize("method", ["eg", "ogda", "icl"])

@@ -13,6 +13,11 @@ optimality conditions, idempotence and independence of its start.
 A game's operator F must equal -(grad_x u1, grad_y u2) of its partials
 bit for bit, signed zeros included: on fee games, their convex
 reformulations, curvature shifts and copies, and on quadratic games.
+Its coupling gradient must equal -(grad u1 + grad u2)/2 of its partials:
+bit for bit where it is built from them (fee games, and every copy whose
+coupling part moved), and to 1e-12 relative where it is kept across a
+shift that leaves the coupling part alone, or is the quadratic family's
+own G z + c.
 """
 
 import dataclasses
@@ -209,17 +214,50 @@ def assert_operator_bits(data, spec):
         assert spec.F(z).tobytes() == want.tobytes()
 
 
-def assert_variants_keep_bits(data, spec):
+def assert_coupling_gradient(data, spec, exact):
+    """spec.coupling_grad at drawn points against -(grad u1 + grad u2)/2
+    of its partials: bit for bit if exact, else within 1e-12 of the
+    larger of L |z|_inf and the partials' largest entry."""
+    nx, size = spec.X.dimension, spec.X.dimension + spec.Y.dimension
+    for _ in range(3):
+        z = np.array(data.draw(st.lists(COORD, min_size=size, max_size=size)))
+        x, y = z[:nx], z[nx:]
+        u1x, u2x = spec.grad_u1_x(x, y), spec.grad_u2_x(x, y)
+        u1y, u2y = spec.grad_u1_y(x, y), spec.grad_u2_y(x, y)
+        want = np.concatenate([-0.5 * (u1x + u2x), -0.5 * (u1y + u2y)])
+        got = spec.coupling_grad(z)
+        if exact:
+            assert got.tobytes() == want.tobytes()
+        else:
+            scale = max(spec.L * np.abs(z).max(),
+                        *(np.abs(p).max() for p in (u1x, u2x, u1y, u2y)))
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def assert_variants_keep_bits(data, spec, own_oracle=False):
     """F of curvature shifts and copies: kept while grad_u1_x and
-    grad_u2_y are, rebuilt from the new partials otherwise."""
+    grad_u2_y are, rebuilt from the new partials otherwise. coupling_grad:
+    kept while the coupling part is, rebuilt from the new partials
+    otherwise; own_oracle says that spec's is the family's own rather
+    than built from its partials."""
     a, b, c = data.draw(UNIT), data.draw(UNIT), data.draw(UNIT)
     own = spec.shift_curvature(u1_x=-a, u2_y=-b)
     assert (own.F is spec.F) == (a == b == 0)
     other = spec.shift_curvature(u1_y=c, u2_x=c)
     assert other.F is spec.F
     copy = dataclasses.replace(spec, h_structure=None)
-    for variant in (spec, own, other, copy):
+    # curvature moved between the players leaves the coupling part alone
+    moved = spec.shift_curvature(u1_x=-a, u2_x=a, u1_y=c, u2_y=-c)
+    rebuilt = dataclasses.replace(spec, coupling_grad=None)
+    assert (own.coupling_grad is spec.coupling_grad) == (a == b == 0)
+    assert (other.coupling_grad is spec.coupling_grad) == (c == 0)
+    assert copy.coupling_grad is moved.coupling_grad is spec.coupling_grad
+    assert rebuilt.coupling_grad is not spec.coupling_grad
+    for variant in (spec, own, other, copy, moved, rebuilt):
         assert_operator_bits(data, variant)
+        kept = variant.coupling_grad is spec.coupling_grad
+        assert_coupling_gradient(
+            data, variant, not kept or not (own_oracle or variant is moved))
 
 
 @FUZZ
@@ -248,6 +286,6 @@ def test_bilinear_reformulation_operator(game, ratio, data):
 def test_quadratic_game_operator(n_x, n_y, moduli, seed, share, data):
     mu, nu, delta, coupling = moduli
     spec = gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling, seed)
-    assert_variants_keep_bits(data, spec)
+    assert_variants_keep_bits(data, spec, own_oracle=True)
     assert_operator_bits(data, reformulate_general(
         spec, share * min(mu, nu) / 2))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,21 @@ class TestDecomposition:
             g = grad_g(game, z)
             assert np.max(np.abs(g.x)) <= 1e-12
             assert np.max(np.abs(g.y)) <= 1e-12
+
+    def test_grad_g_is_one_coupling_gradient_query(self):
+        queried = []
+
+        def oracle(z):
+            queried.append(z.copy())
+            return 2.0 * z
+
+        game = dataclasses.replace(zero_sum_quadratic(), coupling_grad=oracle)
+        z = JointPoint(np.arange(6.0), -np.arange(5.0))
+        g = grad_g(game, z)
+        assert len(queried) == 1
+        assert np.array_equal(queried[0], z.concat())
+        assert np.array_equal(g.x, 2.0 * z.x)
+        assert np.array_equal(g.y, 2.0 * z.y)
 
     def test_fee_example_hand_values(self):
         game = fee_example_game()

@@ -1,11 +1,19 @@
 """Golden runs: exact query counts, iterations, certificates and points.
 
 Speed work on the solvers' hot path (products, projections, in-place
-temporaries) must not change one bit of any output. The one exception
-so far is the Newton simplex projection, which replaced the
+temporaries) must not change one bit of any output. There are two
+exceptions so far. One is the Newton simplex projection, which replaced the
 sort-and-threshold rule and rounds differently: it moved the certificate
 reprs and point hashes of FEE_GOLDEN, MONOTONE_GOLDEN["fee-game"] and
 TRAJECTORY_GOLDEN["icl-zero-coupling"], and no query or iteration count.
+The other is the quadratic games' one-product oracles (F = J z + b and
+the coupling gradient G z + c, in gen_quadratic_known_ne), which round
+differently from the partials' formula. They moved the certificates and
+point hashes of QUAD_GOLDEN (ICL's h count from 2551 to 2550, the
+baselines' counts not at all), all of QUAD_ICL_ROUTES (h counts:
+inner-eg 14280 -> 14512, reformulate-general 2764 -> 2644;
+stop-certificate's counts held) and TRAJECTORY_GOLDEN["ogda"] and
+["eg"]'s hashes. No fee pin moved.
 A change to when solvers poll their stop tests moves the stop pins but
 not TRAJECTORY_GOLDEN, which pins the iterates of runs that never stop.
 ICL runs longer than SECANT_DEPTH + 1 proximal outer steps start their
@@ -53,24 +61,24 @@ FEE_GOLDEN = {
 
 # dense W and ball sets; ICL with its default full schedule
 QUAD_GOLDEN = {
-    "icl": (0, 2551, 53, 418, 53, "7.395897836941308e-20",
-            "a2d4ddd2c7daa78a7c2f8d59645403d541bde1943c284b36939d50a4ce45972e"),
-    "ogda": (374, 0, 0, 20, 374, "9.752899565390502e-08",
-             "8052be4d024508865071873c0c7c40f59868d7e88a334cec700108e86a50f4ad"),
-    "eg": (534, 0, 0, 20, 267, "6.427738878927585e-08",
-           "3b01a30068f0e8fcc0f605e6c892b5d0df5fbd6e9a2221d480761db9ccaf9ae2"),
+    "icl": (0, 2550, 53, 418, 53, "1.2591066320724905e-20",
+            "a2f1936e64b6fffdd3e89738ac73067936f993952e8841e90b6bde1d8352ec06"),
+    "ogda": (374, 0, 0, 20, 374, "9.752899565476753e-08",
+             "5ed93246000d88dc9a4c3f4c160cf8ec4c21ececaf9ada05fb0a0a12f86a8934"),
+    "eg": (534, 0, 0, 20, 267, "6.427738878613156e-08",
+           "11308aa5dd41607c8e5e44a0a7e360e040cebef239dd82d41d0891d643baf128"),
 }
 
 # the same game through ICL's other routes: operator extragradient inner
 # solves on the h_operator oracle (the game without h_structure), the
 # whole-game certificate stop, and a general reformulation
 QUAD_ICL_ROUTES = {
-    "inner-eg": (0, 14280, 53, 840, 53, "6.244279056323805e-20",
-                 "53383dd960dd8c186bab2fc6a3a3a3e73b207085e54f9abcb9d9ff94377cd1ed"),
-    "stop-certificate": (0, 2125, 12, 214, 12, "2.9016510708669844e-08",
-                         "468ddca4e59238d4076c868db4072e6247a3c15ab258fb2071686c57a5e863df"),
-    "reformulate-general": (0, 2764, 61, 422, 61, "2.444746587202767e-19",
-                            "d3e12cda9543eb793f5b09a53a2d8ec67530e7fd6d2688f73fbb7dc2b48d0ac7"),
+    "inner-eg": (0, 14512, 53, 888, 53, "1.7851686426619552e-19",
+                 "5e210c504240666c7245e74dcad5227ccef2eb1ccb8bae2904be8be2745da7e5"),
+    "stop-certificate": (0, 2125, 12, 214, 12, "2.9016510712587795e-08",
+                         "c62bbe0eb6c7e32877cdcc1e6aacfd09e4d4deab00e86d4601d79de42dcc7b57"),
+    "reformulate-general": (0, 2644, 61, 394, 61, "2.3943411440064968e-20",
+                            "198947edae79c10249b13cb5b09cc67c520b4ccd37c96ce391ca522938827119"),
 }
 
 # solve_monotone: (fingerprint of the report, repr(gap_bound))
@@ -89,9 +97,9 @@ MONOTONE_GOLDEN = {
 # (f, h, g queries, sha256 of the concatenated point's bytes)
 TRAJECTORY_GOLDEN = {
     "ogda": (400, 0, 0,
-             "a2752bc44d0cb0d62db7c577d2e28ddbd31c06977c01e23493d690f1461693a8"),
+             "24e58417c4df01c8bfcd5a481ff442f709a4b07836e15c662ff8aeaa91390e69"),
     "eg": (800, 0, 0,
-           "0ceb2b9c4c7fe9273ea255db11484d7af458533e71a7ca2b9a656821d26905d0"),
+           "9693bbadecc6d7d5d2fdd8ecd6ae6dce90c821fa1043f8737d067e680e7d1eb2"),
     "icl-zero-coupling": (0, 400, 1,
                           "5e7ac53f9298ef4c4a540319fb7cb3eff552bb2be289dec2ee11563b085fc394"),
 }

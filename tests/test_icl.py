@@ -350,6 +350,28 @@ class TestSolveIcl:
         with pytest.raises(IclError, match="stalled"):
             solve_icl(quad_game(seed=1), 1e-7)
 
+    def test_stalled_inner_solve_names_the_smallest_gap(self, monkeypatch):
+        # the 20x20 golden game: 200 inner steps poll the check three
+        # times, and none of its gaps reaches eps_t = 6.25e-10
+        import nzs.icl
+
+        gaps = []
+
+        def recorded(*args):
+            gaps.append(check_inexactness(*args))
+            return gaps[-1]
+
+        monkeypatch.setattr(nzs.icl, "check_inexactness", recorded)
+        monkeypatch.setattr(nzs.icl, "_inner_budget", lambda sched, rate: 200)
+        game = quad_game(seed=1, n_x=20, n_y=20, mu=0.05, nu=0.05,
+                         delta=0.01, coupling_norm=1.0)
+        with pytest.raises(IclError) as err:
+            solve_icl(game, 1e-7)
+        assert len(gaps) > 1 and min(gaps) < gaps[0]
+        assert str(err.value) == (
+            "inner solve stalled: gap did not reach 6.250e-10 within 200 "
+            f"iterations; the smallest gap checked was {min(gaps):.3e}")
+
     def test_ledger_separates_query_kinds(self):
         game = quad_game(seed=12)
         rep = solve_icl(game, 1e-8)

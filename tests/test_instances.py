@@ -323,8 +323,23 @@ def quad_for_cache(seed=4):
 
 
 class TestQuadraticOneProduct:
-    """The partial gradients and utilities of a quadratic game, and the
-    bits they return, do not depend on the points queried before."""
+    """The partial gradients, joint oracles and utilities of a quadratic
+    game, and the bits they return, do not depend on the points queried
+    before."""
+
+    @pytest.mark.parametrize("name", ("F", "coupling_grad"))
+    def test_joint_oracle_ignores_the_point_held(self, name):
+        z = np.random.default_rng(7).standard_normal(70)
+        fresh = getattr(quad_for_cache(), name)(z)
+        oracle = getattr(quad_for_cache(), name)
+        oracle(z + 1.0)  # another point first
+        got = oracle(z)
+        assert np.array_equal(got, fresh)
+        assert not np.shares_memory(got, z)
+        got += 1.0  # a returned array is the caller's own
+        assert np.array_equal(oracle(z), fresh)
+        z[5] = -z[5]  # the point mutated in place is recomputed
+        assert np.array_equal(oracle(z), getattr(quad_for_cache(), name)(z))
 
     @pytest.mark.parametrize("name", QUAD_PARTIALS)
     def test_partial_ignores_the_point_held(self, name):

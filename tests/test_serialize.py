@@ -121,6 +121,17 @@ class TestPointFile:
         assert np.array_equal(z.x, z2.x)
         assert np.array_equal(z.y, z2.y)
 
+    def test_text_is_json_of_the_floats(self, tmp_path):
+        # signed zeros, subnormals and 17-digit reprs keep their text
+        z = JointPoint(np.array([-0.0, 5e-324, 0.1 + 0.2, 1e300]),
+                       np.array([1 / 3, -2.5e-17]))
+        path = tmp_path / "pt.json"
+        write_point(path, z)
+        assert path.read_text() == json.dumps(
+            {"x": list(map(float, z.x)), "y": list(map(float, z.y))})
+        z2 = read_point(path)
+        assert z.concat().tobytes() == z2.concat().tobytes()
+
     @pytest.mark.parametrize("content", [
         '{"y": [0.5, 0.5]}', '{"x": [0.5, 0.5]}', '[1, 2]', '"x"', 'null',
         '{"x": {"a": 1}, "y": [1.0]}', '{"x": [[1.0]], "y": [1.0]}',
