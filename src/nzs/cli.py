@@ -42,34 +42,30 @@ T4_RHOS = [0.0, 0.003, 0.006, 0.009, 0.012, 0.015, 0.018]
 def run_method(M, meta, rho, method, eps):
     """Solve one fee instance with one method; returns (report, row dict).
 
-    Serves both solve and bench. Every method stops on the same whole-game
-    displacement certificate (stepsize 1/(2L), modulus min(mu, nu)/2),
-    polled on solvers.drive's schedule: for the baselines at least
-    solvers.CERTIFICATE_PERIOD iterations apart, for ICL at least one
-    outer iteration apart (stop="certificate"). ICL runs on
-    reformulate_bilinear(game, beta, L), which adds the curvature it moves
-    to the same L. That modulus holds only while min(mu, nu) > 0 and the
-    coupling norm bound beta = rho norm_abs/2 <= sqrt(mu nu)/2, so every
-    method raises ValueError otherwise.
+    Serves both solve and bench. L, |C| and |K| come from the header's
+    `norm` (default 1.0) and `norm_abs` through instances.fee_game, which
+    checks them, so no power iteration runs. Every method stops on the
+    same whole-game displacement certificate (stepsize 1/(2L), modulus
+    min(mu, nu)/2), polled on solvers.drive's schedule: for the baselines
+    at least solvers.CERTIFICATE_PERIOD iterations apart, for ICL at least
+    one outer iteration apart (stop="certificate"). ICL runs on
+    reformulate_bilinear(game, |C|), which adds the curvature it moves to
+    the same L. That modulus needs min(mu, nu) > 0 and |C| <= sqrt(mu nu)/2;
+    every method raises ValueError otherwise.
     """
     mu, nu = float(meta["mu"]), float(meta["nu"])
     if not min(mu, nu) > 0:
         raise ValueError("min(mu, nu) must be positive")
-    norm = float(meta.get("norm", 1.0))
-    norm_abs = float(meta["norm_abs"])
-    beta = 0.5 * rho * norm_abs  # = |(A+B)/2| for fee games
-    require_monotone_coupling(beta, mu, nu)
-    game = fee_game(M, rho, mu, nu)
-    # smoothness bound that varies smoothly in rho, so baseline stepsizes
-    # and certificates are fee-stable
-    L = norm + rho * norm_abs + max(mu, nu)
+    game = fee_game(M, rho, mu, nu, (float(meta.get("norm", 1.0)),
+                                     float(meta["norm_abs"])))
+    require_monotone_coupling(game.coupling_norm(), mu, nu)
     t0 = time.perf_counter()
     if method in ("eg", "ogda"):
-        spec = game.game_spec(L=L, monotone_modulus=min(mu, nu) / 2)
+        spec = game.game_spec(monotone_modulus=min(mu, nu) / 2)
         solver = solve_eg if method == "eg" else solve_ogda
         rep = solver(spec, SolverConfig(epsilon=eps))
     elif method == "icl":
-        spec = reformulate_bilinear(game, beta, L)
+        spec = reformulate_bilinear(game, game.coupling_norm())
         rep = solve_icl(spec, eps, stop="certificate")
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -77,15 +73,13 @@ def run_method(M, meta, rho, method, eps):
     led = rep.ledger
     row = {
         "method": method, "rho": rho, "seed": int(meta.get("seed", -1)),
-        "queries_h": led.main_queries(),
-        "queries_g": led.g_queries,
+        "queries_h": led.main_queries(), "queries_g": led.g_queries,
         "queries_cert": led.cert_queries,
         "queries_total": (led.main_queries() + led.g_queries
                           + led.cert_queries),
         "iterations": rep.iterations,
         "certified_sq_distance": rep.certified_sq_distance,
-        "wall_ms": round(wall_ms, 3),
-        "status": rep.status,
+        "wall_ms": round(wall_ms, 3), "status": rep.status,
     }
     return rep, row
 

@@ -64,12 +64,6 @@ class JointPoint:
         return float(np.sqrt(dx @ dx + dy @ dy))
 
 
-def _w_norm(W):
-    if isinstance(W, SparseMatrix):
-        return spectral_norm(W)
-    return float(np.linalg.norm(W, 2))
-
-
 @dataclass
 class BilinearSaddleForm:
     """Structured competitive part
@@ -106,8 +100,9 @@ class BilinearSaddleForm:
             self.rmatvec = functools.partial(np.dot, self.W.T)
 
     def w_norm(self):
-        if self._w_norm_cache is None:
-            self._w_norm_cache = _w_norm(self.W)
+        if self._w_norm_cache is None:  # power iteration on a sparse W
+            self._w_norm_cache = spectral_norm(self.W) if isinstance(
+                self.W, SparseMatrix) else float(np.linalg.norm(self.W, 2))
         return self._w_norm_cache
 
     def shifted(self, d_ax=0.0, d_ay=0.0, d_bx=None, d_by=None):

@@ -28,6 +28,9 @@ class MatrixGame:
     """u1 = <A x, y> + R,  u2 = <B x, y> - R  on simplex strategy sets,
 
     with R(x, y) = -(reg_mu/2)|x|^2 + (reg_nu/2)|y|^2.
+
+    _norms caches L, |C| and |K| as "L", "beta" and "K": fee_game sets
+    them from an instance's two norms, else each is a power iteration.
     """
 
     A: SparseMatrix
@@ -42,14 +45,6 @@ class MatrixGame:
         if self.reg_mu < 0 or self.reg_nu < 0:
             raise ValueError("regularizer curvatures must be >= 0")
 
-    @property
-    def n(self):
-        return self.A.n_cols
-
-    @property
-    def m(self):
-        return self.A.n_rows
-
     def coupling_matrix(self):
         """(A + B)/2, the common-loss payoff component."""
         return self.A.with_values(0.5 * (self.A.values + self.B.values))
@@ -60,18 +55,16 @@ class MatrixGame:
 
     def coupling_norm(self):
         if "beta" not in self._norms:
-            self._norms["beta"] = spectral_norm(self.coupling_matrix()) \
-                if np.any(self.A.values + self.B.values) else 0.0
+            self._norms["beta"] = spectral_norm(self.coupling_matrix())
         return self._norms["beta"]
 
     def smoothness(self):
         if "L" not in self._norms:
-            na = spectral_norm(self.A) if self.A.nnz else 0.0
-            nb = spectral_norm(self.B) if self.B.nnz else 0.0
-            self._norms["L"] = max(na, nb) + max(self.reg_mu, self.reg_nu)
+            top = max(spectral_norm(self.A), spectral_norm(self.B))
+            self._norms["L"] = top + max(self.reg_mu, self.reg_nu)
         return self._norms["L"]
 
-    def game_spec(self, L=None, monotone_modulus=None):
+    def game_spec(self, monotone_modulus=None):
         """GameSpec view of the raw (unreformulated) game.
 
         The competitive part h = -<K x, y> - R is mu-strongly convex and
@@ -81,23 +74,15 @@ class MatrixGame:
         whenever |C| <= sqrt(mu nu)/2. Beyond that range it defaults to 0:
         no certificate.
         """
-        if L is None:
-            L = self.smoothness()
-        return self._spec(L, self.coupling_norm(), monotone_modulus)
+        return self._spec(self.coupling_norm(), monotone_modulus)
 
-    def _spec(self, L, beta, monotone_modulus=None):
-        """game_spec given L and the coupling norm beta = |C|, which
-        reformulate_bilinear knows without a norm estimate."""
-        A, B, mu, nu, n = self.A, self.B, self.reg_mu, self.reg_nu, self.n
-        K = self.competitive_matrix()
+    def _spec(self, beta, monotone_modulus=None):
+        """game_spec with coupling norm beta, as reformulate_bilinear has."""
+        A, B, mu, nu, n = self.A, self.B, self.reg_mu, self.reg_nu, self.A.n_cols
+        L = self.smoothness()
         if monotone_modulus is None:
-            if beta == 0:
-                monotone_modulus = min(mu, nu)
-            elif _certifiably_monotone(beta, mu, nu):
-                monotone_modulus = min(mu, nu) / 2
-            else:
-                monotone_modulus = 0.0
-        Wm = K.scaled(-1.0)
+            monotone_modulus = min(mu, nu) if beta == 0 else (
+                min(mu, nu) / 2 if _certifiably_monotone(beta, mu, nu) else 0.0)
 
         def u1(x, y):
             return float(y @ spmv(A, x) - 0.5 * mu * (x @ x) + 0.5 * nu * (y @ y))
@@ -112,7 +97,7 @@ class MatrixGame:
             out[n:] -= nu * y
             return np.negative(out, out=out)
 
-        X, Y = Simplex(n), Simplex(self.m)
+        X, Y = Simplex(n), Simplex(self.A.n_rows)
         return GameSpec(
             grad_u1_x=lambda x, y: spmv_transpose(A, y) - mu * x,
             grad_u1_y=lambda x, y: spmv(A, x) + nu * y,
@@ -120,7 +105,9 @@ class MatrixGame:
             grad_u2_y=lambda x, y: spmv(B, x) - nu * y,
             L=L, mu=mu, nu=nu, delta=min(beta, L),
             X=X, Y=Y, u1=u1, u2=u2,
-            h_structure=BilinearSaddleForm(Wm, ax=mu, ay=nu),
+            h_structure=BilinearSaddleForm(  # W = -K
+                self.competitive_matrix().scaled(-1.0), ax=mu, ay=nu,
+                _w_norm_cache=self._norms.get("K")),
             best_response_x=_quad_best_response(lambda y: spmv_transpose(A, y), mu, X),
             best_response_y=_quad_best_response(lambda x: spmv(B, x), nu, Y),
             monotone_modulus=monotone_modulus, F=F,
@@ -169,10 +156,35 @@ def apply_transaction_fee(M, rho):
     return A, B
 
 
-def fee_game(M, rho, reg_mu, reg_nu):
-    """MatrixGame for payoff matrix M after applying transaction fee rho."""
-    A, B = apply_transaction_fee(M, rho)
-    return MatrixGame(A, B, reg_mu, reg_nu)
+def fee_game(M, rho, reg_mu, reg_nu, norms=None):
+    """MatrixGame for payoff matrix M after applying transaction fee rho.
+
+    norms = (|M|, || |M| ||), an instance's two norms, set its constants
+    once _check_norms passes them: as A - B = (2 - rho) M and
+    A + B = -rho |M|, |K| = (1 - rho/2)|M|, |C| = rho || |M| ||/2, and
+    L = |M| + rho || |M| || + max(mu, nu) bounds |A|, |B| smoothly in rho.
+    """
+    game = MatrixGame(*apply_transaction_fee(M, rho), reg_mu, reg_nu)
+    if norms is not None:
+        norm, norm_abs = _check_norms(M, *norms)
+        game._norms.update(L=norm + rho * norm_abs + max(reg_mu, reg_nu),
+                           beta=0.5 * rho * norm_abs, K=(1 - 0.5 * rho) * norm)
+    return game
+
+
+def _check_norms(M, norm, norm_abs):
+    """(norm, norm_abs) if max|M_ij| <= norm <= norm_abs <= sqrt(|M|_1
+    |M|_inf), bounds the true norms obey, with 1e-6 relative slack each."""
+    a = np.abs(M.values)
+    rows = np.repeat(np.arange(M.n_rows), np.diff(M.row_offsets))
+    chain = [("max|M_ij|", a.max(initial=0.0)), ("'norm'", norm),
+             ("'norm_abs'", norm_abs), ("sqrt(|M|_1 |M|_inf)", np.sqrt(
+                 np.bincount(rows, a, M.n_rows).max()
+                 * np.bincount(M.col_indices, a, M.n_cols).max()))]
+    for (low, v), (high, w) in zip(chain, chain[1:]):
+        if not v <= w * (1 + 1e-6):
+            raise ValueError(f"{low} = {v:.9g} exceeds {high} = {w:.9g}")
+    return norm, norm_abs
 
 
 # ---------------------------------------------------------------------------
@@ -215,23 +227,20 @@ def _curvature_split(beta, mu, nu):
     raise ValueError("inconsistent curvature case")  # pragma: no cover
 
 
-def reformulate_bilinear(game, beta, L=None):
+def reformulate_bilinear(game, beta):
     """GameSpec of a MatrixGame with curvature moved between the players.
 
     Player 1 maximizes u1 - beta2 |y|^2 and player 2 maximizes
     u2 - beta1 |x|^2, with (beta1, beta2) from ``_curvature_split``. The
     equilibrium is unchanged, and the new coupling part
     -<C x, y> + (beta1/2)|x|^2 + (beta2/2)|y|^2 is jointly convex because
-    beta1*beta2 = beta^2, beta = |C| = |(A+B)/2|. L is the base game's
-    smoothness bound (default game.smoothness()); the spec's L is
-    L + 2*max(beta1, beta2), its delta beta + max(beta1, beta2), and its
-    moduli are stated as mu/2, nu/2.
+    beta1*beta2 = beta^2, beta = |C| = |(A+B)/2|. With L the base game's
+    smoothness(), the spec's L is L + 2*max(beta1, beta2), its delta
+    beta + max(beta1, beta2), and its moduli are stated as mu/2, nu/2.
     """
     mu, nu = game.reg_mu, game.reg_nu
     b1, b2 = _curvature_split(beta, mu, nu)
-    if L is None:
-        L = game.smoothness()
-    return game._spec(L, beta).shift_curvature(
+    return game._spec(beta).shift_curvature(
         u1_y=-b2, u2_x=-b1, mu=mu / 2, nu=nu / 2)
 
 

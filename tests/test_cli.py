@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import nzs.cli
+import nzs.games
+import nzs.instances
 from nzs.cli import bench_rows, main, run_method
 from nzs.games import JointPoint
 from nzs.instances import gen_sparse_experiment
@@ -227,6 +229,60 @@ class TestZeroCurvature:
         assert rc == 2
         assert time.perf_counter() - t0 < 1.0
         assert not out.exists()
+
+
+class TestHeaderNorms:
+    """run_method takes L, |C| and |K| from the header's two norms, after
+    checking max|M_ij| <= norm <= norm_abs <= sqrt(|M|_1 |M|_inf). A norm
+    below the true one that passes these bounds is not caught."""
+
+    @pytest.fixture()
+    def header_case(self, tmp_path):
+        path = tmp_path / "inst.nzs"
+        assert main(["generate", "--n", "50", "--m", "60", "--nnz", "300",
+                     "--seed", "0", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("key,value", [
+        ("norm", 0.0), ("norm", -1.0), ("norm", 0.1), ("norm", 50.0),
+        ("norm_abs", 0.0), ("norm_abs", "half")])
+    @pytest.mark.parametrize("method", ["icl", "ogda"])
+    def test_wrong_header_norm_exits_2_naming_the_key(
+            self, header_case, tmp_path, capsys, method, key, value):
+        M, meta = read_instance(header_case)
+        meta[key] = meta["norm"] / 2 if value == "half" else value
+        bad = tmp_path / "bad.nzs"
+        write_instance(bad, M, meta)
+        out = tmp_path / "r.json"
+        rc = main(["solve", "--method", method, "--instance", str(bad),
+                   "--rho", "0.0009", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_zero_matrix_passes_with_zero_norms(self):
+        _, meta = gen_sparse_experiment(5, 4, 0, 0, 0.5, 1.0)
+        assert (meta["norm"], meta["norm_abs"]) == (0.0, 0.0)
+        rep, _ = run_method(meta.pop("M"), meta, 0.0009, "ogda", 1e-7)
+        assert rep.status == "converged"
+
+    @pytest.mark.parametrize("rho", [0.0, 0.0009])
+    @pytest.mark.parametrize("method", ["icl", "ogda", "eg"])
+    def test_fee_solves_run_no_power_iteration(self, monkeypatch, method,
+                                               rho):
+        _, meta = gen_sparse_experiment(60, 50, 300, 3, 1e-4, 1.0)
+        M = meta.pop("M")
+        want, _ = run_method(M, meta, rho, method, 1e-7)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral_norm called")
+
+        monkeypatch.setattr(nzs.games, "spectral_norm", refuse)
+        monkeypatch.setattr(nzs.instances, "spectral_norm", refuse)
+        got, _ = run_method(M, meta, rho, method, 1e-7)
+        assert got.status == want.status == "converged"
+        assert (got.ledger, got.iterations, got.certified_sq_distance) == (
+            want.ledger, want.iterations, want.certified_sq_distance)
 
 
 class TestMonotoneRange:

@@ -14,6 +14,12 @@ baselines' counts not at all), all of QUAD_ICL_ROUTES (h counts:
 inner-eg 14280 -> 14512, reformulate-general 2764 -> 2644;
 stop-certificate's counts held) and TRAJECTORY_GOLDEN["ogda"] and
 ["eg"]'s hashes. No fee pin moved.
+Fee runs take |K| = (1 - rho/2) norm from the instance's header instead
+of a power iteration; PDHG's steps move in their last bits, so the
+certificate reprs and point hashes of FEE_GOLDEN's two icl rows moved
+(at rho = 0: 3.982708323780783e-09 -> 3.982708412093561e-09; at
+rho = 0.0009: 1.3992385581252429e-08 -> 1.3992385581578315e-08), and no
+query or iteration count.
 A change to when solvers poll their stop tests moves the stop pins but
 not TRAJECTORY_GOLDEN, which pins the iterates of runs that never stop.
 ICL runs longer than SECANT_DEPTH + 1 proximal outer steps start their
@@ -45,14 +51,14 @@ from nzs.solvers import SolverConfig, solve_eg, solve_ogda
 # (f, h, g, cert queries, iterations, repr(certified_sq_distance),
 #  sha256 of the concatenated point's bytes)
 FEE_GOLDEN = {
-    ("icl", 0.0): (0, 288, 1, 26, 1, "3.982708323780783e-09",
-                   "66096bf35cbc1730041d70e72c17c903febb99765e0edd788bc44c973848bf1b"),
+    ("icl", 0.0): (0, 288, 1, 26, 1, "3.982708412093561e-09",
+                   "3fc3fb0aa4a780ec1137e999ee019c22580660a640c0dbf596f026b2850fcdf9"),
     ("ogda", 0.0): (1763, 0, 0, 28, 1763, "9.34489225285381e-08",
                     "d148f20cf05033623eb2cb543b9b8f20974b45fab37fd645da3505305685a7aa"),
     ("eg", 0.0): (2496, 0, 0, 26, 1248, "9.373542831731328e-08",
                   "a28fa1142914436707a8016d5855f990e604557c91e49ccb5f30f3c896cc404b"),
-    ("icl", 0.0009): (0, 1447, 9, 156, 9, "1.3992385581252429e-08",
-                      "f58f9461c95913c7bc75c4f9c1c4307790f3f99cc348fb8ecd14f160b22a805c"),
+    ("icl", 0.0009): (0, 1447, 9, 156, 9, "1.3992385581578315e-08",
+                      "11bed29135f541b163fa25e7b51b2ba4653b598b3d0a41981055f4a1dbd3f658"),
     ("ogda", 0.0009): (1767, 0, 0, 28, 1767, "9.375346370292284e-08",
                        "056c97dfe56ab9c653214c4cb3806a3eb8ae11881561cfdf49489725cdf6e646"),
     ("eg", 0.0009): (2502, 0, 0, 26, 1251, "9.376202107077738e-08",

@@ -372,6 +372,19 @@ class TestSolveIcl:
             "inner solve stalled: gap did not reach 6.250e-10 within 200 "
             f"iterations; the smallest gap checked was {min(gaps):.3e}")
 
+    def test_plain_icl_stalls_above_eps_t_on_a_valid_game(self):
+        # mu = 1e-4 against nu = 1: at the first outer step (eta = 1e4)
+        # PDHG's gap bottoms out at a rounding floor (4.749e-12 when
+        # recorded) above eps_t = 1.25e-12, under either stop rule. ogda
+        # solves the game, so the failure is ICL's absolute inner target
+        game = gen_quadratic_known_ne(100, 100, 1e-4, 1.0, 1e-5, 1.0, seed=0)
+        with pytest.raises(IclError) as err:
+            solve_icl(game, 1e-7)
+        message = str(err.value)
+        assert "gap did not reach 1.250e-12 " in message
+        least = float(message.rsplit(" ", 1)[1])
+        assert least > 1.25e-12
+
     def test_ledger_separates_query_kinds(self):
         game = quad_game(seed=12)
         rep = solve_icl(game, 1e-8)

@@ -90,9 +90,10 @@ def shifts(game, spec):
 
 
 # gen_sparse_experiment(100, 80, 800, 7, 1e-4, 1.0) at rho = 0.0009 with
-# run_method's L = norm + rho norm_abs + max(mu, nu); the spec's L
-# (L + 2 max(beta1, beta2)) and smoothness() + 2 max(beta1, beta2) for
-# L=None, then mu, nu, delta, monotone_modulus, h_structure.ax, .ay
+# the header's L = norm + rho norm_abs + max(mu, nu); the spec's L
+# (L + 2 max(beta1, beta2)) and, for a game given no norms ("L=None"),
+# smoothness() + 2 max(beta1, beta2), then mu, nu, delta,
+# monotone_modulus, h_structure.ax, .ay
 FEE_REFORMULATED = {
     "L": (2.0182301277428945, 2.016500807547136),
     "mu": 5e-05, "nu": 0.5, "delta": 0.009115063871447272,
@@ -171,10 +172,9 @@ class TestReformulateBilinear:
     def test_golden_fee_instance_bit_for_bit(self, base_L):
         mu, nu, rho = 1e-4, 1.0, 0.0009
         _, data = gen_sparse_experiment(100, 80, 800, 7, mu, nu)
-        game = fee_game(data["M"], rho, mu, nu)
-        beta = 0.5 * rho * data["norm_abs"]
-        L = data["norm"] + rho * data["norm_abs"] + max(mu, nu)
-        spec = reformulate_bilinear(game, beta, L if base_L else None)
+        norms = (data["norm"], data["norm_abs"]) if base_L else None
+        game = fee_game(data["M"], rho, mu, nu, norms)
+        spec = reformulate_bilinear(game, 0.5 * rho * data["norm_abs"])
         hs, want = spec.h_structure, FEE_REFORMULATED
         assert spec.L == want["L"][0 if base_L else 1]
         assert (spec.mu, spec.nu, spec.delta, spec.monotone_modulus,
@@ -236,6 +236,29 @@ class TestMatrixGameSpec:
         assert game.game_spec().monotone_modulus == 0.5
         assert fee_game(random_sparse(44, 8, 8, 30), 0.0, 1.0, 0.8) \
             .game_spec().monotone_modulus == 0.8
+
+
+class TestHeaderConstants:
+    @pytest.mark.parametrize("rho", [0.0, 0.0009, 0.5, 1.0])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_header_norms_are_the_matrices_norms(self, normalize, rho):
+        # K = (A - B)/2 = (1 - rho/2) M and C = (A + B)/2 = -(rho/2)|M|
+        # entrywise, up to the fee arithmetic's rounding on M's scale
+        for seed in range(3):
+            _, data = gen_sparse_experiment(40, 30, 200, seed, 1.0, 1.0,
+                                            normalize=normalize)
+            M = data["M"].to_dense()
+            game = fee_game(data["M"], rho, 1.0, 1.0,
+                            (data["norm"], data["norm_abs"]))
+            K = game.competitive_matrix().to_dense()
+            C = game.coupling_matrix().to_dense()
+            assert np.all(np.abs(K - (1 - rho / 2) * M) <= 2**-52 * np.abs(M))
+            assert np.all(np.abs(C + rho / 2 * np.abs(M))
+                          <= 2**-52 * np.abs(M))
+            w_norm = game.game_spec().h_structure.w_norm()
+            assert w_norm == pytest.approx(np.linalg.norm(K, 2), rel=1e-7)
+            assert game.coupling_norm() == pytest.approx(
+                np.linalg.norm(C, 2), rel=1e-7, abs=0.0)
 
 
 class TestSparseExperiment:
