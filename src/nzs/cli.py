@@ -12,6 +12,7 @@ is serial, so reruns are reproducible cell-wise.
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -39,6 +40,12 @@ T1_RHOS = [0.0, 0.0003, 0.0006, 0.0009, 0.0012, 0.0015, 0.0018]
 T4_RHOS = [0.0, 0.003, 0.006, 0.009, 0.012, 0.015, 0.018]
 
 
+def _header_game(M, meta, rho):
+    """fee_game at rho with the header's curvatures and its two norms."""
+    return fee_game(M, rho, float(meta["mu"]), float(meta["nu"]),
+                    (float(meta.get("norm", 1.0)), float(meta["norm_abs"])))
+
+
 def run_method(M, meta, rho, method, eps):
     """Solve one fee instance with one method; returns (report, row dict).
 
@@ -56,8 +63,7 @@ def run_method(M, meta, rho, method, eps):
     mu, nu = float(meta["mu"]), float(meta["nu"])
     if not min(mu, nu) > 0:
         raise ValueError("min(mu, nu) must be positive")
-    game = fee_game(M, rho, mu, nu, (float(meta.get("norm", 1.0)),
-                                     float(meta["norm_abs"])))
+    game = _header_game(M, meta, rho)
     require_monotone_coupling(game.coupling_norm(), mu, nu)
     t0 = time.perf_counter()
     if method in ("eg", "ogda"):
@@ -88,10 +94,7 @@ def run_method(M, meta, rho, method, eps):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args):
-    if args.nnz > args.n * args.m:
-        print("error: nnz exceeds n*m", file=sys.stderr)
-        return 2
+def cmd_generate(args):  # gen_sparse_experiment checks nnz <= n m
     _, data = gen_sparse_experiment(args.n, args.m, args.nnz, args.seed,
                                     args.mu, args.nu, normalize=args.normalize)
     M = data.pop("M")
@@ -120,8 +123,7 @@ def _bench_instance(n, m, nnz, seed, mu, nu):
     """(M, metadata) of one seed's instance, or the text of the error
     that generating it raised."""
     try:
-        _, data = gen_sparse_experiment(n, m, nnz, seed, mu, nu,
-                                        normalize=True)
+        _, data = gen_sparse_experiment(n, m, nnz, seed, mu, nu)
     except Exception as exc:  # fail the seed's cells, keep sweeping
         return str(exc)
     return data.pop("M"), data
@@ -169,23 +171,14 @@ def summarize(rows):
             continue
         groups.setdefault((r["method"], float(r["rho"])), []).append(
             float(r["queries_h"]))
-    out = []
-    for (method, rho), vals in sorted(groups.items()):
-        arr = np.asarray(vals)
-        out.append({"method": method, "rho": rho, "mean": float(arr.mean()),
-                    "two_sigma": float(2.0 * arr.std(ddof=0)),
-                    "runs": len(vals)})
-    return out
+    return [{"method": method, "rho": rho, "mean": float(np.mean(vals)),
+             "two_sigma": float(2.0 * np.std(vals)), "runs": len(vals)}
+            for (method, rho), vals in sorted(groups.items())]
 
 
 def cmd_bench(args):
-    if args.scale == "desk":
-        n = m = 1000
-        nnz = 10_000
-    else:
-        n = m = 10_000
-        nnz = 100_000
-    mu = 1e-4
+    n = m = 1000 if args.scale == "desk" else 10_000
+    nnz, mu = 10 * n, 1e-4
     nu = 1.0 if args.table == "t1" else 0.01
     rhos = args.rho_list if args.rho_list is not None else (
         T1_RHOS if args.table == "t1" else T4_RHOS)
@@ -210,8 +203,7 @@ def cmd_bench(args):
 def cmd_gap(args):
     M, meta = read_instance(args.instance)
     point = read_point(args.point)
-    game = fee_game(M, args.rho, float(meta["mu"]), float(meta["nu"]))
-    spec = game.game_spec()
+    spec = _header_game(M, meta, args.rho).game_spec()
     if not (spec.X.contains(point.x, 1e-8) and spec.Y.contains(point.y, 1e-8)):
         print("error: point is infeasible for the instance", file=sys.stderr)
         return 2
@@ -221,13 +213,7 @@ def cmd_gap(args):
     print(f"deviation gain    : {rep.deviation_gain:.6e} "
           f"(+ residual {rep.deviation_residual:.1e}) [{rep.method}]")
     if args.out:
-        write_report(args.out, {
-            "delta_value": rep.delta_value,
-            "delta_residual": rep.delta_residual,
-            "deviation_gain": rep.deviation_gain,
-            "deviation_residual": rep.deviation_residual,
-            "method": rep.method,
-        })
+        write_report(args.out, dataclasses.asdict(rep))
     return 0
 
 

@@ -368,8 +368,7 @@ def solve_monotone(game, eps):
     point, bound = extract_approx_ne(reduced, report.point, gamma,
                                      dist=np.sqrt(eps_acc),
                                      ledger=report.ledger)
-    report.extras["reduced_mu"] = reduced.mu
-    report.extras["reduced_nu"] = reduced.nu
-    report.extras["gap_bound"] = bound
+    report.extras.update(reduced_mu=reduced.mu, reduced_nu=reduced.nu,
+                         gap_bound=bound)
     report.point = point
     return point, bound, report

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .vecmat import (SparseMatrix, spmv, spmv_stacked, spmv_transpose,
+from .vecmat import (SparseMatrix, fee_operator, spmv, spmv_transpose,
                      spectral_norm)
 from .sets import Simplex, Ball, Box
 from .games import BilinearSaddleForm, GameSpec, JointPoint
@@ -90,13 +90,6 @@ class MatrixGame:
         def u2(x, y):
             return float(y @ spmv(B, x) + 0.5 * mu * (x @ x) - 0.5 * nu * (y @ y))
 
-        def F(z):  # the partials' ops in their order, in one buffer
-            x, y = z[:n], z[n:]
-            out = spmv_stacked(A, y, B, x)
-            out[:n] -= mu * x
-            out[n:] -= nu * y
-            return np.negative(out, out=out)
-
         X, Y = Simplex(n), Simplex(self.A.n_rows)
         return GameSpec(
             grad_u1_x=lambda x, y: spmv_transpose(A, y) - mu * x,
@@ -110,7 +103,7 @@ class MatrixGame:
                 _w_norm_cache=self._norms.get("K")),
             best_response_x=_quad_best_response(lambda y: spmv_transpose(A, y), mu, X),
             best_response_y=_quad_best_response(lambda x: spmv(B, x), nu, Y),
-            monotone_modulus=monotone_modulus, F=F,
+            monotone_modulus=monotone_modulus, F=fee_operator(A, B, mu, nu),
         )
 
 

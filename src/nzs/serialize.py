@@ -69,11 +69,9 @@ def write_instance(path, M, meta):
     non-finite float in meta, which JSON cannot hold, raises ValueError
     before the file is opened."""
     arrays = [(n, d, getattr(M, n)) for n, d in _ARRAYS]
-    header = dict(meta)
-    header["format"] = 1
-    header["shape"] = [M.n_rows, M.n_cols]
-    header["arrays"] = [{"name": n, "dtype": d, "length": len(a)}
-                        for n, d, a in arrays]
+    header = {**meta, "format": 1, "shape": [M.n_rows, M.n_cols],
+              "arrays": [{"name": n, "dtype": d, "length": len(a)}
+                         for n, d, a in arrays]}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":"),
                       allow_nan=False).encode("utf-8")
     with open(path, "wb") as fh:

@@ -1,10 +1,9 @@
 """Compressed-sparse-row matrix kernels.
 
 Every oracle in the library reduces to the kernels here: CSR
-matrix-vector products (forward, transposed, and the stacked pair
-[A.T y, B x] of a fee game's whole-game query) and a power-iteration
-spectral norm. Products run row-sequentially so serial runs are
-bitwise reproducible.
+matrix-vector products (forward, transposed, and the joint product of a
+fee game's operator) and a power-iteration spectral norm.
+Products run row-sequentially so serial runs are bitwise reproducible.
 
 Each sparsity pattern has one ``_Layout``, shared by every matrix made
 from it with ``with_values`` or ``scaled``. Per direction, built on first
@@ -16,13 +15,18 @@ of x overlap. A matrix caches only its values in those two orders.
 
 The products call scipy's compiled CSR kernel (``csr_matvec``, the
 routine that ``csr_matrix @ x`` ends in) on the grouped arrays into a
-zeroed buffer and put the rows back in order with one ``take``; the
-stacked pair runs both products into one buffer. Each row
+zeroed buffer and put the rows back in order with one ``take``. Each row
 is still summed left to right from 0.0 in ascending column order
 (ascending row order for the transpose), as ``csr_matrix @ x`` sums it;
 only the order in which rows are visited changes. So every product is
 bitwise equal to ``csr_matrix @ x``; ``tests/test_vecmat.py`` holds
 that, since ``_sparsetools`` is private to scipy.
+
+A fee game's operator is one such product, negated, with the
+(n + m) x (n + m) matrix [[A', -mu I], [B, -nu I]] (``fee_operator``).
+Each row holds A' or B's row in the order spmv_transpose or spmv sums
+it, then its curvature entry last: s + (-mu) x_i is s - mu x_i in IEEE
+arithmetic, signed zeros included, so the partials' bits hold.
 """
 
 import numpy as np
@@ -116,9 +120,8 @@ class SparseMatrix:
             same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
             if np.any(same):
                 raise ValueError("duplicate coordinates in COO input")
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(offsets, rows + 1, 1)
-        np.cumsum(offsets, out=offsets)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(
+            rows, minlength=n_rows))))
         return cls(n_rows, n_cols, offsets, cols, values)
 
     @classmethod
@@ -190,6 +193,34 @@ class _GroupedRows:
         self.inv[perm] = np.arange(n_rows)
 
 
+class _JointRows:
+    """The rows of [[P', D], [Q, D]] for m x n patterns P, Q and D
+    diagonal: P's side 1 (its columns, shifted by n), then Q's side 0,
+    each row in its side's grouped place and followed by its diagonal
+    entry. ``src`` indexes P's values, then Q's, then D's two values."""
+
+    __slots__ = _GroupedRows.__slots__
+
+    def __init__(self, top, bottom):
+        n, m, k = top.n_rows, bottom.n_rows, len(top.src)
+        nnz = k + len(bottom.src)
+        idx = np.int32 if n + m + nnz + 2 < 2**31 else np.int64
+        self.n_rows = self.n_cols = n + m
+        ends = top.indptr[1:], bottom.indptr[1:]
+        # each row grows by its diagonal entry
+        self.indptr = np.arange(n + m + 1, dtype=idx)
+        self.indptr[1:] += np.concatenate((ends[0], ends[1] + k))
+        self.inv = np.concatenate((top.inv, bottom.inv + n))
+        diag = np.empty(n + m, dtype=idx)  # the row each joint row is
+        diag[self.inv] = np.arange(n + m)
+        self.indices = np.concatenate((
+            np.insert(top.indices + n, ends[0], diag[:n]),
+            np.insert(bottom.indices, ends[1], diag[n:])), dtype=idx)
+        self.src = np.concatenate((
+            np.insert(top.src, ends[0], nnz),
+            np.insert(bottom.src + k, ends[1], nnz + 1)), dtype=idx)
+
+
 class _Layout:
     """Index arrays of one sparsity pattern, shared by all its matrices.
 
@@ -197,11 +228,11 @@ class _Layout:
     transpose, each in ascending row order); each is built on first use.
     """
 
-    __slots__ = ("_pattern", "_sides")
+    __slots__ = ("_pattern", "_sides", "_joint")
 
     def __init__(self, n_rows, n_cols, row_offsets, col_indices):
         self._pattern = (n_rows, n_cols, row_offsets, col_indices)
-        self._sides = [None, None]
+        self._sides, self._joint = [None, None], None
 
     def side(self, transposed):
         s = self._sides[transposed]
@@ -221,63 +252,61 @@ class _Layout:
             self._sides[transposed] = s
         return s
 
+    def joint(self, other):
+        """_JointRows of this pattern and other's; the last is kept."""
+        key = None if other is self else other  # no cycle through self
+        if self._joint is None or self._joint[0] is not key:
+            self._joint = key, _JointRows(self.side(1), other.side(0))
+        return self._joint[1]
 
-def _grouped_product(A, transposed, v, out):
-    """A @ v (A.T @ v if transposed) into the zeroed out, rows grouped."""
-    rows = A._layout.side(transposed)
-    values = A._grouped[transposed]
-    if values is None:
-        values = A._grouped[transposed] = A.values[rows.src]
+
+def _run(rows, values, v):
+    """rows' product with values and v, put back in row order."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (rows.n_cols,):
+        raise ValueError(f"dimension mismatch: the product takes length "
+                         f"{rows.n_cols}, the vector has shape {v.shape}")
+    out = np.zeros(rows.n_rows)
     _csr_matvec(rows.n_rows, rows.n_cols, rows.indptr, rows.indices, values,
                 np.ascontiguousarray(v), out)
-    return rows
+    return out.take(rows.inv)
 
 
 def _product(A, transposed, v):
-    out = np.zeros(A.n_cols if transposed else A.n_rows)
-    return out.take(_grouped_product(A, transposed, v, out).inv)
+    """A @ v (A.T @ v if transposed), A's values kept in grouped order."""
+    rows = A._layout.side(transposed)
+    if A._grouped[transposed] is None:
+        A._grouped[transposed] = A.values[rows.src]
+    return _run(rows, A._grouped[transposed], v)
 
 
 def spmv(A, x):
-    """Row-sequential product A @ x.
-
-    Summation runs left to right within each row, so repeated serial calls
-    are bitwise identical.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.n_cols,):
-        raise ValueError(f"dimension mismatch: matrix is {A.shape}, vector has "
-                         f"length {x.shape}")
+    """Row-sequential product A @ x, each row summed left to right, so
+    repeated serial calls are bitwise identical."""
     return _product(A, 0, x)
 
 
 def spmv_transpose(A, y):
     """Row-sequential product A.T @ y, each column summed in row order."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (A.n_rows,):
-        raise ValueError(f"dimension mismatch: matrix is {A.shape}, vector has "
-                         f"length {y.shape}")
     return _product(A, 1, y)
 
 
-def spmv_stacked(A, y, B, x):
-    """[A.T @ y, B @ x] in one fresh array, bitwise equal to
-    spmv_transpose(A, y) and spmv(B, x) concatenated: both grouped
-    products run into one zeroed buffer, whose halves are put in row
-    order straight into the result.
-    """
-    y, x = np.asarray(y, dtype=np.float64), np.asarray(x, dtype=np.float64)
-    if y.shape != (A.n_rows,) or x.shape != (B.n_cols,):
-        raise ValueError(f"dimension mismatch: matrices {A.shape}, {B.shape}"
-                         f" and vectors {y.shape}, {x.shape}")
-    n = A.n_cols
-    grouped, out = np.zeros(n + B.n_rows), np.empty(n + B.n_rows)
-    top, bottom = grouped[:n], grouped[n:]
-    # mode="clip" takes straight into out; "raise" would buffer
-    top.take(_grouped_product(A, 1, y, top).inv, out=out[:n], mode="clip")
-    bottom.take(_grouped_product(B, 0, x, bottom).inv, out=out[n:],
-                mode="clip")
-    return out
+def fee_operator(A, B, mu, nu):
+    """z -> -([[A.T, -mu I], [B, -nu I]] @ z), the operator of a fee game;
+    at z = (x, y) bitwise equal to -(spmv_transpose(A, y) - mu x) and
+    -(spmv(B, x) - nu y). Its layout (_Layout.joint) and values are
+    gathered on the first call."""
+    state = []
+
+    def F(z):
+        if not state:
+            rows = A._layout.joint(B._layout)
+            state[:] = rows, np.concatenate(
+                (A.values, B.values, (-mu, -nu)))[rows.src]
+        out = _run(*state, z)
+        return np.negative(out, out=out)
+
+    return F
 
 
 def spectral_norm(A, tol=1e-8, max_iter=10000, seed=0):
@@ -301,12 +330,7 @@ def spectral_norm(A, tol=1e-8, max_iter=10000, seed=0):
     e = int(np.frexp(amax)[1])
     A = A.with_values(np.ldexp(A.values, -e))
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.n_cols)
-    for _ in range(4):
-        nv = np.linalg.norm(v)
-        if nv > 0:
-            break
-        v = rng.standard_normal(A.n_cols)
+    v = rng.standard_normal(A.n_cols)  # zero with probability 0
     v /= np.linalg.norm(v)
     lam_prev = 0.0
     streak = 0

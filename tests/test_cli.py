@@ -9,6 +9,7 @@ import pytest
 import nzs.cli
 import nzs.games
 import nzs.instances
+import nzs.vecmat
 from nzs.cli import bench_rows, main, run_method
 from nzs.games import JointPoint
 from nzs.instances import gen_sparse_experiment
@@ -431,6 +432,38 @@ class TestGap:
         assert rep["delta_value"] >= -1e-9
         assert 2 * (rep["delta_value"] + rep["delta_residual"]) >= \
             rep["deviation_gain"] - 1e-6
+
+    def test_gap_runs_no_power_iteration(self, instance_file, tmp_path,
+                                         monkeypatch):
+        solved_pt = tmp_path / "solved.json"
+        assert main(["solve", "--method", "ogda", "--instance",
+                     str(instance_file), "--rho", "0.0009", "--out",
+                     str(tmp_path / "sol.json"), "--point-out",
+                     str(solved_pt)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral_norm called")
+
+        for module in (nzs.vecmat, nzs.games, nzs.instances):
+            monkeypatch.setattr(module, "spectral_norm", refuse)
+        out = tmp_path / "gap.json"
+        assert main(["gap", "--instance", str(instance_file), "--rho",
+                     "0.0009", "--point", str(solved_pt), "--out",
+                     str(out)]) == 0
+        assert json.loads(out.read_text())["deviation_gain"] <= 1e-4
+
+    def test_norm_above_norm_abs_exits_2(self, instance_file, tmp_path,
+                                         capsys):
+        M, meta = read_instance(instance_file)
+        meta["norm"] = 2 * meta["norm_abs"]
+        bad = tmp_path / "bad.nzs"
+        write_instance(bad, M, meta)
+        pt = tmp_path / "pt.json"
+        write_point(pt, JointPoint(np.full(40, 1 / 40), np.full(40, 1 / 40)))
+        rc = main(["gap", "--instance", str(bad), "--point", str(pt)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'norm' = " in err and "exceeds 'norm_abs'" in err
 
     def test_infeasible_point_exit_2(self, instance_file, tmp_path):
         pt = tmp_path / "bad.json"

@@ -237,6 +237,30 @@ class TestMatrixGameSpec:
         assert fee_game(random_sparse(44, 8, 8, 30), 0.0, 1.0, 0.8) \
             .game_spec().monotone_modulus == 0.8
 
+    def test_all_fees_of_one_matrix_share_one_joint_layout(self):
+        M = random_sparse(45, 12, 9, 40)
+        z = np.random.default_rng(45).standard_normal(21)
+        rows = None
+        for rho in (0.0, 0.0009, 0.5, 1.0):
+            game = fee_game(M, rho, 4.0, 4.0)
+            beta = game.coupling_norm()
+            for spec in (game.game_spec(), reformulate_bilinear(game, beta)):
+                spec.F(z)
+                assert game.A._layout is game.B._layout is M._layout
+                rows = rows or M._layout.joint(M._layout)
+                assert M._layout.joint(M._layout) is rows
+
+    def test_no_joint_layout_before_the_first_query(self):
+        M = random_sparse(46, 12, 9, 40)
+        game = fee_game(M, 0.0009, 0.5, 0.5)
+        spec = game.game_spec()
+        x, y = spec.X.project(np.ones(9)), spec.Y.project(np.ones(12))
+        spec.grad_u1_x(x, y), spec.grad_u2_y(x, y), spec.u1(x, y)
+        reformulate_bilinear(game, game.coupling_norm())
+        assert M._layout._joint is None
+        spec.F(np.concatenate([x, y]))
+        assert M._layout._joint is not None
+
 
 class TestHeaderConstants:
     @pytest.mark.parametrize("rho", [0.0, 0.0009, 0.5, 1.0])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nzs.vecmat import (SparseMatrix, SpectralNormError, spectral_norm, spmv,
-                        spmv_stacked, spmv_transpose)
+from nzs.vecmat import (SparseMatrix, SpectralNormError, fee_operator,
+                        spectral_norm, spmv, spmv_transpose)
 
 
 def dense_row_reference(A, x):
@@ -252,29 +252,67 @@ class TestSpmvTranspose:
             spmv_transpose(A, np.zeros(7))
 
 
-class TestSpmvStacked:
-    """[A.T y, B x] in one array, with the bits of the two products."""
+class TestJointProduct:
+    """fee_operator's -[[A', -mu I], [B, -nu I]] z with the bits of the two
+    products, two subtractions and negation, signed zeros included."""
+
+    @staticmethod
+    def want(A, B, mu, nu, z):
+        x, y = z[:A.n_cols], z[A.n_cols:]
+        return -np.concatenate([spmv_transpose(A, y) - mu * x,
+                                spmv(B, x) - nu * y])
 
     @pytest.mark.parametrize("shape", [(23, 17), (30, 30), (1, 9), (9, 1)])
-    def test_bitwise_equal_to_the_two_products(self, shape):
+    def test_bitwise_equal_to_the_products(self, shape):
         m, n = shape
         rng = np.random.default_rng(m * 100 + n)
         A = random_csr(rng, m, n, min(m * n, 3 * max(m, n)))
         B = A.with_values(rng.standard_normal(A.nnz))  # A's pattern
         C = random_csr(rng, m, n, min(m * n, 2 * max(m, n)))  # another one
-        for _ in range(4):
-            x, y = rng.standard_normal(n), rng.standard_normal(m)
-            for other in (B, A, C):
-                want = np.concatenate([spmv_transpose(A, y), spmv(other, x)])
-                got = spmv_stacked(A, y, other, x)
-                assert got.tobytes() == want.tobytes()
+        for mu, nu in ((0.0, 0.0), (1e-4, 1.0), (rng.random(), 0.0)):
+            for other in (B, A, C, B):  # the last rebuilds A's joint rows
+                product = fee_operator(A, other, mu, nu)
+                for _ in range(3):
+                    z = rng.standard_normal(n + m)
+                    got = product(z)
+                    assert got.tobytes() == self.want(A, other, mu, nu,
+                                                      z).tobytes()
+
+    def test_empty_rows_columns_and_signed_zeros(self):
+        rng = np.random.default_rng(18)
+        # rows 0, 3 and 4 and columns 1 and 5 are empty
+        A = SparseMatrix.from_coo([1, 1, 2, 2, 5], [0, 4, 2, 3, 0],
+                                  rng.standard_normal(5), (6, 7))
+        B = SparseMatrix.from_coo([0, 3, 3], [6, 1, 5], [-1.0, 0.0, 2.0],
+                                  (6, 7))
+        empty = SparseMatrix(6, 7, np.zeros(7, dtype=np.int64), [], [])
+        z = rng.standard_normal(13)
+        z[::3] = -0.0
+        z[1::4] = 0.0
+        for P, Q in ((A, B), (B, A), (A, empty), (empty, B), (empty, empty)):
+            for mu, nu in ((0.0, 0.0), (0.5, 0.0), (0.0, 2.0)):
+                for v in (z, -z):
+                    got = fee_operator(P, Q, mu, nu)(v)
+                    assert got.tobytes() == self.want(P, Q, mu, nu,
+                                                      v).tobytes()
+
+    def test_non_contiguous_and_integer_inputs(self):
+        rng = np.random.default_rng(19)
+        A = random_csr(rng, 20, 15, 90)
+        product = fee_operator(A, A.scaled(-1.0), 0.25, 0.5)
+        z = rng.standard_normal(70)[::2]
+        assert not z.flags.c_contiguous
+        assert np.array_equal(product(z), self.want(A, A.scaled(-1.0), 0.25,
+                                                    0.5, z.copy()))
+        k = np.arange(35)
+        assert np.array_equal(product(k), product(k.astype(np.float64)))
 
     def test_dimension_mismatch(self):
         A = random_csr(np.random.default_rng(1), 5, 7, 10)
-        with pytest.raises(ValueError):
-            spmv_stacked(A, np.zeros(7), A, np.zeros(7))
-        with pytest.raises(ValueError):
-            spmv_stacked(A, np.zeros(5), A, np.zeros(5))
+        product = fee_operator(A, A, 0.0, 0.0)
+        for size in (7, 5, 13):
+            with pytest.raises(ValueError):
+                product(np.zeros(size))
 
 
 class TestSpectralNorm:
