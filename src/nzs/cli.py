@@ -28,7 +28,7 @@ from .icl import IclError, solve_icl
 from .serialize import (read_instance, read_point, write_instance,
                         write_point, write_report)
 from .solvers import SolverConfig, solve_eg, solve_ogda
-from .vecmat import SpectralNormError
+from .vecmat import SpectralNormError, keep_serial
 
 CSV_HEADER = ["method", "rho", "seed", "queries_h", "queries_g",
               "queries_cert", "queries_total", "iterations",
@@ -152,10 +152,12 @@ def bench_rows(n, m, nnz, seeds, rhos, methods, mu, nu, eps, threads=None):
                  for seed in seeds}
     cells = [(seed, instances[seed], rho, method, eps)
              for seed in seeds for rho in rhos for method in methods]
-    # no more workers than cells: a pool forks all of them at once
+    # no more workers than cells: a pool forks all of them at once. They
+    # already fill the cores, so each runs its products on one thread
     workers = min(threads or os.cpu_count() or 1, len(cells))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=keep_serial) as pool:
             rows = list(pool.map(_bench_cell, cells))
     else:
         rows = [_bench_cell(c) for c in cells]

@@ -3,7 +3,8 @@
 Every oracle in the library reduces to the kernels here: CSR
 matrix-vector products (forward, transposed, and the joint product of a
 fee game's operator) and a power-iteration spectral norm.
-Products run row-sequentially so serial runs are bitwise reproducible.
+Each row of a product is summed by one thread, so runs are bitwise
+reproducible.
 
 Each sparsity pattern has one ``_Layout``, shared by every matrix made
 from it with ``with_values`` or ``scaled``. Per direction, built on first
@@ -22,12 +23,24 @@ only the order in which rows are visited changes. So every product is
 bitwise equal to ``csr_matrix @ x``; ``tests/test_vecmat.py`` holds
 that, since ``_sparsetools`` is private to scipy.
 
+The kernel releases the interpreter lock, so a product of ``SPLIT_NNZ``
+entries or more, in a process allowed two CPUs or more, is split at the
+row where half its entries have passed (Williams et al. 2007). The
+caller sums the rows before it and one daemon worker thread the rest,
+each into its own slice of the output. The worker's rows are the longer
+ones, which cost less per entry, so it ends about when the caller does
+although it wakes later. Each row is still summed by one thread.
+
 A fee game's operator is one such product, negated, with the
 (n + m) x (n + m) matrix [[A', -mu I], [B, -nu I]] (``fee_operator``).
 Each row holds A' or B's row in the order spmv_transpose or spmv sums
 it, then its curvature entry last: s + (-mu) x_i is s - mu x_i in IEEE
 arithmetic, signed zeros included, so the partials' bits hold.
 """
+
+import os
+import queue
+import threading
 
 import numpy as np
 import scipy.sparse as _sp
@@ -165,6 +178,12 @@ class SparseMatrix:
         return self.with_values(self.values * float(c))
 
 
+def _midpoint(indptr):
+    """(nnz, the first row with nnz // 2 entries or more before it)."""
+    nnz = int(indptr[-1])
+    return nnz, int(np.searchsorted(indptr, nnz // 2))
+
+
 class _GroupedRows:
     """One direction of a pattern in CSR form, rows stably sorted by length.
 
@@ -173,7 +192,8 @@ class _GroupedRows:
     in the pattern's ``values``. Index arrays are int32 where they fit.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "src", "inv")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "inv", "nnz",
+                 "mid", "src")
 
     def __init__(self, n_rows, n_cols, offsets, indices, src):
         idx = src.dtype
@@ -191,20 +211,22 @@ class _GroupedRows:
         self.src = src[pos]
         self.inv = np.empty(n_rows, dtype=np.intp)
         self.inv[perm] = np.arange(n_rows)
+        self.nnz, self.mid = _midpoint(self.indptr)
 
 
 class _JointRows:
     """The rows of [[P', D], [Q, D]] for m x n patterns P, Q and D
     diagonal: P's side 1 (its columns, shifted by n), then Q's side 0,
     each row in its side's grouped place and followed by its diagonal
-    entry. ``src`` indexes P's values, then Q's, then D's two values."""
+    entry. When P and Q hold equally many entries and n == m, as at
+    the paper's scale, half the entries lie before row n, so a split
+    product gives each player's rows to one thread."""
 
-    __slots__ = _GroupedRows.__slots__
+    __slots__ = _GroupedRows.__slots__[:-1]
 
     def __init__(self, top, bottom):
-        n, m, k = top.n_rows, bottom.n_rows, len(top.src)
-        nnz = k + len(bottom.src)
-        idx = np.int32 if n + m + nnz + 2 < 2**31 else np.int64
+        n, m, k = top.n_rows, bottom.n_rows, top.nnz
+        idx = np.int32 if n + m + k + bottom.nnz < 2**31 else np.int64
         self.n_rows = self.n_cols = n + m
         ends = top.indptr[1:], bottom.indptr[1:]
         # each row grows by its diagonal entry
@@ -216,9 +238,7 @@ class _JointRows:
         self.indices = np.concatenate((
             np.insert(top.indices + n, ends[0], diag[:n]),
             np.insert(bottom.indices, ends[1], diag[n:])), dtype=idx)
-        self.src = np.concatenate((
-            np.insert(top.src, ends[0], nnz),
-            np.insert(bottom.src + k, ends[1], nnz + 1)), dtype=idx)
+        self.nnz, self.mid = _midpoint(self.indptr)
 
 
 class _Layout:
@@ -260,15 +280,101 @@ class _Layout:
         return self._joint[1]
 
 
+# entries at and above which a product is split between two threads:
+# the break-even of a ladder of products of 2^15 to 2^18 entries on a
+# 2-core x86-64 machine, where the split slowed one of 85,726 entries and
+# sped up one of 92,681 (the ladder is in CHANGES.md)
+SPLIT_NNZ = 90_000
+
+# CPUs this process may run on; keep_serial sets it to 1
+_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
+def keep_serial():
+    """Run every product of this process on the calling thread, as the
+    processes of a pool should, which already fill the cores."""
+    global _cpus
+    _cpus = 1
+
+
+class _Job:
+    """One half product handed to the worker, with its own completion, so
+    that callers on several threads never take each other's."""
+
+    __slots__ = ("args", "done", "error")
+
+    def __init__(self, args):
+        self.args, self.error = args, None
+        self.done = threading.Lock()
+        self.done.acquire()
+
+    def wait(self):
+        """Wait for the worker to finish the job; raise what it raised."""
+        self.done.acquire()
+        if self.error is not None:
+            raise self.error
+
+
+def _serve(jobs):
+    while True:
+        job = jobs.get()
+        try:
+            _csr_matvec(*job.args)
+        except BaseException as exc:  # raised again in the caller
+            job.error = exc
+        job.done.release()
+        del job  # keep no product's arrays alive between jobs
+
+
+_jobs = None  # the worker thread's queue, made by the first split product
+_start = threading.Lock()
+
+
+def _submit(*args):
+    """A _Job running _csr_matvec(*args) on the worker thread."""
+    global _jobs
+    with _start:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_jobs,), name="nzs-vecmat",
+                             daemon=True).start()
+        job = _Job(args)
+        _jobs.put(job)
+    return job
+
+
+def _forget_worker():
+    """In a forked child, which has no worker thread and may have copied
+    _start held: start afresh."""
+    global _jobs, _start
+    _jobs, _start = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
 def _run(rows, values, v):
     """rows' product with values and v, put back in row order."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (rows.n_cols,):
         raise ValueError(f"dimension mismatch: the product takes length "
                          f"{rows.n_cols}, the vector has shape {v.shape}")
+    v = np.ascontiguousarray(v)
     out = np.zeros(rows.n_rows)
-    _csr_matvec(rows.n_rows, rows.n_cols, rows.indptr, rows.indices, values,
-                np.ascontiguousarray(v), out)
+    if rows.nnz < SPLIT_NNZ or _cpus < 2:
+        _csr_matvec(rows.n_rows, rows.n_cols, rows.indptr, rows.indices,
+                    values, v, out)
+    else:
+        mid = rows.mid
+        job = _submit(rows.n_rows - mid, rows.n_cols, rows.indptr[mid:],
+                      rows.indices, values, v, out[mid:])
+        try:
+            _csr_matvec(mid, rows.n_cols, rows.indptr, rows.indices, values,
+                        v, out)
+        finally:
+            job.wait()
     return out.take(rows.inv)
 
 
@@ -281,14 +387,28 @@ def _product(A, transposed, v):
 
 
 def spmv(A, x):
-    """Row-sequential product A @ x, each row summed left to right, so
-    repeated serial calls are bitwise identical."""
+    """A @ x, each row summed left to right by one thread, so repeated
+    calls are bitwise identical."""
     return _product(A, 0, x)
 
 
 def spmv_transpose(A, y):
-    """Row-sequential product A.T @ y, each column summed in row order."""
+    """A.T @ y, each column summed in row order by one thread."""
     return _product(A, 1, y)
+
+
+def _gather(side, values, diag, out):
+    """out = side's rows of values, each followed by diag: one half of a
+    _JointRows' values. Rows of one length fill one block of out, so no
+    copy of the whole side is made."""
+    ptr = side.indptr
+    lengths = np.diff(ptr)
+    firsts = np.flatnonzero(np.diff(lengths, prepend=-1))
+    for a, b in zip(firsts, [*firsts[1:], side.n_rows]):
+        k = int(lengths[a])
+        block = out[ptr[a] + a:ptr[b] + b].reshape(b - a, k + 1)
+        block[:, :k] = values[side.src[ptr[a]:ptr[b]]].reshape(b - a, k)
+        block[:, k] = diag
 
 
 def fee_operator(A, B, mu, nu):
@@ -301,8 +421,11 @@ def fee_operator(A, B, mu, nu):
     def F(z):
         if not state:
             rows = A._layout.joint(B._layout)
-            state[:] = rows, np.concatenate(
-                (A.values, B.values, (-mu, -nu)))[rows.src]
+            values = np.empty(rows.nnz)
+            top = int(rows.indptr[A.n_cols])
+            _gather(A._layout.side(1), A.values, -mu, values[:top])
+            _gather(B._layout.side(0), B.values, -nu, values[top:])
+            state[:] = rows, values
         out = _run(*state, z)
         return np.negative(out, out=out)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import struct
 import time
 
@@ -387,7 +388,7 @@ class TestBench:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -407,6 +408,27 @@ class TestBench:
         bench_rows(20, 20, 60, [0], [0.0], ["ogda"], 0.05, 1.0, 1e-4,
                    threads=64)
         assert sizes == [2]  # one cell runs without a pool
+
+    def test_pool_processes_run_products_serially(self, monkeypatch):
+        # the pool's processes already fill the cores: a product split in
+        # one of them fails its cell. This process may still split
+        parent, submit = os.getpid(), nzs.vecmat._submit
+
+        def parent_only(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("a pool process split a product")
+            return submit(*args)
+
+        monkeypatch.setattr(nzs.vecmat, "SPLIT_NNZ", 0)
+        monkeypatch.setattr(nzs.vecmat, "_cpus", 2)
+        monkeypatch.setattr(nzs.vecmat, "_submit", parent_only)
+        rows = bench_rows(20, 20, 60, [0], [0.0, 0.0003], ["ogda"], 0.05,
+                          1.0, 1e-4, threads=2)
+        assert [r["status"] for r in rows] == ["converged"] * 2
+        serial = bench_rows(20, 20, 60, [0], [0.0, 0.0003], ["ogda"], 0.05,
+                            1.0, 1e-4, threads=1)
+        assert [{**r, "wall_ms": 0} for r in rows] == [
+            {**r, "wall_ms": 0} for r in serial]
 
 class TestGap:
     def test_gap_on_solver_output(self, instance_file, tmp_path):

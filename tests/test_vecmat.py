@@ -1,9 +1,16 @@
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from nzs import vecmat
 from nzs.vecmat import (SparseMatrix, SpectralNormError, fee_operator,
                         spectral_norm, spmv, spmv_transpose)
 
@@ -313,6 +320,233 @@ class TestJointProduct:
         for size in (7, 5, 13):
             with pytest.raises(ValueError):
                 product(np.zeros(size))
+
+
+def scipy_products(A):
+    """(x -> A @ x, y -> A.T @ y) by scipy's public csr_matrix."""
+    ref = sp.csr_matrix((A.values, A.col_indices, A.row_offsets),
+                        shape=A.shape)
+    return (lambda x: ref @ x), (lambda y: sp.csr_matrix(ref.T) @ y)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Every product is split, as on a 2-CPU machine; yields the list of
+    jobs handed to the worker."""
+    jobs = []
+    submit = vecmat._submit
+
+    def counting(*args):
+        jobs.append(args)
+        return submit(*args)
+
+    monkeypatch.setattr(vecmat, "SPLIT_NNZ", 0)
+    monkeypatch.setattr(vecmat, "_cpus", 2)
+    monkeypatch.setattr(vecmat, "_submit", counting)
+    return jobs
+
+
+class TestSplitProducts:
+    """Products split between the caller and the worker thread keep the
+    bits of the serial product and of csr_matrix @ x."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(20)
+        # rows 0, 3 and 4 and columns 1 and 5 are empty
+        gappy = SparseMatrix.from_coo([1, 1, 2, 2, 5], [0, 4, 2, 3, 0],
+                                      rng.standard_normal(5), (6, 6))
+        # row 7 holds every column, so it alone is more than half
+        long_row = SparseMatrix.from_coo(
+            np.r_[np.full(40, 7), 0, 3], np.r_[np.arange(40), 5, 9],
+            rng.standard_normal(42), (9, 40))
+        # stored zeros of both signs and an odd number of entries
+        zeros = random_csr(rng, 15, 11, 41)
+        zeros.values[::4] = 0.0
+        zeros.values[1::4] = -0.0
+        empty = SparseMatrix(5, 4, np.zeros(6, dtype=np.int64), [], [])
+        return [gappy, long_row, zeros, empty, random_csr(rng, 23, 17, 61),
+                random_csr(rng, 300, 250, 3000), random_csr(rng, 1, 9, 5),
+                random_csr(rng, 9, 1, 4)]
+
+    @staticmethod
+    def vector(rng, n):
+        v = rng.standard_normal(n)
+        v[::3] = -0.0
+        v[1::5] = 0.0
+        return v
+
+    def test_spmv_and_spmv_transpose(self, split):
+        rng = np.random.default_rng(21)
+        mids = set()
+        for A in self.cases():
+            ref, ref_t = scipy_products(A)
+            for _ in range(2):
+                x, y = self.vector(rng, A.n_cols), self.vector(rng, A.n_rows)
+                for v in (x, -x):
+                    assert_same_bits(spmv(A, v), ref(v))
+                for v in (y, -y):
+                    assert_same_bits(spmv_transpose(A, v), ref_t(v))
+            mids |= {(s.mid, s.n_rows) for s in A._layout._sides}
+        # the caller ran no row, the worker no row, and a split row was odd
+        assert any(mid == 0 for mid, n in mids)
+        assert any(mid == n for mid, n in mids)
+        assert any(mid % 2 and 0 < mid < n for mid, n in mids)
+        assert len(split) == 4 * 2 * len(self.cases())
+
+    def test_products_below_the_threshold_run_serially(self, split,
+                                                      monkeypatch):
+        A = self.cases()[4]
+        monkeypatch.setattr(vecmat, "SPLIT_NNZ", A.nnz + 1)
+        x = self.vector(np.random.default_rng(29), A.n_cols)
+        assert_same_bits(spmv(A, x), scipy_products(A)[0](x))
+        assert not split
+        monkeypatch.setattr(vecmat, "SPLIT_NNZ", A.nnz)
+        assert_same_bits(spmv(A, x), scipy_products(A)[0](x))
+        assert len(split) == 1
+
+    def test_fee_operator(self, split):
+        rng = np.random.default_rng(22)
+        cases = self.cases()
+        for P in cases:
+            Q = P.with_values(rng.standard_normal(P.nnz))  # P's pattern
+            R = random_csr(rng, *P.shape, max(1, P.nnz // 2))  # another
+            for other in (Q, R):
+                for mu, nu in ((0.0, 0.0), (1e-4, 1.0)):
+                    z = self.vector(rng, P.n_cols + P.n_rows)
+                    got = fee_operator(P, other, mu, nu)(z)
+                    assert_same_bits(got, TestJointProduct.want(
+                        P, other, mu, nu, z))
+        # a square pattern's joint rows split at the player boundary
+        A = random_csr(rng, 40, 40, 300)
+        fee_operator(A, A.scaled(2.0), 0.5, 1.0)(np.ones(80))
+        rows = A._layout.joint(A._layout)
+        assert rows.mid == 40 and not hasattr(rows, "src")
+        assert split
+
+    def test_two_threads_never_take_each_others_results(self, split):
+        rng = np.random.default_rng(23)
+        mats = [random_csr(rng, 200, 150, 2000) for _ in range(2)]
+        vecs = [[rng.standard_normal(150) for _ in range(5)] for _ in mats]
+        want = [[scipy_products(A)[0](x) for x in xs]
+                for A, xs in zip(mats, vecs)]
+        bad = []
+
+        def run(k):
+            for i in range(200):
+                if not np.array_equal(spmv(mats[k], vecs[k][i % 5]),
+                                      want[k][i % 5]):
+                    bad.append((k, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,), daemon=True)
+                       for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
+        assert len(split) == 400
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_caller_error_waits_for_the_worker(self, split, monkeypatch,
+                                              error):
+        rng = np.random.default_rng(24)
+        A = random_csr(rng, 60, 50, 500)
+        x = rng.standard_normal(50)
+        kernel, caller = vecmat._csr_matvec, threading.get_ident()
+        finished = []
+
+        def failing(*args):
+            if threading.get_ident() == caller:
+                raise error("caller's half")
+            time.sleep(0.05)
+            kernel(*args)
+            finished.append(True)
+
+        monkeypatch.setattr(vecmat, "_csr_matvec", failing)
+        with pytest.raises(error):
+            spmv(A, x)
+        assert finished  # the worker's half ended before the error rose
+        monkeypatch.setattr(vecmat, "_csr_matvec", kernel)
+        assert_same_bits(spmv(A, x), scipy_products(A)[0](x))
+
+    def test_worker_error_is_raised_in_the_caller(self, split, monkeypatch):
+        rng = np.random.default_rng(25)
+        A = random_csr(rng, 60, 50, 500)
+        x = rng.standard_normal(50)
+        kernel, caller = vecmat._csr_matvec, threading.get_ident()
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                raise RuntimeError("worker's half")
+            kernel(*args)
+
+        monkeypatch.setattr(vecmat, "_csr_matvec", failing)
+        with pytest.raises(RuntimeError, match="worker's half"):
+            spmv(A, x)
+        monkeypatch.setattr(vecmat, "_csr_matvec", kernel)
+        assert_same_bits(spmv(A, x), scipy_products(A)[0](x))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_worker(self, tmp_path):
+        # a child forked after a split product has no worker thread; without
+        # a new one its next split product would wait forever
+        script = tmp_path / "fork.py"
+        script.write_text(textwrap.dedent("""
+            import os
+            import signal
+            import numpy as np
+            from nzs import vecmat
+            vecmat.SPLIT_NNZ, vecmat._cpus = 0, 2
+            rng = np.random.default_rng(26)
+            A = vecmat.SparseMatrix.from_dense(rng.standard_normal((40, 30)))
+            x = rng.standard_normal(30)
+            want = vecmat.spmv(A, x)
+            assert vecmat._jobs is not None
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)  # a child that waits forever is killed
+                os._exit(0 if np.array_equal(vecmat.spmv(A, x), want) else 3)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            print("ok")
+            """))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(vecmat.__file__)),
+             os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
+    def test_one_cpu_starts_no_worker(self, split, monkeypatch):
+        monkeypatch.setattr(vecmat, "_cpus", 1)
+        monkeypatch.setattr(vecmat, "_jobs", None)
+        rng = np.random.default_rng(27)
+        A = random_csr(rng, 60, 50, 500)
+        x, z = rng.standard_normal(50), rng.standard_normal(110)
+        assert_same_bits(spmv(A, x), scipy_products(A)[0](x))
+        fee_operator(A, A, 0.5, 0.5)(z)
+        assert vecmat._jobs is None and not split
+
+    def test_keep_serial(self, split, monkeypatch):
+        monkeypatch.setattr(vecmat, "_cpus", 2)
+        vecmat.keep_serial()
+        assert vecmat._cpus == 1
+        A = random_csr(np.random.default_rng(28), 60, 50, 500)
+        spmv(A, np.ones(50))
+        assert not split
 
 
 class TestSpectralNorm:
