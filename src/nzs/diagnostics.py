@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import JointPoint, grad_g
+from .games import JointPoint, grad_g, operator_H
 from .sets import ProductSet
 
 
@@ -80,10 +80,11 @@ def potential_gap(game, z, inner_budget=500):
         xt, yt = w[:nx], w[nx:]
         # d/dxt: -grad_x g(xt, yt) - grad_x h(xt, y)
         # d/dyt: -grad_y g(xt, yt) + grad_y h(x, yt)
+        # where operator_H is (grad_x h, -grad_y h)
         g = grad_g(game, JointPoint(xt, yt))
-        h_x = 0.5 * (-game.grad_u1_x(xt, y) + game.grad_u2_x(xt, y))
-        h_y = 0.5 * (-game.grad_u1_y(x, yt) + game.grad_u2_y(x, yt))
-        return np.concatenate([-g.x - h_x, -g.y + h_y])
+        h_x = operator_H(game, JointPoint(xt, y)).x
+        h_y = operator_H(game, JointPoint(x, yt)).y
+        return np.concatenate([-g.x - h_x, -g.y - h_y])
 
     step = 1.0 / (2.0 * game.L)
     _, best, residual = _ascend(psi, psi_grad, Z, z.concat(), step,
@@ -112,12 +113,15 @@ def deviation_gain(game, z, inner_budget=500):
     if game.u1 is None or game.u2 is None:
         raise ValueError("deviation gain needs value oracles u1 and u2")
     x, y = z.x, z.y
+    nx = x.shape[0]
     step = 1.0 / (2.0 * game.L)
     gain_x, res_x = _deviation(
-        lambda w: game.u1(w, y), lambda w: game.grad_u1_x(w, y),
+        lambda w: game.u1(w, y),
+        lambda w: -game.F(np.concatenate([w, y]))[:nx],  # grad_x u1
         game.best_response_x, game.X, x, y, step, inner_budget)
     gain_y, res_y = _deviation(
-        lambda w: game.u2(x, w), lambda w: game.grad_u2_y(x, w),
+        lambda w: game.u2(x, w),
+        lambda w: -game.F(np.concatenate([x, w]))[nx:],  # grad_y u2
         game.best_response_y, game.Y, y, x, step, inner_budget)
     return GapEstimate(float(max(gain_x, 0.0) + max(gain_y, 0.0)),
                        res_x + res_y)

@@ -1,16 +1,16 @@
 """Game specification and utility decomposition.
 
-A two-player game is described by the four partial gradients of the
-utilities u1(x, y) and u2(x, y). Decomposed quantities are always
-computed from those partials, so the identities
+A two-player game is given by two whole-game oracles at z = (x, y): the
+game operator F = -(grad_x u1, grad_y u2) and the coupling part's
+gradient grad g, with
 
     g = -(u1 + u2)/2      (common-loss coupling part)
     h = (-u1 + u2)/2      (strictly competitive part)
-    H = (grad_x h, -grad_y h)
-    F = grad g + H = -(grad_x u1, grad_y u2)
+    H = (grad_x h, -grad_y h) = F - grad g
 
-hold by construction, unless a family supplies F or grad g as its own
-oracle.
+so H, the paper's strictly competitive operator, is read off the two
+oracles. A game given by the four partial gradients of u1 and u2 is built
+with ``GameSpec.from_partials``.
 """
 
 import dataclasses
@@ -117,25 +117,18 @@ class BilinearSaddleForm:
 class GameSpec:
     """Oracle bundle and constants for one game.
 
-    The four gradient oracles take (x, y) arrays and return arrays. F(z)
-    is the game operator -(grad_x u1, grad_y u2) at z = (x, y), in a fresh
-    array; None builds it from grad_u1_x and grad_u2_y, so a copy that
-    replaces either must pass F=None. coupling_grad(z) is the coupling
-    part's gradient -(grad u1 + grad u2)/2 at z, in a fresh array; None
-    builds it from the four partials, so a copy that changes their
-    coupling part must pass coupling_grad=None. L is a smoothness bound
-    for both utilities; mu and nu are the strong convexity/concavity
-    moduli of the competitive part; delta bounds the coupling part's
-    smoothness.
+    F(z) is the game operator -(grad_x u1, grad_y u2) at z = (x, y) and
+    coupling_grad(z) the coupling part's gradient -(grad u1 + grad u2)/2,
+    each in a fresh array. L is a smoothness bound for both utilities; mu
+    and nu are the strong convexity/concavity moduli of the competitive
+    part; delta bounds the coupling part's smoothness.
     monotone_modulus is a certified lower bound on the strong monotonicity
     of the game operator (defaults to min(mu, nu), which is valid whenever
     the coupling part is jointly convex).
     """
 
-    grad_u1_x: callable
-    grad_u1_y: callable
-    grad_u2_x: callable
-    grad_u2_y: callable
+    F: callable
+    coupling_grad: callable
     L: float
     mu: float
     nu: float
@@ -149,17 +142,8 @@ class GameSpec:
     best_response_x: callable = None
     best_response_y: callable = None
     monotone_modulus: float = None
-    F: callable = None
-    coupling_grad: callable = None
 
     def __post_init__(self):
-        if self.F is None:
-            self.F = _stacked_operator(self.grad_u1_x, self.grad_u2_y,
-                                       self.X.dimension)
-        if self.coupling_grad is None:
-            self.coupling_grad = _stacked_coupling_gradient(
-                self.grad_u1_x, self.grad_u1_y, self.grad_u2_x,
-                self.grad_u2_y, self.X.dimension)
         if not (0 <= self.mu <= self.L and 0 <= self.nu <= self.L):
             raise ValueError("moduli must satisfy 0 <= mu, nu <= L")
         if not (0 <= self.delta <= self.L):
@@ -170,6 +154,29 @@ class GameSpec:
             if not (self.X.contains(self.known_ne.x, 1e-8)
                     and self.Y.contains(self.known_ne.y, 1e-8)):
                 raise ValueError("known_ne must be feasible")
+
+    @classmethod
+    def from_partials(cls, g1x, g1y, g2x, g2y, **fields):
+        """The game whose utilities have the partial gradients
+        g1x = grad_x u1, g1y = grad_y u1, g2x = grad_x u2, g2y = grad_y u2,
+        each a callable of (x, y): F = -(g1x, g2y) and
+        coupling_grad = -(g1x + g2x, g1y + g2y)/2, stacked into fresh
+        arrays. fields are the other GameSpec fields."""
+        nx = fields["X"].dimension
+
+        def F(z):
+            x, y = z[:nx], z[nx:]
+            out = np.empty(z.shape[0])
+            np.negative(g1x(x, y), out=out[:nx])
+            np.negative(g2y(x, y), out=out[nx:])
+            return out
+
+        def coupling_grad(z):
+            x, y = z[:nx], z[nx:]
+            return -0.5 * np.concatenate([g1x(x, y) + g2x(x, y),
+                                          g1y(x, y) + g2y(x, y)])
+
+        return cls(F=F, coupling_grad=coupling_grad, **fields)
 
     # value helpers (require value oracles)
 
@@ -185,26 +192,24 @@ class GameSpec:
     def shift_curvature(self, u1_x=0.0, u1_y=0.0, u2_x=0.0, u2_y=0.0,
                         **constants):
         """This game with u1 + u1_x |x|^2 + u1_y |y|^2 and
-        u2 + u2_x |x|^2 + u2_y |y|^2; partials and values whose added
-        coefficient is zero stay as they are.
+        u2 + u2_x |x|^2 + u2_y |y|^2. F moves by -2 (u1_x x, u2_y y) and
+        coupling_grad by -((u1_x + u2_x) x, (u1_y + u2_y) y); oracles and
+        values whose added coefficients are zero stay as they are.
 
         h_structure, mu and nu gain the competitive part's added curvature,
         u2_x - u1_x in x and u1_y - u2_y in y. L grows by twice the largest
         coefficient, delta by the largest curvature added to the coupling
         part, and monotone_modulus resets to min(mu, nu); constants
-        override any field. F, best responses and known_ne are kept only
-        while no player's curvature in its own strategy moves, and
-        coupling_grad only while the coupling part is unchanged
-        (u1_x + u2_x = u1_y + u2_y = 0).
+        override any field. Best responses and known_ne are kept only
+        while no player's curvature in its own strategy moves.
         """
         d_ax, d_ay = u2_x - u1_x, u1_y - u2_y
         coupling = max(abs(u1_x + u2_x), abs(u1_y + u2_y))
-        hs = self.h_structure
+        hs, nx = self.h_structure, self.X.dimension
         fields = dict(
-            grad_u1_x=_plus(self.grad_u1_x, 2 * u1_x, on_y=False),
-            grad_u1_y=_plus(self.grad_u1_y, 2 * u1_y, on_y=True),
-            grad_u2_x=_plus(self.grad_u2_x, 2 * u2_x, on_y=False),
-            grad_u2_y=_plus(self.grad_u2_y, 2 * u2_y, on_y=True),
+            F=_minus_scaled(self.F, 2 * u1_x, 2 * u2_y, nx),
+            coupling_grad=_minus_scaled(self.coupling_grad, u1_x + u2_x,
+                                        u1_y + u2_y, nx),
             u1=_plus_squares(self.u1, u1_x, u1_y),
             u2=_plus_squares(self.u2, u2_x, u2_y),
             L=self.L + 2 * max(abs(u1_x), abs(u1_y), abs(u2_x), abs(u2_y)),
@@ -214,41 +219,22 @@ class GameSpec:
             monotone_modulus=None)
         if u1_x or u2_y:
             fields.update(known_ne=None, best_response_x=None,
-                          best_response_y=None, F=None)
-        if coupling:
-            fields.update(coupling_grad=None)
+                          best_response_y=None)
         return dataclasses.replace(self, **{**fields, **constants})
 
 
-def _stacked_operator(grad_u1_x, grad_u2_y, nx):
-    """z -> -(grad_u1_x(x, y), grad_u2_y(x, y)) for z = (x, y), x of
-    length nx, in one fresh array."""
-    def F(z):
-        x, y = z[:nx], z[nx:]
-        out = np.empty(z.shape[0])
-        np.negative(grad_u1_x(x, y), out=out[:nx])
-        np.negative(grad_u2_y(x, y), out=out[nx:])
+def _minus_scaled(oracle, kx, ky, nx):
+    """z -> oracle(z) - (kx x, ky y) at z = (x, y), x of length nx; oracle
+    itself when kx = ky = 0."""
+    if not (kx or ky):
+        return oracle
+
+    def shifted(z):
+        out = oracle(z)
+        out[:nx] -= kx * z[:nx]
+        out[nx:] -= ky * z[nx:]
         return out
-    return F
-
-
-def _stacked_coupling_gradient(g1x, g1y, g2x, g2y, nx):
-    """z -> -(grad u1 + grad u2)/2 at z = (x, y) from the four partials,
-    in one fresh array."""
-    def coupling_grad(z):
-        x, y = z[:nx], z[nx:]
-        return -0.5 * np.concatenate([g1x(x, y) + g2x(x, y),
-                                      g1y(x, y) + g2y(x, y)])
-    return coupling_grad
-
-
-def _plus(f, k, on_y):
-    """f(x, y) + k y if on_y else f(x, y) + k x; f itself when k is 0."""
-    if k == 0:
-        return f
-    if on_y:
-        return lambda x, y: f(x, y) + k * y
-    return lambda x, y: f(x, y) + k * x
+    return shifted
 
 
 def _plus_squares(u, cx, cy):
@@ -277,10 +263,12 @@ def grad_g(game, z, ledger=None):
 
 
 def operator_H(game, z, ledger=None):
-    """Competitive-part operator (grad_x h, -grad_y h)."""
-    x, y = z.x, z.y
-    hx = 0.5 * (-game.grad_u1_x(x, y) + game.grad_u2_x(x, y))
-    hy = -0.5 * (-game.grad_u1_y(x, y) + game.grad_u2_y(x, y))
+    """Competitive-part operator (grad_x h, -grad_y h) = F - grad g: a
+    query of each whole-game oracle, counted as one h query."""
+    w = np.concatenate([z.x, z.y])
+    H = game.F(w)
+    H -= game.coupling_grad(w)
     if ledger is not None:
         ledger.h_queries += 1
-    return JointPoint(hx, hy)
+    nx = z.x.shape[0]
+    return JointPoint(H[:nx], H[nx:])

@@ -90,12 +90,18 @@ class MatrixGame:
         def u2(x, y):
             return float(y @ spmv(B, x) + 0.5 * mu * (x @ x) - 0.5 * nu * (y @ y))
 
+        C = []  # coupling_matrix(), made on the first coupling_grad query
+
+        def coupling_grad(z):  # -(C' y, C x)
+            if not C:
+                C.append(self.coupling_matrix())
+            out = np.concatenate([spmv_transpose(C[0], z[n:]),
+                                  spmv(C[0], z[:n])])
+            return np.negative(out, out=out)
+
         X, Y = Simplex(n), Simplex(self.A.n_rows)
         return GameSpec(
-            grad_u1_x=lambda x, y: spmv_transpose(A, y) - mu * x,
-            grad_u1_y=lambda x, y: spmv(A, x) + nu * y,
-            grad_u2_x=lambda x, y: spmv_transpose(B, y) + mu * x,
-            grad_u2_y=lambda x, y: spmv(B, x) - nu * y,
+            F=fee_operator(A, B, mu, nu), coupling_grad=coupling_grad,
             L=L, mu=mu, nu=nu, delta=min(beta, L),
             X=X, Y=Y, u1=u1, u2=u2,
             h_structure=BilinearSaddleForm(  # W = -K
@@ -103,7 +109,7 @@ class MatrixGame:
                 _w_norm_cache=self._norms.get("K")),
             best_response_x=_quad_best_response(lambda y: spmv_transpose(A, y), mu, X),
             best_response_y=_quad_best_response(lambda x: spmv(B, x), nu, Y),
-            monotone_modulus=monotone_modulus, F=fee_operator(A, B, mu, nu),
+            monotone_modulus=monotone_modulus,
         )
 
 
@@ -317,10 +323,7 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
 
     Each query is one dense product: F(z) = J z + b, with the operator's
     Jacobian J = G + [[mu I, K'], [-K, nu I]] and b = c + (kx, -ky) built
-    once, and coupling_grad(z) = G z + c. grad_u1_x and grad_u2_y are read
-    off F's product, so F is their negation bit for bit; grad_u1_y,
-    grad_u2_x and the coupling gradient round differently from the
-    partials' formula, and match it to rounding only.
+    once, and coupling_grad(z) = G z + c.
     """
     if min(mu, nu) < 0 or delta < 0 or coupling_norm < 0:
         raise ValueError("moduli must be nonnegative")
@@ -387,30 +390,15 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
             return out
         return apply
 
-    F, coupling_grad = affine(J, b), affine(G, c)
-
-    def g_grad(x, y, block):  # block xs or ys of grad g = G z + c
-        return coupling_grad(np.concatenate([x, y]))[block]
-
-    def h_x(x, y):  # grad_x h
-        return mu * x + np.dot(K.T, y) + kx
-
-    def h_y(x, y):  # grad_y h
-        return -nu * y + np.dot(K, x) + ky
-
-    xs, ys = slice(None, n_x), slice(n_x, None)
     return GameSpec(
-        grad_u1_x=lambda x, y: -F(np.concatenate([x, y]))[xs],
-        grad_u1_y=lambda x, y: -g_grad(x, y, ys) - h_y(x, y),
-        grad_u2_x=lambda x, y: -g_grad(x, y, xs) + h_x(x, y),
-        grad_u2_y=lambda x, y: -F(np.concatenate([x, y]))[ys],
+        F=affine(J, b), coupling_grad=affine(G, c),
         L=float(L), mu=mu, nu=nu, delta=delta,
         X=X, Y=Y,
         known_ne=JointPoint(x_star, y_star),
         u1=lambda x, y: -g_val(x, y) - h_val(x, y),
         u2=lambda x, y: -g_val(x, y) + h_val(x, y),
         h_structure=BilinearSaddleForm(K, ax=mu, ay=nu, bx=kx, by=-ky),
-        monotone_modulus=min(mu, nu), F=F, coupling_grad=coupling_grad,
+        monotone_modulus=min(mu, nu),
     )
 
 
@@ -449,12 +437,11 @@ def stackelberg_example():
     Hu2 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, -2.0]])
     L = float(max(np.linalg.norm(Hu1, 2), np.linalg.norm(Hu2, 2))) * (1 + 1e-9)
 
-    return GameSpec(
-        grad_u1_x=lambda x, y: np.array([-(x[0] - 1) + 0.5 * y[0],
-                                         -(x[1] - 1)]),
-        grad_u1_y=lambda x, y: np.array([0.5 * x[0]]),
-        grad_u2_x=lambda x, y: np.array([0.0, 0.5 * y[0]]),
-        grad_u2_y=lambda x, y: np.array([0.5 * x[1] - 2 * (y[0] + 1)]),
+    return GameSpec.from_partials(
+        lambda x, y: np.array([-(x[0] - 1) + 0.5 * y[0], -(x[1] - 1)]),
+        lambda x, y: np.array([0.5 * x[0]]),
+        lambda x, y: np.array([0.0, 0.5 * y[0]]),
+        lambda x, y: np.array([0.5 * x[1] - 2 * (y[0] + 1)]),
         L=L, mu=0.5, nu=1.0, delta=delta,
         X=X, Y=Y,
         known_ne=JointPoint(np.array([5 / 8, 1.0]), np.array([-3 / 4])),

@@ -35,7 +35,7 @@ A fee game's operator is one such product, negated, with the
 (n + m) x (n + m) matrix [[A', -mu I], [B, -nu I]] (``fee_operator``).
 Each row holds A' or B's row in the order spmv_transpose or spmv sums
 it, then its curvature entry last: s + (-mu) x_i is s - mu x_i in IEEE
-arithmetic, signed zeros included, so the partials' bits hold.
+arithmetic, signed zeros included: F is bitwise -(A'y - mu x, Bx - nu y).
 """
 
 import os

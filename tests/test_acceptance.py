@@ -124,11 +124,11 @@ def _linear_coupling_pair(seed, n=4, mu=1.0, nu=1.0):
     def hq(x, y):
         return float(0.5 * mu * (x @ x) - 0.5 * nu * (y @ y) + y @ (K @ x))
 
-    game = GameSpec(
-        grad_u1_x=lambda x, y: a1 - (mu * x + K.T @ y),
-        grad_u1_y=lambda x, y: b1 - (-nu * y + K @ x),
-        grad_u2_x=lambda x, y: a2 + (mu * x + K.T @ y),
-        grad_u2_y=lambda x, y: b2 + (-nu * y + K @ x),
+    game = GameSpec.from_partials(
+        lambda x, y: a1 - (mu * x + K.T @ y),
+        lambda x, y: b1 - (-nu * y + K @ x),
+        lambda x, y: a2 + (mu * x + K.T @ y),
+        lambda x, y: b2 + (-nu * y + K @ x),
         L=L, mu=mu, nu=nu, delta=0.0, X=X, Y=Y,
         u1=lambda x, y: float(a1 @ x + b1 @ y) - hq(x, y),
         u2=lambda x, y: float(a2 @ x + b2 @ y) + hq(x, y),

@@ -10,14 +10,13 @@ input handling, not convergence.
 The simplex projection is fuzzed on tied, mixed-sign vectors for its
 optimality conditions, idempotence and independence of its start.
 
-A game's operator F must equal -(grad_x u1, grad_y u2) of its partials
-bit for bit, signed zeros included: on fee games, their convex
-reformulations, curvature shifts and copies, and on quadratic games.
-Its coupling gradient must equal -(grad u1 + grad u2)/2 of its partials:
-bit for bit where it is built from them (fee games, and every copy whose
-coupling part moved), and to 1e-12 relative where it is kept across a
-shift that leaves the coupling part alone, or is the quadratic family's
-own G z + c.
+A fee game's operator F must equal -(spmv_transpose(A, y) - mu x) and
+-(spmv(B, x) - nu y) bit for bit, signed zeros included: on the game and
+its convex reformulations. Its coupling gradient must equal
+-(C' y, C x), C = (A + B)/2, bit for bit, and the same with A and B
+apart to rounding. A curvature shift of a fee or quadratic game must
+move F by -2 (u1_x x, u2_y y) and the coupling gradient by
+-((u1_x + u2_x) x, (u1_y + u2_y) y), bit for bit.
 """
 
 import dataclasses
@@ -33,11 +32,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nzs.cli as cli
 import nzs.icl as icl
-from nzs.instances import (MatrixGame, fee_game, gen_quadratic_known_ne,
-                           reformulate_bilinear, reformulate_general)
+from nzs.instances import (MatrixGame, _curvature_split, fee_game,
+                           gen_quadratic_known_ne, reformulate_bilinear,
+                           reformulate_general)
 from nzs.serialize import MAGIC, read_instance, read_point
 from nzs.sets import Simplex, project_simplex
-from nzs.vecmat import SparseMatrix
+from nzs.vecmat import SparseMatrix, spmv, spmv_transpose
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
                 database=None,
@@ -204,69 +204,85 @@ def fee_games(draw):
     return fee_game(M, draw(UNIT), draw(UNIT), draw(UNIT))
 
 
-def assert_operator_bits(data, spec):
-    """spec.F at drawn points against the negated partials, bit for bit."""
-    nx, size = spec.X.dimension, spec.X.dimension + spec.Y.dimension
+def drawn_points(data, spec):
+    """Three points z = (x, y) of spec's dimension, entries in COORD."""
+    size = spec.X.dimension + spec.Y.dimension
     for _ in range(3):
-        z = np.array(data.draw(st.lists(COORD, min_size=size, max_size=size)))
+        yield np.array(data.draw(st.lists(COORD, min_size=size,
+                                          max_size=size)))
+
+
+def assert_operator_bits(data, spec, game):
+    """spec.F at drawn points against -(spmv_transpose(A, y) - mu x) and
+    -(spmv(B, x) - nu y) of the fee game game, bit for bit."""
+    A, B, mu, nu, nx = game.A, game.B, game.reg_mu, game.reg_nu, game.A.n_cols
+    for z in drawn_points(data, spec):
         x, y = z[:nx], z[nx:]
-        want = np.concatenate([-spec.grad_u1_x(x, y), -spec.grad_u2_y(x, y)])
+        want = np.concatenate([-(spmv_transpose(A, y) - mu * x),
+                               -(spmv(B, x) - nu * y)])
         assert spec.F(z).tobytes() == want.tobytes()
 
 
-def assert_coupling_gradient(data, spec, exact):
-    """spec.coupling_grad at drawn points against -(grad u1 + grad u2)/2
-    of its partials: bit for bit if exact, else within 1e-12 of the
-    larger of L |z|_inf and the partials' largest entry."""
-    nx, size = spec.X.dimension, spec.X.dimension + spec.Y.dimension
-    for _ in range(3):
-        z = np.array(data.draw(st.lists(COORD, min_size=size, max_size=size)))
+def assert_coupling_gradient(data, spec, game):
+    """spec.coupling_grad of the fee game game at drawn points against
+    -(C' y, C x), C = game.coupling_matrix(), bit for bit, and against
+    -(A' y + B' y, A x + B x)/2 within 1e-12 of the larger of L |z|_inf
+    and that vector's largest entry."""
+    A, B, C, nx = game.A, game.B, game.coupling_matrix(), game.A.n_cols
+    for z in drawn_points(data, spec):
         x, y = z[:nx], z[nx:]
-        u1x, u2x = spec.grad_u1_x(x, y), spec.grad_u2_x(x, y)
-        u1y, u2y = spec.grad_u1_y(x, y), spec.grad_u2_y(x, y)
-        want = np.concatenate([-0.5 * (u1x + u2x), -0.5 * (u1y + u2y)])
         got = spec.coupling_grad(z)
-        if exact:
-            assert got.tobytes() == want.tobytes()
-        else:
-            scale = max(spec.L * np.abs(z).max(),
-                        *(np.abs(p).max() for p in (u1x, u2x, u1y, u2y)))
-            assert np.abs(got - want).max() <= 1e-12 * scale
+        want = np.concatenate([-spmv_transpose(C, y), -spmv(C, x)])
+        assert got.tobytes() == want.tobytes()
+        apart = -0.5 * np.concatenate([
+            spmv_transpose(A, y) + spmv_transpose(B, y),
+            spmv(A, x) + spmv(B, x)])
+        scale = max(spec.L * np.abs(z).max(), np.abs(apart).max())
+        assert np.abs(got - apart).max() <= 1e-12 * scale
 
 
-def assert_variants_keep_bits(data, spec, own_oracle=False):
-    """F of curvature shifts and copies: kept while grad_u1_x and
-    grad_u2_y are, rebuilt from the new partials otherwise. coupling_grad:
-    kept while the coupling part is, rebuilt from the new partials
-    otherwise; own_oracle says that spec's is the family's own rather
-    than built from its partials."""
+def assert_shifted(data, spec, variant, oracle, kx, ky):
+    """variant's oracle is spec's moved by -(kx x, ky y), bit for bit, and
+    spec's unmoved when kx = ky = 0."""
+    base, got = getattr(spec, oracle), getattr(variant, oracle)
+    nx = spec.X.dimension
+    for z in drawn_points(data, spec):
+        want = base(z)
+        if kx or ky:
+            want[:nx] -= kx * z[:nx]
+            want[nx:] -= ky * z[nx:]
+        assert got(z).tobytes() == want.tobytes()
+
+
+def assert_variants_keep_bits(data, spec):
+    """Curvature shifts of spec move F by -2 (u1_x x, u2_y y) and
+    coupling_grad by -((u1_x + u2_x) x, (u1_y + u2_y) y); a copy keeps
+    both oracles."""
     a, b, c = data.draw(UNIT), data.draw(UNIT), data.draw(UNIT)
-    own = spec.shift_curvature(u1_x=-a, u2_y=-b)
-    assert (own.F is spec.F) == (a == b == 0)
-    other = spec.shift_curvature(u1_y=c, u2_x=c)
-    assert other.F is spec.F
     copy = dataclasses.replace(spec, h_structure=None)
-    # curvature moved between the players leaves the coupling part alone
-    moved = spec.shift_curvature(u1_x=-a, u2_x=a, u1_y=c, u2_y=-c)
-    rebuilt = dataclasses.replace(spec, coupling_grad=None)
-    assert (own.coupling_grad is spec.coupling_grad) == (a == b == 0)
-    assert (other.coupling_grad is spec.coupling_grad) == (c == 0)
-    assert copy.coupling_grad is moved.coupling_grad is spec.coupling_grad
-    assert rebuilt.coupling_grad is not spec.coupling_grad
-    for variant in (spec, own, other, copy, moved, rebuilt):
-        assert_operator_bits(data, variant)
-        kept = variant.coupling_grad is spec.coupling_grad
-        assert_coupling_gradient(
-            data, variant, not kept or not (own_oracle or variant is moved))
+    assert copy.F is spec.F and copy.coupling_grad is spec.coupling_grad
+    # curvature added to each player's own strategy, to the other's, and
+    # moved between the players, which leaves the coupling part alone
+    for u1_x, u1_y, u2_x, u2_y in ((-a, 0.0, 0.0, -b), (0.0, c, c, 0.0),
+                                   (-a, c, a, -c)):
+        variant = spec.shift_curvature(u1_x, u1_y, u2_x, u2_y)
+        assert (variant.F is spec.F) == (u1_x == u2_y == 0)
+        assert (variant.coupling_grad is spec.coupling_grad) == (
+            u1_x + u2_x == u1_y + u2_y == 0)
+        assert_shifted(data, spec, variant, "F", 2 * u1_x, 2 * u2_y)
+        assert_shifted(data, spec, variant, "coupling_grad", u1_x + u2_x,
+                       u1_y + u2_y)
 
 
 @FUZZ
 @given(game=fee_games(), data=st.data())
 def test_fee_game_operator(game, data):
     spec = game.game_spec()
+    assert_operator_bits(data, spec, game)
+    assert_coupling_gradient(data, spec, game)
     assert_variants_keep_bits(data, spec)
     assert_operator_bits(data, reformulate_general(
-        spec, data.draw(UNIT) * min(spec.mu, spec.nu) / 2))
+        spec, data.draw(UNIT) * min(spec.mu, spec.nu) / 2), game)
 
 
 @FUZZ
@@ -276,7 +292,12 @@ def test_bilinear_reformulation_operator(game, ratio, data):
     beta = game.coupling_norm()
     game = MatrixGame(game.A, game.B, 2 * beta * ratio + 1e-3,
                       2 * beta / ratio + 1e-3)
-    assert_operator_bits(data, reformulate_bilinear(game, beta))
+    spec = reformulate_bilinear(game, beta)
+    assert_operator_bits(data, spec, game)
+    # player 1 gains -beta2 |y|^2, player 2 -beta1 |x|^2
+    beta1, beta2 = _curvature_split(beta, game.reg_mu, game.reg_nu)
+    assert_shifted(data, game.game_spec(), spec, "coupling_grad", -beta1,
+                   -beta2)
 
 
 @FUZZ
@@ -286,6 +307,5 @@ def test_bilinear_reformulation_operator(game, ratio, data):
 def test_quadratic_game_operator(n_x, n_y, moduli, seed, share, data):
     mu, nu, delta, coupling = moduli
     spec = gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling, seed)
-    assert_variants_keep_bits(data, spec, own_oracle=True)
-    assert_operator_bits(data, reformulate_general(
-        spec, share * min(mu, nu) / 2))
+    assert_variants_keep_bits(data, spec)
+    assert reformulate_general(spec, share * min(mu, nu) / 2).F is spec.F

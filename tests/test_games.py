@@ -5,8 +5,9 @@ import pytest
 
 from nzs.games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
                        grad_g, operator_H)
-from nzs.instances import (MatrixGame, apply_transaction_fee,
-                           gen_quadratic_known_ne)
+from nzs.instances import (MatrixGame, apply_transaction_fee, fee_game,
+                           gen_quadratic_known_ne, reformulate_bilinear,
+                           stackelberg_example)
 from nzs.sets import Ball
 from nzs.solvers import JointProblem
 from nzs.vecmat import SparseMatrix
@@ -88,11 +89,11 @@ class TestDecomposition:
     def test_bilinear_competitive_operator(self):
         # h(x, y) = <K x, y>: operator is (K'y, -Kx)
         K = np.array([[1.0, -2.0], [0.5, 3.0]])
-        game = GameSpec(
-            grad_u1_x=lambda x, y: -K.T @ y,
-            grad_u1_y=lambda x, y: -K @ x,
-            grad_u2_x=lambda x, y: K.T @ y,
-            grad_u2_y=lambda x, y: K @ x,
+        game = GameSpec.from_partials(
+            lambda x, y: -K.T @ y,
+            lambda x, y: -K @ x,
+            lambda x, y: K.T @ y,
+            lambda x, y: K @ x,
             L=4.0, mu=0.0, nu=0.0, delta=0.0,
             X=Ball(np.zeros(2), 3.0), Y=Ball(np.zeros(2), 3.0))
         z = JointPoint(np.array([1.0, 2.0]), np.array([-1.0, 0.5]))
@@ -124,7 +125,8 @@ class TestDecomposition:
         assert np.allclose(F.y, H.y, atol=1e-12)
 
     def test_utility_gradients_recovered_from_parts(self):
-        # grad u1 = -grad g - (grad_x h, grad_y h)
+        # grad u1 = -grad g - (grad_x h, grad_y h), against central
+        # differences of the value oracle u1
         game = gen_quadratic_known_ne(4, 4, 0.5, 0.8, delta=0.4,
                                       coupling_norm=0.6, seed=11)
         rng = np.random.default_rng(4)
@@ -132,10 +134,69 @@ class TestDecomposition:
                        game.Y.project(rng.standard_normal(4)))
         g = grad_g(game, z)
         H = operator_H(game, z)  # (grad_x h, -grad_y h)
-        u1x = game.grad_u1_x(z.x, z.y)
-        u1y = game.grad_u1_y(z.x, z.y)
-        assert np.max(np.abs(u1x - (-g.x - H.x))) <= 1e-12
-        assert np.max(np.abs(u1y - (-g.y + H.y))) <= 1e-12
+        u1x = central_difference(lambda x: game.u1(x, z.y), z.x)
+        u1y = central_difference(lambda y: game.u1(z.x, y), z.y)
+        assert np.max(np.abs(u1x - (-g.x - H.x))) <= 1e-7
+        assert np.max(np.abs(u1y - (-g.y + H.y))) <= 1e-7
+
+
+def partials_game():
+    """A from_partials game with linear coupling and h = <K x, y> +
+    |x|^2/2 - |y|^2/2."""
+    K = np.array([[1.0, -0.5, 0.25], [0.5, 2.0, -1.0]])
+    a, b = np.array([0.3, -0.2, 0.1]), np.array([-0.1, 0.4])
+
+    def h(x, y):
+        return float(y @ (K @ x) + 0.5 * (x @ x) - 0.5 * (y @ y))
+
+    return GameSpec.from_partials(
+        lambda x, y: a - (K.T @ y + x), lambda x, y: b - (K @ x - y),
+        lambda x, y: a + K.T @ y + x, lambda x, y: b + K @ x - y,
+        L=4.0, mu=1.0, nu=1.0, delta=0.0,
+        X=Ball(np.zeros(3), 2.0), Y=Ball(np.zeros(2), 2.0),
+        u1=lambda x, y: float(a @ x + b @ y) - h(x, y),
+        u2=lambda x, y: float(a @ x + b @ y) + h(x, y))
+
+
+def split_case(name):
+    M = SparseMatrix.from_dense(np.array([[0.6, -0.4, 0.0, 0.3],
+                                          [-0.2, 0.0, 0.8, -0.5],
+                                          [0.1, 0.7, -0.3, 0.0]]))
+    fee = fee_game(M, 0.3, 1.0, 1.2)
+    return {"fee": fee.game_spec,
+            "bilinear": lambda: reformulate_bilinear(fee, fee.coupling_norm()),
+            "quadratic": lambda: gen_quadratic_known_ne(
+                5, 4, 0.6, 0.9, delta=0.3, coupling_norm=0.7, seed=9),
+            "stackelberg": stackelberg_example,
+            "partials": partials_game}[name]()
+
+
+class TestSplit:
+    """The paper's split F = grad g + H on every family, before and after
+    a curvature shift: operator_H + grad_g is F to rounding, and
+    operator_H is (grad_x h, -grad_y h) of the value oracles."""
+
+    @pytest.mark.parametrize("shift", [False, True])
+    @pytest.mark.parametrize("name", ["fee", "bilinear", "quadratic",
+                                      "stackelberg", "partials"])
+    def test_parts_sum_to_the_operator(self, name, shift):
+        game = split_case(name)
+        if shift:
+            game = game.shift_curvature(u1_x=-0.1, u1_y=0.2, u2_x=0.3,
+                                        u2_y=-0.05)
+        nx, ny = game.X.dimension, game.Y.dimension
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            z = JointPoint(game.X.project(rng.standard_normal(nx)),
+                           game.Y.project(rng.standard_normal(ny)))
+            F = game.F(z.concat())
+            g, H = grad_g(game, z), operator_H(game, z)
+            scale = max(1.0, np.abs(F).max(), np.abs(g.concat()).max())
+            assert np.abs(H.concat() + g.concat() - F).max() <= 1e-12 * scale
+            h_x = central_difference(lambda x: game.h_value(x, z.y), z.x)
+            h_y = central_difference(lambda y: game.h_value(z.x, y), z.y)
+            assert np.abs(H.x - h_x).max() <= 1e-7 * scale
+            assert np.abs(H.y + h_y).max() <= 1e-7 * scale
 
 
 class TestDenseBilinearForm:
@@ -167,9 +228,8 @@ class TestLedger:
 
     def test_known_ne_must_be_feasible(self):
         with pytest.raises(ValueError):
-            GameSpec(
-                grad_u1_x=lambda x, y: x, grad_u1_y=lambda x, y: y,
-                grad_u2_x=lambda x, y: x, grad_u2_y=lambda x, y: y,
+            GameSpec.from_partials(
+                lambda x, y: x, lambda x, y: y, lambda x, y: x, lambda x, y: y,
                 L=1.0, mu=0.5, nu=0.5, delta=0.0,
                 X=Ball(np.zeros(2), 1.0), Y=Ball(np.zeros(2), 1.0),
                 known_ne=JointPoint(np.array([5.0, 0.0]), np.zeros(2)))
@@ -204,11 +264,11 @@ class TestProbeStructure:
         a = np.array([0.3, -0.2])
         b = np.array([-0.1, 0.4])
 
-        game = GameSpec(
-            grad_u1_x=lambda x, y: -a - x,
-            grad_u1_y=lambda x, y: -b + y,
-            grad_u2_x=lambda x, y: -a + x,
-            grad_u2_y=lambda x, y: -b - y,
+        game = GameSpec.from_partials(
+            lambda x, y: -a - x,
+            lambda x, y: -b + y,
+            lambda x, y: -a + x,
+            lambda x, y: -b - y,
             L=2.0, mu=1.0, nu=1.0, delta=0.0,
             X=Ball(np.zeros(2), 2.0), Y=Ball(np.zeros(2), 2.0))
         _, _, coupling_smoothness = structure(game)

@@ -1,7 +1,7 @@
 """Golden runs: exact query counts, iterations, certificates and points.
 
 Speed work on the solvers' hot path (products, projections, in-place
-temporaries) must not change one bit of any output. There are two
+temporaries) must not change one bit of any output. There are three
 exceptions so far. One is the Newton simplex projection, which replaced the
 sort-and-threshold rule and rounds differently: it moved the certificate
 reprs and point hashes of FEE_GOLDEN, MONOTONE_GOLDEN["fee-game"] and
@@ -14,6 +14,16 @@ baselines' counts not at all), all of QUAD_ICL_ROUTES (h counts:
 inner-eg 14280 -> 14512, reformulate-general 2764 -> 2644;
 stop-certificate's counts held) and TRAJECTORY_GOLDEN["ogda"] and
 ["eg"]'s hashes. No fee pin moved.
+The third is GameSpec's reduction to the two whole-game oracles: the
+competitive operator is now F - grad g, a fee game's coupling gradient
+is -(C' y, C x) with C = (A + B)/2, and a curvature shift moves the
+coupling gradient by its own formula instead of rebuilding it from
+shifted partials. Only the pins that query those moved: FEE_GOLDEN's
+icl row at rho = 0.0009 (certificate 1.3992385581578315e-08 ->
+1.399238560848974e-08 and its hash, counts held), QUAD_ICL_ROUTES'
+inner-eg (h 14512 -> 14514) and reformulate-general (h 2644 -> 2700,
+cert 394 -> 422, a route whose secant-started inner solves are known
+to be sensitive to rounding once the outer iterates stop moving).
 Fee runs take |K| = (1 - rho/2) norm from the instance's header instead
 of a power iteration; PDHG's steps move in their last bits, so the
 certificate reprs and point hashes of FEE_GOLDEN's two icl rows moved
@@ -57,8 +67,8 @@ FEE_GOLDEN = {
                     "d148f20cf05033623eb2cb543b9b8f20974b45fab37fd645da3505305685a7aa"),
     ("eg", 0.0): (2496, 0, 0, 26, 1248, "9.373542831731328e-08",
                   "a28fa1142914436707a8016d5855f990e604557c91e49ccb5f30f3c896cc404b"),
-    ("icl", 0.0009): (0, 1447, 9, 156, 9, "1.3992385581578315e-08",
-                      "11bed29135f541b163fa25e7b51b2ba4653b598b3d0a41981055f4a1dbd3f658"),
+    ("icl", 0.0009): (0, 1447, 9, 156, 9, "1.399238560848974e-08",
+                      "6eb6e492b20606b51f44010faf9799b6a75f15ac76de44fd31516aaa487c2f5b"),
     ("ogda", 0.0009): (1767, 0, 0, 28, 1767, "9.375346370292284e-08",
                        "056c97dfe56ab9c653214c4cb3806a3eb8ae11881561cfdf49489725cdf6e646"),
     ("eg", 0.0009): (2502, 0, 0, 26, 1251, "9.376202107077738e-08",
@@ -79,12 +89,12 @@ QUAD_GOLDEN = {
 # solves on the h_operator oracle (the game without h_structure), the
 # whole-game certificate stop, and a general reformulation
 QUAD_ICL_ROUTES = {
-    "inner-eg": (0, 14512, 53, 888, 53, "1.7851686426619552e-19",
-                 "5e210c504240666c7245e74dcad5227ccef2eb1ccb8bae2904be8be2745da7e5"),
+    "inner-eg": (0, 14514, 53, 888, 53, "2.2042613657473555e-19",
+                 "4a7ef90b72022d8978e6b22df11adf1a77fd8d00e70064bbd6f9d09d523f97ba"),
     "stop-certificate": (0, 2125, 12, 214, 12, "2.9016510712587795e-08",
                          "c62bbe0eb6c7e32877cdcc1e6aacfd09e4d4deab00e86d4601d79de42dcc7b57"),
-    "reformulate-general": (0, 2644, 61, 394, 61, "2.3943411440064968e-20",
-                            "198947edae79c10249b13cb5b09cc67c520b4ccd37c96ce391ca522938827119"),
+    "reformulate-general": (0, 2700, 61, 422, 61, "1.3268648631905035e-19",
+                            "e1752d66c7aa91f15256c4a76a89c59bacea5741fc4a9c82fe5b3e7180c92244"),
 }
 
 # solve_monotone: (fingerprint of the report, repr(gap_bound))

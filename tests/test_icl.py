@@ -47,11 +47,11 @@ def linear_coupling_pair(seed=0, n=4, mu=1.0, nu=1.0, radius=1.0, lin=0.1):
         return float(0.5 * mu * (x @ x) - 0.5 * nu * (y @ y) + y @ (K @ x))
 
     # player 1 maximizes <a1, x> + <b1, y> - h, player 2 <a2, x> + <b2, y> + h
-    game = GameSpec(
-        grad_u1_x=lambda x, y: a1 - (mu * x + K.T @ y),
-        grad_u1_y=lambda x, y: b1 - (-nu * y + K @ x),
-        grad_u2_x=lambda x, y: a2 + (mu * x + K.T @ y),
-        grad_u2_y=lambda x, y: b2 + (-nu * y + K @ x),
+    game = GameSpec.from_partials(
+        lambda x, y: a1 - (mu * x + K.T @ y),
+        lambda x, y: b1 - (-nu * y + K @ x),
+        lambda x, y: a2 + (mu * x + K.T @ y),
+        lambda x, y: b2 + (-nu * y + K @ x),
         L=L, mu=mu, nu=nu, delta=0.0, X=X, Y=Y,
         u1=lambda x, y: float(a1 @ x + b1 @ y) - hq(x, y),
         u2=lambda x, y: float(a2 @ x + b2 @ y) + hq(x, y),
@@ -61,11 +61,11 @@ def linear_coupling_pair(seed=0, n=4, mu=1.0, nu=1.0, radius=1.0, lin=0.1):
         monotone_modulus=min(mu, nu))
 
     # same own-variable terms, strictly competitive cross terms
-    zs_game = GameSpec(
-        grad_u1_x=lambda x, y: a1 - (mu * x + K.T @ y),
-        grad_u1_y=lambda x, y: -b2 - (-nu * y + K @ x),
-        grad_u2_x=lambda x, y: -a1 + (mu * x + K.T @ y),
-        grad_u2_y=lambda x, y: b2 + (-nu * y + K @ x),
+    zs_game = GameSpec.from_partials(
+        lambda x, y: a1 - (mu * x + K.T @ y),
+        lambda x, y: -b2 - (-nu * y + K @ x),
+        lambda x, y: -a1 + (mu * x + K.T @ y),
+        lambda x, y: b2 + (-nu * y + K @ x),
         L=L, mu=mu, nu=nu, delta=0.0, X=X, Y=Y,
         u1=lambda x, y: float(a1 @ x - b2 @ y) - hq(x, y),
         u2=lambda x, y: float(-a1 @ x + b2 @ y) + hq(x, y),

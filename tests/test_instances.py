@@ -255,7 +255,7 @@ class TestMatrixGameSpec:
         game = fee_game(M, 0.0009, 0.5, 0.5)
         spec = game.game_spec()
         x, y = spec.X.project(np.ones(9)), spec.Y.project(np.ones(12))
-        spec.grad_u1_x(x, y), spec.grad_u2_y(x, y), spec.u1(x, y)
+        spec.coupling_grad(np.concatenate([x, y])), spec.u1(x, y)
         reformulate_bilinear(game, game.coupling_norm())
         assert M._layout._joint is None
         spec.F(np.concatenate([x, y]))
@@ -361,18 +361,14 @@ class TestQuadraticKnownNe:
         assert smoothness <= 0.5 + 1e-9
 
 
-QUAD_PARTIALS = ("grad_u1_x", "grad_u1_y", "grad_u2_x", "grad_u2_y")
-
-
 def quad_for_cache(seed=4):
     return gen_quadratic_known_ne(40, 30, 0.3, 0.2, delta=0.4,
                                   coupling_norm=1.0, seed=seed)
 
 
 class TestQuadraticOneProduct:
-    """The partial gradients, joint oracles and utilities of a quadratic
-    game, and the bits they return, do not depend on the points queried
-    before."""
+    """The joint oracles and utilities of a quadratic game, and the bits
+    they return, do not depend on the points queried before."""
 
     @pytest.mark.parametrize("name", ("F", "coupling_grad"))
     def test_joint_oracle_ignores_the_point_held(self, name):
@@ -388,44 +384,12 @@ class TestQuadraticOneProduct:
         z[5] = -z[5]  # the point mutated in place is recomputed
         assert np.array_equal(oracle(z), getattr(quad_for_cache(), name)(z))
 
-    @pytest.mark.parametrize("name", QUAD_PARTIALS)
-    def test_partial_ignores_the_point_held(self, name):
-        rng = np.random.default_rng(3)
-        x, y = rng.standard_normal(40), rng.standard_normal(30)
-        fresh = getattr(quad_for_cache(), name)(x, y)
-        game = quad_for_cache()
-        for other in QUAD_PARTIALS:
-            getattr(game, other)(x + 1.0, y)  # another point first
-            assert np.array_equal(getattr(game, name)(x, y), fresh)
-            got = getattr(game, name)(x, y)  # this point again
-            assert np.array_equal(got, fresh)
-            got += 1.0  # a returned array is the caller's own
-            assert np.array_equal(getattr(game, name)(x, y), fresh)
-
-    def test_point_mutated_in_place_is_recomputed(self):
-        rng = np.random.default_rng(5)
-        x, y = rng.standard_normal(40), rng.standard_normal(30)
-        game = quad_for_cache()
-        game.grad_u1_x(x, y)
-        x[3] += 0.5
-        y[0] = -y[0]
-        assert np.array_equal(game.grad_u2_y(x, y),
-                              quad_for_cache().grad_u2_y(x, y))
-
-    def test_signed_zero_point_matches_fresh(self):
-        game = quad_for_cache()
-        game.grad_u1_x(np.zeros(40), np.zeros(30))
-        x, y = -np.zeros(40), -np.zeros(30)
-        for name in QUAD_PARTIALS:
-            assert np.array_equal(getattr(game, name)(x, y),
-                                  getattr(quad_for_cache(), name)(x, y))
-
     def test_utilities_ignore_the_point_held(self):
         rng = np.random.default_rng(6)
         x, y = rng.standard_normal(40), rng.standard_normal(30)
         want = (quad_for_cache().u1(x, y), quad_for_cache().u2(x, y))
         game = quad_for_cache()
-        game.grad_u1_x(x + 1.0, y)
+        game.F(np.concatenate([x + 1.0, y]))
         assert (game.u1(x, y), game.u2(x, y)) == want
 
 
