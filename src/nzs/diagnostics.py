@@ -47,7 +47,8 @@ def _ascend(value_fn, grad_fn, S, w0, step, budget):
     best_w, best_v = w.copy(), value_fn(w)
     for _ in range(budget):
         g = grad_fn(w)
-        w = S.project(w + step * g)
+        w = w + step * g
+        S.project(w, w)
         v = value_fn(w)
         if v > best_v:
             best_v, best_w = v, w.copy()

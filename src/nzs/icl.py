@@ -176,8 +176,8 @@ class SecantStart:
         weights[order[1:]] = s * c
         step = weights @ self.diffs
         nx = X.dimension
-        return JointPoint(X.project(z.x + step[:nx]),
-                          Y.project(z.y + step[nx:]))
+        x, y = z.x + step[:nx], z.y + step[nx:]
+        return JointPoint(X.project(x, x), Y.project(y, y))
 
 
 def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
@@ -282,8 +282,8 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
             else a Pending at the inner solver's rate, set below."""
             nonlocal least_gap
             gx, gy = sub.operator(x, y, ledger, "cert")
-            cand = JointPoint(cand_X.project(x - gamma_ex * gx),
-                              cand_Y.project(y - gamma_ex * gy))
+            cx, cy = x - gamma_ex * gx, y - gamma_ex * gy
+            cand = JointPoint(cand_X.project(cx, cx), cand_Y.project(cy, cy))
             gap = check_inexactness(sub, cand, ledger)
             least_gap = min(least_gap, gap)
             return (cand, gap) if gap <= eps_t else Pending(gap, eps_t, rate)

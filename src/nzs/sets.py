@@ -4,7 +4,10 @@ Supported sets are probability simplices, Euclidean balls, boxes, and
 products of those. All projections and linear-minimization oracles are
 exact (up to rounding). Simplex projection finds its threshold by
 Newton's method without sorting, and a Simplex starts each projection at
-the threshold of its last one.
+the threshold of its last one. A projection writes into the array out
+when given, which may be its input itself, with the bits of the fresh
+result; the solvers' steps project each vector they have just built in
+place.
 """
 
 import math
@@ -37,17 +40,23 @@ def project_simplex(v, hint=None):
     coarsely at the scale of |tau| for the mass slack, its active part is
     projected once more.
     """
-    return _project_simplex(v, hint)[0]
+    return _project_simplex(v, None, hint)[0]
 
 
-def _project_simplex(v, hint):
-    """(projection, threshold); the threshold is None where v is returned."""
+def _project_simplex(v, out, hint):
+    """(projection, threshold); the threshold is None where v is returned.
+    The projection is written into out, which may be v; None makes a fresh
+    array."""
     n = v.shape[0]
+    if out is None:
+        out = np.empty(n)
     if n == 1:
-        return np.ones(1), None
+        out[0] = 1.0
+        return out, None
     low = v.min()
     if low >= 0.0 and abs(v.sum() - 1.0) <= 1e-12:
-        return v.copy(), None
+        np.copyto(out, v)
+        return out, None
     if not math.isfinite(low):  # a NaN or -inf; +inf ends with no entry active
         raise ValueError(_NON_FINITE)
     tau = float(v.sum() - 1.0) / n if hint is None else hint
@@ -64,21 +73,21 @@ def _project_simplex(v, hint):
             if not np.all(np.isfinite(v)):
                 raise ValueError(_NON_FINITE)
             if last < 0 and hint is not None:  # a hint at or above max(v)
-                return _project_simplex(v, None)
+                return _project_simplex(v, out, None)
             # at |v| beyond 2**53 even max(v) > max(v) - 1 fails; shifting
             # v along the ones vector leaves its projection unchanged
             top = float(v.max())
-            w, tau = _project_simplex(v - top, None)
-            return w, tau + top
+            out, tau = _project_simplex(v - top, out, None)
+            return out, tau + top
         last = count
         tau = float(np.dot(v, active) - 1.0) / count
-    w = v - tau
-    np.maximum(w, 0.0, out=w)
+    np.subtract(v, tau, out=out)
+    np.maximum(out, 0.0, out=out)
     if count * abs(tau) > 256.0:
-        # w rounds at the scale of tau, so its mass may miss 1 by more than
-        # the 1e-12 slack; its active part projects at the scale of 1
-        w[active] = _project_simplex(w[active], None)[0]
-    return w, tau
+        # out rounds at the scale of tau, so its mass may miss 1 by more
+        # than the 1e-12 slack; its active part projects at the scale of 1
+        out[active] = _project_simplex(out[active], None, None)[0]
+    return out, tau
 
 
 class FeasibleSet:
@@ -86,7 +95,11 @@ class FeasibleSet:
 
     dimension = 0
 
-    def project(self, v):
+    def project(self, v, out=None):
+        """The Euclidean projection of v onto the set, in a fresh array
+        with v untouched. With out, an array of the set's shape that may
+        be v itself, the projection is written into out and out returned,
+        with the same bits; v must then be an array of that shape too."""
         raise NotImplementedError
 
     def lmo(self, c):
@@ -111,6 +124,18 @@ class FeasibleSet:
                              f"{self.dimension}, vector has shape {v.shape}")
         return v
 
+    def _operands(self, v, out):
+        """(v, out) of a projection: _check_dim's v and a fresh out when
+        out is None, else the two arrays after their shapes are compared,
+        since the solvers' steps pass arrays they have just built."""
+        if out is None:
+            return self._check_dim(v), np.empty(self.dimension)
+        if out.shape != v.shape or v.shape != (self.dimension,):
+            raise ValueError(f"dimension mismatch: set has dimension "
+                             f"{self.dimension}, vector has shape {v.shape}, "
+                             f"out has shape {out.shape}")
+        return v, out
+
 
 class Simplex(FeasibleSet):
     def __init__(self, n):
@@ -119,8 +144,8 @@ class Simplex(FeasibleSet):
         self.dimension = int(n)
         self._tau = None  # the last threshold, the next projection's hint
 
-    def project(self, v):
-        w, tau = _project_simplex(self._check_dim(v), self._tau)
+    def project(self, v, out=None):
+        w, tau = _project_simplex(*self._operands(v, out), self._tau)
         if tau is not None:
             self._tau = tau
         return w
@@ -145,22 +170,32 @@ class Ball(FeasibleSet):
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=np.float64)
         self.radius = float(radius)
-        if self.radius <= 0:
+        if not self.radius > 0:  # also a NaN radius
             raise ValueError("radius must be positive")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("center must be finite")
         self.dimension = self.center.shape[0]
+        # v - 0.0 is v, -0.0 included, so v - center is skipped at the
+        # origin; a -0.0 entry of the center would turn -0.0 into +0.0
+        self._at_origin = not (np.any(self.center)
+                               or np.any(np.signbit(self.center)))
 
-    def project(self, v):
-        v = self._check_dim(v)
-        d = v - self.center
-        nd = math.sqrt(d @ d)  # np.linalg.norm(d), without its wrapper
+    def project(self, v, out=None):
+        v, out = self._operands(v, out)
+        d = v if self._at_origin else v - self.center
+        nd = math.sqrt(d.dot(d))  # np.linalg.norm(d), without its wrapper
         # the slack absorbs rescaling roundoff so projecting twice is exact
         if nd <= self.radius * (1.0 + 1e-12):
-            return v.copy()
-        return self.center + d * (self.radius / nd)
+            if out is not v:
+                np.copyto(out, v)
+        else:  # center + d r/nd, also at the origin: + 0.0 makes -0.0 +0.0
+            np.multiply(d, self.radius / nd, out=out)
+            out += self.center
+        return out
 
     def lmo(self, c):
         c = self._check_dim(c)
-        nc = math.sqrt(c @ c)
+        nc = math.sqrt(c.dot(c))
         if nc == 0.0:
             return self.center.copy()
         return self.center - c * (self.radius / nc)
@@ -179,12 +214,14 @@ class Box(FeasibleSet):
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=np.float64)
         self.hi = np.asarray(hi, dtype=np.float64)
-        if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
+        # a NaN bound fails lo <= hi; infinite bounds are allowed
+        if self.lo.shape != self.hi.shape or not np.all(self.lo <= self.hi):
             raise ValueError("box requires lo <= hi coordinatewise")
         self.dimension = self.lo.shape[0]
 
-    def project(self, v):
-        return np.clip(self._check_dim(v), self.lo, self.hi)
+    def project(self, v, out=None):
+        v, out = self._operands(v, out)
+        return np.clip(v, self.lo, self.hi, out=out)
 
     def lmo(self, c):
         c = self._check_dim(c)
@@ -216,10 +253,11 @@ class ProductSet(FeasibleSet):
         return [v[self.offsets[i]:self.offsets[i + 1]]
                 for i in range(len(self.parts))]
 
-    def project(self, v):
-        v = self._check_dim(v)
-        return np.concatenate([p.project(s)
-                               for p, s in zip(self.parts, self._split(v))])
+    def project(self, v, out=None):
+        v, out = self._operands(v, out)
+        for p, s, o in zip(self.parts, self._split(v), self._split(out)):
+            p.project(s, o)
+        return out
 
     def lmo(self, c):
         c = self._check_dim(c)

@@ -87,15 +87,15 @@ class OperatorProblem:
         return np.concatenate(self.operator(z[:self.nx], z[self.nx:],
                                             self.ledger, bucket))
 
-    def project(self, z):
-        return np.concatenate([self.X.project(z[:self.nx]),
-                               self.Y.project(z[self.nx:])])
-
     def step(self, z, gamma, d):
-        """P(z - gamma d), computed in d's buffer; d must not escape."""
+        """P(z - gamma d), computed and projected in d's buffer, which is
+        returned; d must not escape."""
         d *= gamma
         np.subtract(z, d, out=d)
-        return self.project(d)
+        x, y = d[:self.nx], d[self.nx:]
+        self.X.project(x, x)
+        self.Y.project(y, y)
+        return d
 
     def extragradient(self, z, gamma, bucket):
         """P(z - gamma F(P(z - gamma F(z)))), both queries ledgered in
@@ -405,16 +405,16 @@ class PdhgKernel:
 
     def step(self, ledger):
         # x+ = P((x - tau (W'y + bx)) / (1 + tau ax)) and
-        # y+ = P((y + sigma (W x_bar - by)) / (1 + sigma ay)), each built in
-        # one fresh buffer; self.x and self.y are rebound, never written
-        # into, since stop_check callers and reports hold them
+        # y+ = P((y + sigma (W x_bar - by)) / (1 + sigma ay)), each built
+        # and projected in one fresh buffer; self.x and self.y are rebound,
+        # never written into, since stop_check callers and reports hold them
         f = self.form
         t = f.rmatvec(self.y)
         t += f.bx
         t *= self.tau
         np.subtract(self.x, t, out=t)
         t /= self._x_scale
-        x_new = self.X.project(t)
+        x_new = self.X.project(t, t)
         x_bar = x_new - self.x
         x_bar *= self.theta
         x_bar += x_new
@@ -423,7 +423,7 @@ class PdhgKernel:
         t *= self.sigma
         t += self.y
         t /= self._y_scale
-        self.y = self.Y.project(t)
+        self.y = self.Y.project(t, t)
         self.x = x_new
         ledger.h_queries += 1
 

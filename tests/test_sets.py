@@ -83,6 +83,47 @@ class TestProjection:
         with pytest.raises(ValueError):
             Simplex(3).project(np.zeros(4))
 
+    @pytest.mark.parametrize("S", ALL_SETS, ids=repr)
+    def test_input_untouched(self, S):
+        rng = np.random.default_rng(30)
+        for scale in (0.1, 5.0):  # inside and outside the bounded sets
+            v = rng.standard_normal(S.dimension) * scale
+            v[::2] = -0.0
+            before = v.copy()
+            S.project(v)
+            S.project(v, out=np.empty(S.dimension))
+            assert np.array_equal(v, before)
+            assert np.array_equal(np.signbit(v), np.signbit(before))
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+    def test_ball_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            Ball(np.zeros(2), radius)
+
+    @pytest.mark.parametrize("center", [[np.nan, 0.0], [np.inf, 0.0]])
+    def test_ball_center_must_be_finite(self, center):
+        with pytest.raises(ValueError, match="center"):
+            Ball(center, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [([0.0, np.nan], [1.0, 1.0]),
+                                        ([0.0, 0.0], [np.nan, 1.0]),
+                                        ([np.nan], [np.nan]),
+                                        ([0.0, 2.0], [1.0, 1.0]),
+                                        ([0.0], [1.0, 2.0])])
+    def test_box_requires_ordered_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            Box(lo, hi)
+
+    def test_box_allows_infinite_bounds(self):
+        B = Box([-np.inf, 0.0], [np.inf, np.inf])
+        assert B.project(np.array([-5.0, -5.0])).tolist() == [-5.0, 0.0]
+
+    def test_simplex_needs_a_coordinate(self):
+        with pytest.raises(ValueError):
+            Simplex(0)
+
 
 class TestLmo:
     def test_simplex_vertex(self):
@@ -337,3 +378,108 @@ class TestBallNormIsBitwise:
             c = rng.standard_normal(5) * scale
             want = ball.center - c * (ball.radius / np.linalg.norm(c))
             assert np.array_equal(ball.lmo(c), want)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_out_keeps_bits(make_set, v, history=()):
+    """project(v, out=v) and project(v, out=o) return their out with the
+    bits of project(v), each on a fresh make_set() that first projected
+    history (a Simplex carries its threshold as the next one's hint)."""
+    sets = [make_set() for _ in range(3)]
+    for S in sets:
+        for h in history:
+            S.project(h)
+    want = sets[0].project(v)
+    w = v.copy()
+    assert sets[1].project(w, out=w) is w
+    assert_same_bits(w, want)
+    o = np.full(v.shape, np.nan)
+    assert sets[2].project(v, out=o) is o
+    assert_same_bits(o, want)
+    return want
+
+
+def ball_cases(ball):
+    """Points inside, on and outside the ball, with -0.0 entries."""
+    rng = np.random.default_rng(31)
+    n = ball.dimension
+    cases = []
+    for scale in (0.5, 1.0, 1.0 + 1e-13, 1.5, 40.0):
+        d = rng.standard_normal(n)
+        d[::3] = 0.0
+        v = ball.center + d * (scale * ball.radius / np.linalg.norm(d))
+        v[v == 0.0] = -0.0  # moves no distance
+        cases.append(v)
+    cases += [np.full(n, -0.0), -np.abs(ball.center)]
+    return cases
+
+
+class TestProjectInto:
+    def test_simplex_keeps_bits(self):
+        cases = bitwise_cases() + [np.array(v) for v in (
+            [1e6 / 3] * 3, [999999.9] * 7,        # |tau| > 256: projected
+            [123456.7] * 11 + [0.5],              # once more
+            [1e17, 1e17 + 64, 0.0])]              # shifted by max(v)
+        for v in cases:
+            n = v.shape[0]
+            want = assert_out_keeps_bits(lambda: Simplex(n), v)
+            assert np.array_equal(want, project_simplex(v))
+            if n > 1:  # hints below the root and at or above max(v)
+                for c in (-0.5, v.max() - v.min() + 1.0):
+                    assert_out_keeps_bits(lambda: Simplex(n), v, [v + c])
+
+    def test_simplex_carried_hint_keeps_bits(self):
+        rng = np.random.default_rng(32)
+        fresh, into = Simplex(200), Simplex(200)
+        v = rng.standard_normal(200) * 0.01 + 1.0 / 200
+        for _ in range(200):
+            v = v + rng.standard_normal(200) * 1e-4
+            w = v.copy()
+            into.project(w, out=w)
+            assert_same_bits(w, fresh.project(v))
+            assert into._tau == fresh._tau
+
+    @pytest.mark.parametrize("center", [np.zeros(7), np.full(7, -0.0),
+                                        np.linspace(-2.0, 3.0, 7)],
+                             ids=["origin", "negative-zero", "off-origin"])
+    def test_ball_keeps_bits(self, center):
+        ball = Ball(center, 1.7)
+        for v in ball_cases(ball):
+            want = assert_out_keeps_bits(lambda: ball, v)
+            assert_same_bits(want, ball_project_by_norm(ball, v))
+
+    def test_box_keeps_bits(self):
+        rng = np.random.default_rng(33)
+        box = Box([-1.0, 0.0, -np.inf, 2.0, -0.0],
+                  [1.0, 0.5, 0.0, 3.0, np.inf])
+        for _ in range(50):
+            v = rng.standard_normal(5) * 3
+            v[rng.integers(5)] = -0.0
+            assert_out_keeps_bits(lambda: box, v)
+
+    def test_product_keeps_bits(self):
+        def make():
+            return ProductSet([Simplex(4), Ball(np.zeros(3), 1.0),
+                               Box([-1.0, 0.0], [1.0, 2.0]),
+                               Ball(np.array([1.0, -2.0]), 0.7)])
+        rng = np.random.default_rng(34)
+        for scale in (0.1, 1.0, 5.0):
+            for _ in range(20):
+                v = rng.standard_normal(11) * scale
+                v[::4] = -0.0
+                assert_out_keeps_bits(make, v, [v + 0.3])
+
+    @pytest.mark.parametrize("S", ALL_SETS, ids=repr)
+    def test_wrong_shape_raises(self, S):
+        n = S.dimension
+        v, out = np.zeros(n), np.zeros(n)
+        for bad_v, bad_out in ((v, np.zeros(n + 1)), (np.zeros(n - 1), out),
+                               (v, np.zeros((n, 1))), (np.zeros(n + 1),
+                                                       np.zeros(n + 1))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                S.project(bad_v, out=bad_out)
