@@ -3,8 +3,11 @@
 The outer loop freezes the coupling gradient at the current iterate,
 which turns each step into a proximally regularized zero-sum saddle
 subproblem. Each subproblem is solved just accurately enough to pass a
-direct variational-inequality check at the scheduled tolerance, which is
-what the outer-loop contraction needs.
+direct variational-inequality check at its step's scheduled tolerance:
+loose in the early steps and tightening geometrically to the last, with
+errors summable under the outer contraction (inexact proximal point,
+Rockafellar 1976), and cut to a fixed fraction of the gap at the
+subproblem's own start (Catalyst; Lin, Mairal & Harchaoui 2018).
 """
 
 import copy
@@ -25,6 +28,15 @@ from .solvers import (Pending, SaddleSubproblem, SolveReport, drive,
 SECANT_DEPTH = 8
 SECANT_RIDGE = 1e-10
 
+# an inner solve also stops at its first poll's gap over START_CUT (not
+# below the last step's tolerance), so each outer step stays useful where
+# the schedule is loose. On the 70 criterion-5 desk cells (nu = 1), the
+# schedule alone took three cells to 16, 63 and 125 outer steps (from 5,
+# 8 and 8); at 100 every cell fell and two took one more outer step; 1000
+# took 8% more queries than 100, and 10 took 7% fewer but seven cells
+# took one more outer step
+START_CUT = 100.0
+
 
 class IclError(RuntimeError):
     pass
@@ -32,14 +44,15 @@ class IclError(RuntimeError):
 
 @dataclass
 class IclSchedule:
-    """Constant outer-loop schedule.
+    """Outer-loop schedule.
 
     eta is the proximal stepsize min(1/delta, 1/min(mu, nu)); theta the
     per-iteration contraction factor of the squared distance; eps_t the
-    subproblem inexactness tolerance; T the outer iteration budget; and
-    inner_target the squared distance that provably implies the
-    inexactness condition after one extragradient extraction, which sizes
-    each inner solve's iteration cap (_inner_budget).
+    base inexactness tolerance, which tolerance() spreads over the steps
+    of a run; T the outer iteration budget; and inner_target the squared
+    distance that provably implies the inexactness condition at eps_t
+    after one extragradient extraction, which sizes each inner solve's
+    iteration cap (_inner_budget).
     """
 
     eta: float
@@ -54,6 +67,23 @@ class IclSchedule:
             raise ValueError("theta must lie in (0, 1)")
         if self.eps_t <= 0 or self.T < 1:
             raise ValueError("schedule requires eps_t > 0 and T >= 1")
+
+    def growth(self, steps):
+        """r^steps with r = 2/(2 - theta). At theta <= 1/2, r^T is below
+        r (2 D^2/eps)^0.58, so no step count up to T overflows."""
+        return (2.0 / (2.0 - self.theta)) ** steps
+
+    def tolerance(self, t, K):
+        """tau_t = eps_t r^(K-1-t)/(2 - theta) of proximal step t (from 0)
+        of at most K: weighted by (1 - theta)^(K-1-t) they sum to at most
+        eps_t/theta, the budget of a constant eps_t."""
+        return self.eps_t * self.growth(K - 1 - t) / (2.0 - self.theta)
+
+    def contraction_bound(self, n, K, eps):
+        """Squared-distance bound after n of a run's at most K proximal
+        steps at these tolerances: (1 - theta)^n D^2 + (eps/2) r^(K-n)."""
+        return ((1.0 - self.theta) ** n * self.diameter_sq
+                + eps / 2.0 * self.growth(K - n))
 
 
 def schedule_params(mu, nu, delta, L, eps, D_X, D_Y):
@@ -109,8 +139,8 @@ def check_inexactness(sub, candidate, ledger=None):
     With z = (x_c, y_c) the candidate, returns the maximum over feasible
     (x, y) of <grad_x phi(z), x_c - x> - <grad_y phi(z), y_c - y>,
     evaluated with one operator query plus one linear-minimization oracle
-    per player. A gap at most eps_t certifies the iterate for the outer
-    loop.
+    per player. A gap at most the outer step's scheduled tolerance
+    certifies the iterate for the outer loop.
     """
     gx, gy = sub.operator(candidate.x, candidate.y, ledger, "cert")
     gap_x = float(gx @ candidate.x - gx @ sub.X.lmo(gx))
@@ -186,15 +216,19 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     The game picks the inner solver: solve_apd_bilinear on the flattened
     subproblem when game.h_structure is set, else solve_operator_eg on its
     h_operator oracle. Every subproblem is solved until an extracted candidate
-    passes the inexactness check at tolerance eps_t, its one stop rule;
-    the check is polled on drive's schedule at the inner solver's
-    contraction rate. An inner solve that exhausts _inner_budget without
-    passing raises IclError, whose message gives eps_t, the steps run and
-    the smallest gap checked. It starts at the subproblem's center z_t
-    until SECANT_DEPTH + 1 proximal outer steps are done, and from then on
-    at SecantStart's prediction of its prox point (at z_t again when the
-    prediction fails). Only the start moves: the subproblem, eps_t and the
-    check are the same, so every accepted gap is still at most eps_t.
+    passes the inexactness check, its one stop rule, polled on drive's
+    schedule at the inner solver's contraction rate. Proximal step t (from
+    0) of a run that may take K of them (sched.T capped by max_outer, less
+    the step at eta = inf if one ran) accepts a gap of at most
+    min(tau_t, max(g0/START_CUT, tau_(K-1))), with tau_t =
+    sched.tolerance(t, K) and g0 the gap of the solve's first poll, at
+    its start. An inner solve that exhausts _inner_budget without passing
+    raises IclError, whose message gives the outer step, that tolerance,
+    the steps run and the smallest gap checked. It starts at the
+    subproblem's center z_t until SECANT_DEPTH + 1 proximal outer steps
+    are done, and from then on at SecantStart's prediction of its prox
+    point (at z_t again when the prediction fails). Only the start moves:
+    the subproblem, the tolerance and the check are the same.
     extras["secant_starts"] counts the outer steps that started at a
     prediction.
 
@@ -202,7 +236,7 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
 
     - "schedule" runs the full worst-case schedule (sched.T iterations,
       capped by max_outer), whose contraction alone bounds the squared
-      distance by eps;
+      distance by (1 - theta)^K D^2 + eps/2, at most eps uncapped;
     - "certificate" evaluates the whole-game displacement certificate
       (stepsize 1/(2L), modulus game.monotone_modulus, the one the
       baselines stop on) on drive's schedule, at least one outer
@@ -216,12 +250,13 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     A game whose two sets are single points is solved by its one point:
     no query, certified_sq_distance 0 and schedule None.
 
-    max_outer (at least 1) caps the outer iterations. The reported
-    certified_sq_distance is the smaller of the contraction bound after
-    the proximal iterations run and the last whole-game certificate;
-    status is "converged" only when it is at most eps, else "max_iter".
-    iterations counts the outer iterations run, the step at eta = inf
-    included.
+    max_outer (at least 1) caps the outer iterations, and so K. The
+    reported certified_sq_distance is the smaller of the contraction
+    bound after the n proximal iterations run,
+    sched.contraction_bound(n, K, eps), and the last whole-game
+    certificate; status is "converged" only when it is at most eps, else
+    "max_iter". iterations counts the outer iterations run, the step at
+    eta = inf included.
     """
     if stop not in ("schedule", "certificate"):
         raise ValueError("stop must be 'schedule' or 'certificate'")
@@ -235,7 +270,6 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         return SolveReport(
             point=z, ledger=ledger, iterations=0, certified_sq_distance=0.0,
             extras={"schedule": None, "trace": [z] if keep_trace else None})
-    eps_t = sched.eps_t
     L_sub = 2.0 * game.L
     gamma_ex = 1.0 / (np.sqrt(2.0) * L_sub)
     T = sched.T if max_outer is None else min(sched.T, max_outer)
@@ -267,6 +301,7 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
 
     def outer_step():
         nonlocal z, secant_starts
+        t = len(history)
         sub = build_subproblem(game, z, sched.eta, ledger)
         start = secant.predict(z, sub.X, sub.Y)
         if start is None:
@@ -274,19 +309,23 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         else:
             secant_starts += 1
 
-        least_gap = math.inf
+        least_gap, tol = math.inf, None
 
         def stop_check(x, y):
             """The inner solve's one stop rule: extract a candidate by one
-            projected step; (candidate, gap) if its gap is at most eps_t,
-            else a Pending at the inner solver's rate, set below."""
-            nonlocal least_gap
+            projected step; (candidate, gap) if its gap is at most tol,
+            else a Pending at the inner solver's rate, set below. The
+            first poll, at the start, sets tol from its own gap."""
+            nonlocal least_gap, tol
             gx, gy = sub.operator(x, y, ledger, "cert")
             cx, cy = x - gamma_ex * gx, y - gamma_ex * gy
             cand = JointPoint(cand_X.project(cx, cx), cand_Y.project(cy, cy))
             gap = check_inexactness(sub, cand, ledger)
+            if tol is None:
+                tol = min(sched.tolerance(t, K),
+                          max(gap / START_CUT, tau_last))
             least_gap = min(least_gap, gap)
-            return (cand, gap) if gap <= eps_t else Pending(gap, eps_t, rate)
+            return (cand, gap) if gap <= tol else Pending(gap, tol, rate)
 
         if sub.phi_form is not None:
             rate = pdhg_rate(sub.phi_form)
@@ -301,9 +340,9 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
 
         if "accepted" not in rep.extras:
             raise IclError(
-                f"inner solve stalled: gap did not reach {eps_t:.3e} "
-                f"within {rep.iterations} iterations; the smallest gap "
-                f"checked was {least_gap:.3e}")
+                f"inner solve of outer step {t} stalled: gap did not reach "
+                f"{tol:.3e} within {rep.iterations} iterations; the smallest "
+                f"gap checked was {least_gap:.3e}")
         z_next, gap = rep.extras["accepted"]
         secant.record(z.concat(), z_next.concat())
         z = z_next
@@ -311,8 +350,10 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         if keep_trace:
             trace.append(z)
 
+    K = T - outer  # the proximal steps this run may take
+    tau_last = sched.tolerance(K - 1, K)
     if bound is None or bound > eps:
-        run = drive(outer_step, lambda: z, ledger, T - outer,
+        run = drive(outer_step, lambda: z, ledger, K,
                     (lambda: certificate(z.concat())) if by_certificate
                     else None, eps, 1)
         outer += run.iterations
@@ -320,8 +361,7 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
             bound = run.certified_sq_distance
 
     # the contraction bound covers the proximal iterations only
-    certified = ((1.0 - sched.theta) ** len(history) * sched.diameter_sq
-                 + eps / 2.0)
+    certified = sched.contraction_bound(len(history), K, eps)
     if certificate is not None and bound is None:
         bound = certificate(z.concat())
     if bound is not None:

@@ -149,7 +149,8 @@ class TestSolve:
         assert rc == 1
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: inner solve stalled: gap did not reach")
+        assert err.startswith(
+            "error: inner solve of outer step 0 stalled: gap did not reach")
         assert "within 1 iterations; the smallest gap checked was" in err
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1e-7"])

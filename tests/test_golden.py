@@ -30,6 +30,17 @@ certificate reprs and point hashes of FEE_GOLDEN's two icl rows moved
 (at rho = 0: 3.982708323780783e-09 -> 3.982708412093561e-09; at
 rho = 0.0009: 1.3992385581252429e-08 -> 1.3992385581578315e-08), and no
 query or iteration count.
+ICL's scheduled inner tolerances (icl.IclSchedule.tolerance: loose in
+the early outer steps, tightening to the last, and cut at the inner
+solve's first gap over icl.START_CUT) are an algorithm change, not
+speed work: they replaced the constant eps_t and moved these ICL pins:
+FEE_GOLDEN's icl row at rho = 0.0009 (h 1447 -> 797, cert 156 -> 148),
+QUAD_GOLDEN's icl (h 2550 -> 1371, cert 418 -> 422), QUAD_ICL_ROUTES'
+inner-eg (h 14514 -> 7962), stop-certificate (h 2125 -> 753) and
+reformulate-general (h 2700 -> 1517) and MONOTONE_GOLDEN["fee-game"]
+(h 21051 -> 15196), certificates and hashes with them. No outer step
+count, no baseline pin and no single-outer-step ICL pin moved, nor
+MONOTONE_GOLDEN["matching-pennies"], whose gaps reach 0.
 A change to when solvers poll their stop tests moves the stop pins but
 not TRAJECTORY_GOLDEN, which pins the iterates of runs that never stop.
 ICL runs longer than SECANT_DEPTH + 1 proximal outer steps start their
@@ -67,8 +78,8 @@ FEE_GOLDEN = {
                     "d148f20cf05033623eb2cb543b9b8f20974b45fab37fd645da3505305685a7aa"),
     ("eg", 0.0): (2496, 0, 0, 26, 1248, "9.373542831731328e-08",
                   "a28fa1142914436707a8016d5855f990e604557c91e49ccb5f30f3c896cc404b"),
-    ("icl", 0.0009): (0, 1447, 9, 156, 9, "1.399238560848974e-08",
-                      "6eb6e492b20606b51f44010faf9799b6a75f15ac76de44fd31516aaa487c2f5b"),
+    ("icl", 0.0009): (0, 797, 9, 148, 9, "1.3557768675948237e-08",
+                      "ea28042a89050176a84d4284ec91dd733289523deb9f715bbec3c64d2b9e4072"),
     ("ogda", 0.0009): (1767, 0, 0, 28, 1767, "9.375346370292284e-08",
                        "056c97dfe56ab9c653214c4cb3806a3eb8ae11881561cfdf49489725cdf6e646"),
     ("eg", 0.0009): (2502, 0, 0, 26, 1251, "9.376202107077738e-08",
@@ -77,8 +88,8 @@ FEE_GOLDEN = {
 
 # dense W and ball sets; ICL with its default full schedule
 QUAD_GOLDEN = {
-    "icl": (0, 2550, 53, 418, 53, "1.2591066320724905e-20",
-            "a2f1936e64b6fffdd3e89738ac73067936f993952e8841e90b6bde1d8352ec06"),
+    "icl": (0, 1371, 53, 422, 53, "1.079905098470739e-20",
+            "71cef8b3bb04d668f204a488a7ee160e815b8dd53ea2ea6854c8d68f75d298d0"),
     "ogda": (374, 0, 0, 20, 374, "9.752899565476753e-08",
              "5ed93246000d88dc9a4c3f4c160cf8ec4c21ececaf9ada05fb0a0a12f86a8934"),
     "eg": (534, 0, 0, 20, 267, "6.427738878613156e-08",
@@ -89,18 +100,18 @@ QUAD_GOLDEN = {
 # solves on the h_operator oracle (the game without h_structure), the
 # whole-game certificate stop, and a general reformulation
 QUAD_ICL_ROUTES = {
-    "inner-eg": (0, 14514, 53, 888, 53, "2.2042613657473555e-19",
-                 "4a7ef90b72022d8978e6b22df11adf1a77fd8d00e70064bbd6f9d09d523f97ba"),
-    "stop-certificate": (0, 2125, 12, 214, 12, "2.9016510712587795e-08",
-                         "c62bbe0eb6c7e32877cdcc1e6aacfd09e4d4deab00e86d4601d79de42dcc7b57"),
-    "reformulate-general": (0, 2700, 61, 422, 61, "1.3268648631905035e-19",
-                            "e1752d66c7aa91f15256c4a76a89c59bacea5741fc4a9c82fe5b3e7180c92244"),
+    "inner-eg": (0, 7962, 53, 924, 53, "2.602953058980543e-20",
+                 "47945eda2e722ad508a4dd2da3e955ad1413021d000f14ddb91cd75f97367f80"),
+    "stop-certificate": (0, 753, 12, 178, 12, "2.9472065294470284e-08",
+                         "72c51cd4e5554e8235ee509f3ced7fb363dafa4e3caf669f1ab9005aed9cc2f8"),
+    "reformulate-general": (0, 1517, 61, 440, 61, "8.422846932730595e-20",
+                            "885b4674d45997fca8c8d28b9d258c1e2188a6d7a6deeab4d195ef9466f60afe"),
 }
 
 # solve_monotone: (fingerprint of the report, repr(gap_bound))
 MONOTONE_GOLDEN = {
-    "fee-game": ((1, 21051, 33, 346, 33, "np.float64(1.1241510154422713e-13)",
-                  "bba11729473d6fb7e86ed14c2114eb5ae09b4619847debc16ea2dd6693d3ee4e"),
+    "fee-game": ((1, 15196, 33, 402, 33, "np.float64(6.894070350887613e-14)",
+                  "14e9c58daa7656416cc33e0012399306867498bdb9afe4034cadeedac24a15c7"),
                  "np.float64(0.0050125)"),
     "matching-pennies": ((1, 0, 45, 92, 45, "np.float64(0.0)",
                           "5e5c794534608bdcc5f3c19fd8d94ad66ab3aedaeb79694b00adab9d1df8e25f"),

@@ -6,9 +6,9 @@ import pytest
 
 from nzs.games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
                        grad_g)
-from nzs.icl import (SECANT_DEPTH, IclError, IclSchedule, SecantStart,
-                     build_subproblem, check_inexactness, schedule_params,
-                     solve_icl, solve_monotone)
+from nzs.icl import (SECANT_DEPTH, START_CUT, IclError, IclSchedule,
+                     SecantStart, build_subproblem, check_inexactness,
+                     schedule_params, solve_icl, solve_monotone)
 from nzs.instances import (fee_game, gen_quadratic_known_ne, matching_pennies,
                            stackelberg_example, stackelberg_reference_points)
 from nzs.sets import Ball
@@ -105,6 +105,74 @@ class TestSchedule:
         theta = 0.3 / (1 / eta + 0.3)
         assert s.eps_t == pytest.approx(theta * 1e-5 / (4 * eta))
         assert s.inner_target == pytest.approx(s.eps_t ** 2 / (8 * 4.0 * 5.0))
+
+    @pytest.mark.parametrize("mu,delta",
+                             [(0.2, 0.0), (0.3, 0.1), (1e-4, 6e-4)])
+    def test_scheduled_tolerances_spend_the_constant_budget(self, mu, delta):
+        # sum_t (1 - theta)^(K-1-t) tau_t = eps_t/theta (1 - q^K) with
+        # q = (1 - theta) r, r = 2/(2 - theta): the constant eps_t's
+        # budget eps_t/theta once q^K is below rounding
+        s = schedule_params(mu=mu, nu=1.0, delta=delta, L=2.0, eps=1e-7,
+                            D_X=1.0, D_Y=1.0)
+        theta, budget = s.theta, s.eps_t / s.theta
+        q = 2.0 * (1.0 - theta) / (2.0 - theta)
+        for K in (1, 2, 7, s.T, math.ceil(40.0 / -math.log(q))):
+            t = np.arange(K)
+            weighted = np.sum((1.0 - theta) ** (K - 1 - t)
+                              * np.array([s.tolerance(i, K) for i in t]))
+            assert weighted <= budget
+            assert weighted == pytest.approx(budget * (1.0 - q ** K),
+                                             rel=1e-12)
+        assert weighted == pytest.approx(budget, rel=1e-12)
+
+    @pytest.mark.parametrize("mu,delta", [(0.2, 0.0), (1e-4, 6e-4)])
+    def test_contraction_bound_covers_the_scheduled_errors(self, mu, delta):
+        # the worst case the bound must cover: each step contracts by
+        # 1 - theta and adds 2 eta tau_t, the error of a gap tau_t (the
+        # constant eps_t's budget eps/2 is 2 eta eps_t/theta); a run
+        # stopped after n < K steps has not yet spent the loose early
+        # tolerances' excess, so eps/2 alone would not cover it
+        eps = 1e-7
+        s = schedule_params(mu=mu, nu=1.0, delta=delta, L=2.0, eps=eps,
+                            D_X=1.0, D_Y=1.0)
+        for K in (1, 5, s.T):
+            worst, beyond_half_eps = s.diameter_sq, False
+            for n in range(K + 1):
+                bound = s.contraction_bound(n, K, eps)
+                assert worst <= bound * (1 + 1e-12)
+                beyond_half_eps |= worst > ((1.0 - s.theta) ** n
+                                            * s.diameter_sq + eps / 2.0)
+                if n < K:
+                    worst = ((1.0 - s.theta) * worst
+                             + 2.0 * s.eta * s.tolerance(n, K))
+            assert bound == ((1.0 - s.theta) ** K * s.diameter_sq
+                             + eps / 2.0)
+        assert beyond_half_eps
+
+    def test_tolerance_grows_with_the_steps_left(self):
+        s = schedule_params(mu=0.3, nu=0.7, delta=0.1, L=2.0, eps=1e-5,
+                            D_X=1.0, D_Y=2.0)
+        K = s.T
+        taus = [s.tolerance(t, K) for t in range(K)]
+        assert all(a > b for a, b in zip(taus, taus[1:]))
+        assert taus[-1] == s.eps_t / (2.0 - s.theta)
+        # one more step left multiplies the tolerance by r
+        assert s.tolerance(0, K + 1) == pytest.approx(
+            taus[0] * 2.0 / (2.0 - s.theta), rel=1e-14)
+        assert s.growth(0) == 1.0
+
+    @pytest.mark.parametrize("mu,delta,eps", [(1e-5, 1.0, 1e-7),
+                                              (0.2, 0.0, 1e-300)])
+    def test_nothing_overflows_up_to_the_outer_budget(self, mu, delta, eps):
+        # theta = 1e-5 makes T about 1.75e6; theta = 1/2 with eps = 1e-300
+        # gives r^T its largest factor, about 1e173
+        s = schedule_params(mu=mu, nu=1.0, delta=delta, L=2.0, eps=eps,
+                            D_X=1.0, D_Y=1.0)
+        K = s.T
+        assert K > 10 ** 6 or s.theta == 0.5
+        for t in (0, K // 2, K - 1):
+            assert 0 < s.tolerance(t, K) < math.inf
+        assert s.contraction_bound(0, K, eps) < math.inf
 
     def test_rejects_zero_modulus(self):
         with pytest.raises(ValueError, match="solve_monotone"):
@@ -305,22 +373,50 @@ class TestSolveIcl:
         assert rep.point.distance_to(game.known_ne) ** 2 <= eps
         assert rep.certified_sq_distance <= eps
 
-    def test_gap_at_every_accepted_iterate_is_within_tolerance(self):
+    def test_gap_at_every_accepted_iterate_is_within_tolerance(self,
+                                                               monkeypatch):
+        # step t accepts its first gap at most min(tau_t, max(g0/START_CUT,
+        # tau_(K-1))), g0 its first poll's; the start-relative cut binds in
+        # the later steps
+        import nzs.icl
+
+        polls = []
+        monkeypatch.setattr(nzs.icl, "build_subproblem",
+                            lambda *args: polls.append([])
+                            or build_subproblem(*args))
+        monkeypatch.setattr(nzs.icl, "check_inexactness",
+                            lambda *args: polls[-1].append(
+                                check_inexactness(*args)) or polls[-1][-1])
         game = quad_game(seed=11)
         rep = solve_icl(game, 1e-9)
         sched = rep.extras["schedule"]
-        for _, gap in rep.residual_history:
-            assert gap <= sched.eps_t
+        K = sched.T
+        assert len(polls) == len(rep.residual_history) == K
+        cut_binds = 0
+        for t, (gaps, (_, accepted)) in enumerate(
+                zip(polls, rep.residual_history)):
+            tol = min(sched.tolerance(t, K),
+                      max(gaps[0] / START_CUT, sched.tolerance(K - 1, K)))
+            assert accepted == gaps[-1] <= tol
+            assert all(gap > tol for gap in gaps[:-1])
+            assert accepted <= sched.tolerance(t, K)
+            cut_binds += tol < sched.tolerance(t, K)
+        assert 0 < cut_binds < K
 
-    def test_checks_cost_a_fifth_of_the_inner_steps(self):
-        # checks come when the inner rate predicts the gap is near eps_t,
-        # not at a fixed cadence (about 0.55 h at a 4-step cadence)
+    def test_checks_cost_well_below_a_fixed_cadence(self):
+        # checks come when the inner rate predicts the gap is near its
+        # tolerance, not at a fixed cadence: polling every CHECK_PERIOD = 4
+        # steps would cost 2 cert queries per 4 h queries, plus 2 per outer
+        # step for the poll at its start
         game = quad_game(seed=1, n_x=20, n_y=20, mu=0.05, nu=0.05,
                          delta=0.01, coupling_norm=1.0)
         rep = solve_icl(game, 1e-7)
-        assert rep.ledger.cert_queries <= 0.2 * rep.ledger.h_queries
-        eps_t = rep.extras["schedule"].eps_t
-        assert all(gap <= eps_t for _, gap in rep.residual_history)
+        led = rep.ledger
+        cadence = 2 * led.h_queries / 4 + 2 * rep.iterations
+        assert led.cert_queries <= 0.6 * cadence
+        sched = rep.extras["schedule"]
+        assert all(gap <= sched.tolerance(t, sched.T)
+                   for t, (_, gap) in enumerate(rep.residual_history))
 
     @pytest.mark.parametrize("inner", ["apd", "eg"])
     def test_inner_solves_stop_on_the_check_alone(self, monkeypatch, inner):
@@ -351,8 +447,9 @@ class TestSolveIcl:
             solve_icl(quad_game(seed=1), 1e-7)
 
     def test_stalled_inner_solve_names_the_smallest_gap(self, monkeypatch):
-        # the 20x20 golden game: 200 inner steps poll the check three
-        # times, and none of its gaps reaches eps_t = 6.25e-10
+        # the 20x20 golden game: 80 inner steps poll the first outer
+        # step's check three times, and none of its gaps reaches the
+        # tolerance in force, tau_0 = 1.308e-3 (g0/START_CUT is larger)
         import nzs.icl
 
         gaps = []
@@ -362,28 +459,55 @@ class TestSolveIcl:
             return gaps[-1]
 
         monkeypatch.setattr(nzs.icl, "check_inexactness", recorded)
-        monkeypatch.setattr(nzs.icl, "_inner_budget", lambda sched, rate: 200)
+        monkeypatch.setattr(nzs.icl, "_inner_budget", lambda sched, rate: 80)
         game = quad_game(seed=1, n_x=20, n_y=20, mu=0.05, nu=0.05,
                          delta=0.01, coupling_norm=1.0)
         with pytest.raises(IclError) as err:
             solve_icl(game, 1e-7)
-        assert len(gaps) > 1 and min(gaps) < gaps[0]
+        s = schedule_params(game.mu, game.nu, game.delta, game.L, 1e-7,
+                            game.X.diameter(), game.Y.diameter())
+        tol = min(s.tolerance(0, s.T),
+                  max(gaps[0] / START_CUT, s.tolerance(s.T - 1, s.T)))
+        assert len(gaps) == 3 and min(gaps) < gaps[0] and min(gaps) > tol
         assert str(err.value) == (
-            "inner solve stalled: gap did not reach 6.250e-10 within 200 "
-            f"iterations; the smallest gap checked was {min(gaps):.3e}")
+            f"inner solve of outer step 0 stalled: gap did not reach "
+            f"{tol:.3e} within 80 iterations; the smallest gap checked was "
+            f"{min(gaps):.3e}")
+        assert f"{tol:.3e}" == "1.308e-03"
+
+    def test_stalled_inner_solve_names_its_outer_step(self, monkeypatch):
+        import nzs.icl
+
+        budgets = iter([10 ** 6] * 3 + [1])
+        monkeypatch.setattr(nzs.icl, "_inner_budget",
+                            lambda sched, rate: next(budgets))
+        with pytest.raises(IclError,
+                           match="^inner solve of outer step 3 stalled"):
+            solve_icl(quad_game(seed=1), 1e-7)
 
     def test_plain_icl_stalls_above_eps_t_on_a_valid_game(self):
-        # mu = 1e-4 against nu = 1: at the first outer step (eta = 1e4)
-        # PDHG's gap bottoms out at a rounding floor (4.749e-12 when
-        # recorded) above eps_t = 1.25e-12, under either stop rule. ogda
-        # solves the game, so the failure is ICL's absolute inner target
+        # mu = 1e-4 against nu = 1 (eta = 1e4, eps_t = 1.25e-12): PDHG's
+        # gap bottoms out at a rounding floor (4.609e-12 when recorded)
+        # above the tolerance of the full schedule's outer step 16
+        # (4.166e-12; the last step's is eps_t/(2 - theta) = 6.3e-13). ogda
+        # solves the game, and so does stop="certificate" (below), so the
+        # failure is the schedule's absolute inner target
         game = gen_quadratic_known_ne(100, 100, 1e-4, 1.0, 1e-5, 1.0, seed=0)
         with pytest.raises(IclError) as err:
             solve_icl(game, 1e-7)
         message = str(err.value)
-        assert "gap did not reach 1.250e-12 " in message
+        tol = float(message.split(" did not reach ")[1].split(" ")[0])
         least = float(message.rsplit(" ", 1)[1])
-        assert least > 1.25e-12
+        assert least > tol > 1.25e-12
+
+    def test_certificate_stop_solves_the_game_plain_icl_stalls_on(self):
+        game = gen_quadratic_known_ne(100, 100, 1e-4, 1.0, 1e-5, 1.0, seed=0)
+        eps = 1e-7
+        rep = solve_icl(game, eps, stop="certificate")
+        assert rep.status == "converged"
+        assert rep.certified_sq_distance <= eps
+        assert (rep.point.distance_to(game.known_ne) ** 2
+                <= rep.certified_sq_distance)
 
     def test_ledger_separates_query_kinds(self):
         game = quad_game(seed=12)
@@ -419,8 +543,9 @@ class TestSolveIcl:
         assert rep.iterations < sched.T
         assert rep.ledger.g_queries == rep.iterations
         assert len(rep.residual_history) == rep.iterations
-        for _, gap in rep.residual_history:
-            assert gap <= sched.eps_t
+        # the tolerances of a run that may take all sched.T steps
+        for t, (_, gap) in enumerate(rep.residual_history):
+            assert gap <= sched.tolerance(t, sched.T)
 
     def test_zero_coupling_game_takes_one_structured_pass(self):
         rng = np.random.default_rng(17)
@@ -471,6 +596,32 @@ class TestSolveIcl:
         assert rep.status == "converged" and rep.iterations == 1
         assert (rep.ledger.h_queries, rep.ledger.g_queries) == (4, 1)
         assert rep.point.distance_to(game.known_ne) == 0.0
+
+    @pytest.mark.parametrize("stop", ["schedule", "certificate"])
+    @pytest.mark.parametrize("max_outer", [None, 2, 6, 20])
+    def test_reported_bound_holds(self, stop, max_outer):
+        # the report, and the contraction bound after each proximal step
+        # of the run, which a run stopped there would report; a run of
+        # n < K steps counts the tolerances of the K - n steps left
+        for seed, eps in ((20, 1e-3), (21, 1e-6), (22, 1e-9)):
+            game = quad_game(seed=seed, delta=0.6)
+            rep = solve_icl(game, eps, keep_trace=True, max_outer=max_outer,
+                            stop=stop)
+            sched = rep.extras["schedule"]
+            K = sched.T if max_outer is None else min(sched.T, max_outer)
+            trace = rep.extras["trace"]
+            assert len(trace) == rep.iterations + 1 <= K + 1
+            for n, z in enumerate(trace):
+                assert (z.distance_to(game.known_ne) ** 2
+                        <= sched.contraction_bound(n, K, eps))
+            assert (rep.point.distance_to(game.known_ne) ** 2
+                    <= rep.certified_sq_distance)
+            # a full run's contraction bound is the constant eps_t's
+            full = (1.0 - sched.theta) ** K * sched.diameter_sq + eps / 2.0
+            assert sched.contraction_bound(K, K, eps) == full
+            if stop == "schedule":
+                assert rep.iterations == K
+                assert rep.certified_sq_distance <= full
 
     def test_truncated_run_is_not_converged(self):
         eps = 1e-9
