@@ -245,7 +245,9 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
       subproblem is the game itself, and solve_apd_bilinear runs PDHG on
       it with PDLP's restarts and primal weight (solvers.restart_pdhg),
       polling the same certificate at each restart, until it is at most
-      eps. Proximal iterations follow only if it is not.
+      eps. Proximal iterations follow only if it is not. A game whose
+      monotone_modulus is 0 has no such certificate: it runs the full
+      schedule, as "schedule" does.
 
     A game whose two sets are single points is solved by its one point:
     no query, certified_sq_distance 0 and schedule None.
@@ -253,10 +255,11 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     max_outer (at least 1) caps the outer iterations, and so K. The
     reported certified_sq_distance is the smaller of the contraction
     bound after the n proximal iterations run,
-    sched.contraction_bound(n, K, eps), and the last whole-game
-    certificate; status is "converged" only when it is at most eps, else
-    "max_iter". iterations counts the outer iterations run, the step at
-    eta = inf included.
+    sched.contraction_bound(n, K, eps), and the whole-game certificate
+    of the returned point, which drive polls last (none when the
+    modulus is 0); status is "converged" only when it is at most eps,
+    else "max_iter". iterations counts the outer iterations run, the
+    step at eta = inf included.
     """
     if stop not in ("schedule", "certificate"):
         raise ValueError("stop must be 'schedule' or 'certificate'")
@@ -288,9 +291,7 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
             sub, _inner_budget(sched, pdhg_rate(sub.phi_form)), ledger,
             certificate=certificate, target=eps)
         z, outer = rep.point, 1
-        # the last restart's certificate is of z only if it stopped the pass
-        if rep.status == "converged":
-            bound = rep.certified_sq_distance
+        bound = rep.extras.get("accepted")
         if keep_trace:
             trace.append(z)
 
@@ -352,18 +353,17 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
 
     K = T - outer  # the proximal steps this run may take
     tau_last = sched.tolerance(K - 1, K)
-    if bound is None or bound > eps:
+    if bound is None:
+        # under stop="schedule" the one poll is drive's final one
         run = drive(outer_step, lambda: z, ledger, K,
-                    (lambda: certificate(z.concat())) if by_certificate
-                    else None, eps, 1)
+                    None if certificate is None
+                    else lambda: certificate(z.concat()),
+                    eps, 1 if by_certificate else math.inf)
         outer += run.iterations
-        if run.residual_history:
-            bound = run.certified_sq_distance
+        bound = run.certified_sq_distance
 
     # the contraction bound covers the proximal iterations only
     certified = sched.contraction_bound(len(history), K, eps)
-    if certificate is not None and bound is None:
-        bound = certificate(z.concat())
     if bound is not None:
         certified = min(certified, bound)
 

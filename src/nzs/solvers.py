@@ -42,7 +42,7 @@ class StructureError(RuntimeError):
 @dataclass
 class SolverConfig:
     """Stop once the certificate is at most epsilon (0 < epsilon < inf);
-    polls of it are at least CERTIFICATE_PERIOD iterations apart."""
+    polls of it come on drive's schedule, period CERTIFICATE_PERIOD."""
 
     epsilon: float
     max_iter: int = 5_000_000
@@ -183,14 +183,28 @@ def drive(step, point, ledger, max_iter, certificate, target, period,
     CHECK_PERIOD. certificate(), if given, is polled after step period
     into residual_history as (steps, value); a value at most target stops
     the run, else the next poll is due at next_poll, floor period, at the
-    decay rate between the last two polls. Returns the SolveReport of
-    point() with the last certificate, "converged" if a poll stopped the
-    run, else "max_iter".
+    decay rate between the last two polls, and at most max_iter: a run
+    that uses up max_iter polls its last point, so the report's
+    certificate is always of point(). Returns the SolveReport of point()
+    with the last certificate, "converged" if a poll stopped the run,
+    else "max_iter".
     """
     history = []
     status, extras = "max_iter", {}
-    it, check_at, cert_at = 0, 0, period
-    while it < max_iter:
+    it, check_at, cert_at = 0, 0, min(period, max_iter)
+    while True:
+        if certificate is not None and it == cert_at:
+            history.append((it, certificate()))
+            if history[-1][1] <= target:
+                status = "converged"
+                break
+            # a lone poll's rate is inf (at step 0 too): the next is period on
+            (i0, v0), (i1, v1) = ([(-1, math.inf)] + history[-2:])[-2:]
+            rate = math.log(v0 / v1) / (i1 - i0) if 0 < v1 < v0 else 0.0
+            cert_at = min(next_poll(it, Pending(v1, target, rate), period),
+                          max_iter)
+        if it >= max_iter:
+            break
         if stop_check is not None and it == check_at:
             result = stop_check()
             if result is not None and not isinstance(result, Pending):
@@ -199,15 +213,6 @@ def drive(step, point, ledger, max_iter, certificate, target, period,
             check_at = next_poll(it, result, CHECK_PERIOD)
         step()
         it += 1
-        if certificate is not None and it == cert_at:
-            history.append((it, certificate()))
-            if history[-1][1] <= target:
-                status = "converged"
-                break
-            # a lone poll's rate is inf: its next poll is period steps on
-            (i0, v0), (i1, v1) = ([(0, math.inf)] + history)[-2:]
-            rate = math.log(v0 / v1) / (i1 - i0) if 0 < v1 < v0 else 0.0
-            cert_at = next_poll(it, Pending(v1, target, rate), period)
     return SolveReport(point(), ledger, it,
                        history[-1][1] if history else None, history, status,
                        extras)
@@ -237,8 +242,8 @@ def extract_approx_ne(game, z_bar, gamma, dist=None, ledger=None):
 
 def _run(prob, z, step, max_iter, certificate, target, stop_check=None):
     """drive z = step(z) on prob's concatenated iterate from z, polling
-    certificate(z) when given, at least CERTIFICATE_PERIOD steps apart,
-    and stop_check(x, y) when given."""
+    certificate(z) when given on drive's schedule, period
+    CERTIFICATE_PERIOD, and stop_check(x, y) when given."""
     nx = prob.nx
 
     def advance():
@@ -268,16 +273,12 @@ def _baseline_solve(game, config, method):
         f_prev = f_cur
         return prob.step(z, gamma, d)
 
-    rep = _run(prob,
-               np.concatenate([game.X.canonical_point(),
-                               game.Y.canonical_point()]),
-               (lambda z: prob.extragradient(z, gamma, "f")) if method == "eg"
-               else ogda_step, config.max_iter,
-               game_certificate(game, prob.ledger), config.epsilon)
-    # the best certificate seen, which a max_iter run's last need not be
-    rep.certified_sq_distance = min((b for _, b in rep.residual_history),
-                                    default=None)
-    return rep
+    return _run(prob,
+                np.concatenate([game.X.canonical_point(),
+                                game.Y.canonical_point()]),
+                (lambda z: prob.extragradient(z, gamma, "f"))
+                if method == "eg" else ogda_step, config.max_iter,
+                game_certificate(game, prob.ledger), config.epsilon)
 
 
 def solve_eg(game, config):
@@ -285,7 +286,7 @@ def solve_eg(game, config):
 
     Stepsize 1/(sqrt(2) L); two operator queries per iteration; the
     certificate (stepsize 1/(2L), queries ledgered as cert) is polled on
-    drive's schedule, at least CERTIFICATE_PERIOD iterations apart.
+    drive's schedule, period CERTIFICATE_PERIOD.
     """
     return _baseline_solve(game, config, "eg")
 
@@ -454,17 +455,17 @@ def restart_pdhg(kern, ledger, max_iter, certificate, target):
     The restart test runs as drive's stop_check every CHECK_PERIOD steps,
     on the residual r = sqrt(omega |dx|^2 + |dy|^2 / omega) of the last
     step: an epoch ends by the RESTART_* rule against its first r. A
-    restart polls certificate(z) of the concatenated iterate into
-    residual_history as (steps, value) and stops the solve once the value
-    is at most target; else kern takes the primal_weight of the moves
-    since the previous restart. certified_sq_distance is the last poll's
-    value, of the returned point only when status is "converged".
+    restart polls certificate(z) of the concatenated iterate and stops the
+    solve once the value is at most target; else kern takes the
+    primal_weight of the moves since the previous restart. Returns
+    drive's report: the value that stopped the solve, which certifies the
+    returned point, is its extras["accepted"]; a solve that runs out of
+    steps has none.
     """
     omega = math.sqrt(kern.form.ax / kern.form.ay)
     steps = start = 0
     x0, y0 = prev = kern.x, kern.y
     r_first = r_last = None
-    history = []
 
     def step():
         nonlocal prev, steps
@@ -486,19 +487,16 @@ def restart_pdhg(kern, ledger, max_iter, certificate, target):
         r_last = r
         if not due:
             return None
-        history.append((steps, certificate(np.concatenate([kern.x, kern.y]))))
-        if history[-1][1] <= target:
-            return history[-1][1]
+        value = certificate(np.concatenate([kern.x, kern.y]))
+        if value <= target:
+            return value
         omega = primal_weight(omega, kern.x - x0, kern.y - y0)
         kern.set_weight(omega)
         start, x0, y0, r_first = steps, kern.x, kern.y, None
         return None
 
-    rep = drive(step, lambda: JointPoint(kern.x.copy(), kern.y.copy()),
-                ledger, max_iter, None, None, CHECK_PERIOD, check)
-    rep.certified_sq_distance = history[-1][1] if history else None
-    rep.residual_history, rep.extras = history, {}
-    return rep
+    return drive(step, lambda: JointPoint(kern.x.copy(), kern.y.copy()),
+                 ledger, max_iter, None, None, CHECK_PERIOD, check)
 
 
 def solve_apd_bilinear(sub, max_iter, ledger=None, stop_check=None,
@@ -516,7 +514,8 @@ def solve_apd_bilinear(sub, max_iter, ledger=None, stop_check=None,
     A subproblem at eta = inf has no proximal term to balance the steps
     (ICL's delta = 0 step, whose subproblem is the whole game): it runs
     restart_pdhg instead, which polls certificate, required, at each
-    restart; stop_check must be None there.
+    restart and reports the value that stopped it as extras["accepted"];
+    stop_check must be None there.
 
     Raises StructureError when the subproblem has no bilinear structure;
     use solve_operator_eg on sub.operator in that case.

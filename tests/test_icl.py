@@ -351,6 +351,7 @@ class TestSolveIcl:
         assert rep.point.distance_to(stack) > 1e-2
 
     def test_descent_inequality_every_outer_iteration(self):
+        # each step descends by the gap its inner solve accepted
         game = quad_game(seed=9, mu=0.5, nu=1.1, delta=0.3, coupling_norm=0.8)
         rep = solve_icl(game, 1e-10, keep_trace=True)
         sched = rep.extras["schedule"]
@@ -359,7 +360,8 @@ class TestSolveIcl:
         trace = rep.extras["trace"]
         for t in range(len(trace) - 1):
             lhs = (1 / (2 * sched.eta) + m / 2) * trace[t + 1].distance_to(zs) ** 2
-            rhs = (1 / (2 * sched.eta)) * trace[t].distance_to(zs) ** 2 + sched.eps_t
+            rhs = ((1 / (2 * sched.eta)) * trace[t].distance_to(zs) ** 2
+                   + rep.residual_history[t][1])
             assert lhs <= rhs * (1 + 1e-9) + 1e-18
 
     def test_outer_count_within_budget_and_converged(self):
@@ -622,6 +624,37 @@ class TestSolveIcl:
             if stop == "schedule":
                 assert rep.iterations == K
                 assert rep.certified_sq_distance <= full
+
+    def test_certificate_stop_without_a_modulus_runs_the_schedule(
+            self, monkeypatch):
+        # no whole-game certificate exists at monotone_modulus 0, so
+        # stop="certificate" runs the full schedule, as stop="schedule"
+        # does, and reports its contraction bound; its only cert queries
+        # are the two of each inexactness check
+        import nzs.icl
+
+        checks = []
+        monkeypatch.setattr(nzs.icl, "check_inexactness",
+                            lambda *args: checks.append(None)
+                            or check_inexactness(*args))
+        game = dataclasses.replace(quad_game(seed=12), monotone_modulus=0.0)
+        eps = 1e-6
+        reps = []
+        for stop in ("schedule", "certificate"):
+            checks.clear()
+            reps.append(solve_icl(game, eps, stop=stop))
+            assert reps[-1].ledger.cert_queries == 2 * len(checks)
+        sched = reps[1].extras["schedule"]
+        for rep in reps:
+            assert rep.status == "converged"
+            assert rep.iterations == len(rep.residual_history) == sched.T
+            assert (rep.certified_sq_distance
+                    == sched.contraction_bound(sched.T, sched.T, eps) <= eps)
+            assert (rep.point.distance_to(game.known_ne) ** 2
+                    <= rep.certified_sq_distance)
+        assert (reps[0].point.concat().tolist()
+                == reps[1].point.concat().tolist())
+        assert reps[0].ledger == reps[1].ledger
 
     def test_truncated_run_is_not_converged(self):
         eps = 1e-9

@@ -110,6 +110,7 @@ class TestCertifyDistance:
 class TestDrive:
     def test_poll_order_and_counts(self):
         # stop_check before steps 0, 4, 8; certificate after steps 3, 6, 9
+        # and 10, the last, whose value 1/10 meets the target
         steps, polls = [], []
 
         def certificate():
@@ -121,11 +122,25 @@ class TestDrive:
                     certificate, 0.1, 3,
                     stop_check=lambda: polls.append(("check", len(steps))))
         assert (rep.point, rep.ledger, rep.iterations, rep.status,
-                rep.extras) == (10, led, 10, "max_iter", {})
-        assert rep.residual_history == [(3, 1 / 3), (6, 1 / 6), (9, 1 / 9)]
-        assert rep.certified_sq_distance == 1 / 9
+                rep.extras) == (10, led, 10, "converged", {})
+        assert rep.residual_history == [(3, 1 / 3), (6, 1 / 6), (9, 1 / 9),
+                                        (10, 1 / 10)]
+        assert rep.certified_sq_distance == 1 / 10
         assert polls == [("check", 0), ("cert", 3), ("check", 4),
-                         ("cert", 6), ("check", 8), ("cert", 9)]
+                         ("cert", 6), ("check", 8), ("cert", 9),
+                         ("cert", 10)]
+
+    @pytest.mark.parametrize("max_iter,polled", [
+        (0, [0]), (1, [1]), (8, [8]), (20, [8, 16, 20]), (24, [8, 16, 24])])
+    def test_the_returned_point_is_polled_once(self, max_iter, polled):
+        # a run that uses up max_iter ends with a poll of its last point,
+        # the same one when the schedule already lands there
+        steps = []
+        rep = drive(lambda: steps.append(1), lambda: len(steps), None,
+                    max_iter, lambda: 1.0, 0.5, 8)
+        assert (rep.point, rep.iterations, rep.status) == (
+            max_iter, max_iter, "max_iter")
+        assert [k for k, _ in rep.residual_history] == polled
 
     def test_certificate_at_target_stops(self):
         rep = drive(lambda: None, lambda: None, None, 100, lambda: 0.5, 0.5, 8)
@@ -160,7 +175,8 @@ class TestDrive:
         steps = []
         rep = drive(lambda: steps.append(1), lambda: None, None, 100,
                     lambda: value(len(steps)), 0.5, 8)
-        assert [k for k, _ in rep.residual_history] == list(range(8, 97, 8))
+        assert ([k for k, _ in rep.residual_history]
+                == list(range(8, 97, 8)) + [100])
 
     @pytest.mark.parametrize("gap,rate,spacing", [
         (1.0001, 0.5, CHECK_PERIOD),  # nearly there: the floor
@@ -257,6 +273,19 @@ class TestBaselines:
         game = quad_game(seed=17)
         rep = solve_eg(game, SolverConfig(epsilon=1e-12, max_iter=4))
         assert rep.status == "max_iter"
+
+    @pytest.mark.parametrize("solve", [solve_ogda, solve_eg])
+    def test_max_iter_run_certifies_the_point_it_returns(self, solve):
+        # the schedule's last poll comes at step 16, aiming at 1e-300; the
+        # report must certify the step-1000 point, not that older iterate
+        game = gen_quadratic_known_ne(20, 20, 1e-2, 1e-2, 1e-3, 1.0, 0)
+        rep = solve(game, SolverConfig(epsilon=1e-300, max_iter=1000))
+        assert (rep.status, rep.iterations) == ("max_iter", 1000)
+        assert rep.residual_history[-1][0] == rep.iterations
+        cert = game_certificate(game, QueryLedger())
+        assert rep.certified_sq_distance == cert(rep.point.concat())
+        assert (rep.point.distance_to(game.known_ne) ** 2
+                <= rep.certified_sq_distance)
 
 
 def unconstrained_subproblem(seed, n=20, ax=1.0, ay=1.0, wnorm=1.0):
@@ -432,11 +461,12 @@ class TestRestartedPass:
         eps = 1e-8
         ledger = QueryLedger()
         cert = game_certificate(game, ledger)
-        polled, weights = [], []
+        polled, restarts, weights = [], [], []
 
         def certificate(z):
             polled.append(z.copy())
-            return cert(z)
+            restarts.append((ledger.h_queries, cert(z)))
+            return restarts[-1][1]
 
         set_weight = PdhgKernel.set_weight
 
@@ -451,17 +481,17 @@ class TestRestartedPass:
                                  certificate=certificate, target=eps)
         assert rep.status == "converged"
         recomputed = game_certificate(game, QueryLedger())(rep.point.concat())
-        assert recomputed == rep.certified_sq_distance <= eps
+        assert recomputed == rep.extras["accepted"] <= eps
         ref = solve_ogda(game, SolverConfig(epsilon=eps))
         assert rep.point.distance_to(ref.point) <= 2 * math.sqrt(eps)
 
         # one (steps, certificate) pair per restart; the last one stops
-        steps = [i for i, _ in rep.residual_history]
+        steps = [i for i, _ in restarts]
         assert all(a < b for a, b in zip(steps, steps[1:]))
         assert all(i % CHECK_PERIOD == 0 for i in steps)
         assert steps[-1] == rep.iterations
         assert len(polled) == len(steps) == len(weights) + 1 > 2
-        assert all(v > eps for _, v in rep.residual_history[:-1])
+        assert all(v > eps for _, v in restarts[:-1])
 
         # each other restart moves omega halfway, in logs, to |dy|/|dx| of
         # the move since the previous restart
