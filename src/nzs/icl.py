@@ -46,13 +46,16 @@ class IclError(RuntimeError):
 class IclSchedule:
     """Outer-loop schedule.
 
-    eta is the proximal stepsize min(1/delta, 1/min(mu, nu)); theta the
-    per-iteration contraction factor of the squared distance; eps_t the
-    base inexactness tolerance, which tolerance() spreads over the steps
-    of a run; T the outer iteration budget; and inner_target the squared
-    distance that provably implies the inexactness condition at eps_t
-    after one extragradient extraction, which sizes each inner solve's
-    iteration cap (_inner_budget).
+    eta is the proximal stepsize; theta = m/(1/eta + m), m = min(mu, nu),
+    the per-iteration contraction factor of the squared distance; eps_t
+    the base inexactness tolerance, which tolerance() spreads over the
+    steps of a run; T the outer iteration budget; and inner_target the
+    squared distance that provably implies the inexactness condition at
+    eps_t after one extragradient extraction, which sizes each inner
+    solve's iteration cap (_inner_budget). q is None on the theta-route
+    (schedule_params) and on the q-route (game_schedule) the factor
+    (1/eta + delta)/(1/eta + m) by which an exact proximal step contracts
+    the distance to the equilibrium.
     """
 
     eta: float
@@ -61,35 +64,63 @@ class IclSchedule:
     T: int
     inner_target: float
     diameter_sq: float
+    q: float = None
 
     def __post_init__(self):
         if not (0 < self.theta < 1):
             raise ValueError("theta must lie in (0, 1)")
+        if self.q is not None and not 0 < self.q < 1:
+            raise ValueError("q must lie in (0, 1)")
         if self.eps_t <= 0 or self.T < 1:
             raise ValueError("schedule requires eps_t > 0 and T >= 1")
 
     def growth(self, steps):
-        """r^steps with r = 2/(2 - theta). At theta <= 1/2, r^T is below
-        r (2 D^2/eps)^0.58, so no step count up to T overflows."""
-        return (2.0 / (2.0 - self.theta)) ** steps
+        """r^steps with r = 2/(2 - theta), or 1/q on the q-route. At
+        theta <= 1/2, r^T is below r (2 D^2/eps)^0.58, and on the q-route
+        below r (4 D^2/eps)^0.5, so no step count up to T overflows."""
+        r = 2.0 / (2.0 - self.theta) if self.q is None else 1.0 / self.q
+        return r ** steps
 
     def tolerance(self, t, K):
-        """tau_t = eps_t r^(K-1-t)/(2 - theta) of proximal step t (from 0)
-        of at most K: weighted by (1 - theta)^(K-1-t) they sum to at most
-        eps_t/theta, the budget of a constant eps_t."""
+        """tau_t of proximal step t (from 0) of at most K. On the
+        theta-route eps_t r^(K-1-t)/(2 - theta): weighted by
+        (1 - theta)^(K-1-t) they sum to at most eps_t/theta, the budget of
+        a constant eps_t. On the q-route eps_t q^-(K-1-t), with eps_t =
+        mu_sub eps (1 - sqrt(q))^2/4: the distance errors
+        sqrt(tau_t/mu_sub), weighted by q^(K-1-t), sum to at most
+        sqrt(eps)/2."""
+        if self.q is not None:
+            return self.eps_t * self.growth(K - 1 - t)
         return self.eps_t * self.growth(K - 1 - t) / (2.0 - self.theta)
 
     def contraction_bound(self, n, K, eps):
-        """Squared-distance bound after n of a run's at most K proximal
-        steps at these tolerances: (1 - theta)^n D^2 + (eps/2) r^(K-n)."""
+        """Theta-route squared-distance bound after n of a run's at most K
+        proximal steps at these tolerances: (1 - theta)^n D^2
+        + (eps/2) r^(K-n)."""
         return ((1.0 - self.theta) ** n * self.diameter_sq
                 + eps / 2.0 * self.growth(K - n))
 
+    def reported_bound(self, gaps, K, eps):
+        """Squared-distance bound after the proximal steps of a run of at
+        most K that accepted gaps: contraction_bound(len(gaps), K, eps) on
+        the theta-route. On the q-route b^2, with b_0 = D and
+        b_(t+1) = q b_t + sqrt(gap_t/mu_sub): the exact step z+ contracts
+        the distance by q, and the mu_sub-strongly monotone subproblem's
+        gap bounds |z_(t+1) - z+|^2 by gap_t/mu_sub, mu_sub = 1/eta + m."""
+        if self.q is None:
+            return self.contraction_bound(len(gaps), K, eps)
+        b = math.sqrt(self.diameter_sq)
+        for gap in gaps:  # 1/mu_sub = eta (1 - theta)
+            b = self.q * b + math.sqrt(gap * self.eta * (1.0 - self.theta))
+        return b * b
+
 
 def schedule_params(mu, nu, delta, L, eps, D_X, D_Y):
-    """Outer schedule for a strongly monotone near-zero-sum game; None
-    when both sets are single points (D_X = D_Y = 0): nothing is left to
-    schedule."""
+    """Theta-route outer schedule for a strongly monotone near-zero-sum
+    game: eta = min(1/delta, 1/m) (1/m at delta = 0), m = min(mu, nu),
+    theta = m/(1/eta + m) <= 1/2, eps_t = theta eps/(4 eta) and
+    T = ceil(ln(2 D^2/eps)/theta). None when both sets are single points
+    (D_X = D_Y = 0): nothing is left to schedule."""
     m = min(mu, nu)
     if m <= 0:
         raise ValueError("min(mu, nu) must be positive; reduce the game "
@@ -107,6 +138,60 @@ def schedule_params(mu, nu, delta, L, eps, D_X, D_Y):
     T = max(1, math.ceil((1.0 / theta) * math.log(2.0 * D_sq / eps)))
     inner_target = eps_t ** 2 / (8.0 * L ** 2 * D_sq)
     return IclSchedule(eta, theta, eps_t, T, inner_target, D_sq)
+
+
+def game_schedule(game, eps):
+    """The outer schedule solve_icl runs on game.
+
+    It is schedule_params' (the theta-route) unless 0 < delta and
+    delta^2 <= m (m - 2 delta), m = min(mu, nu), that is
+    delta <= (sqrt(2) - 1) m, and the q-route then predicts a lower cost
+    T/rate, rate the inner solver's per-step rate at eta (_inner_rate):
+    Catalyst's trade of outer against inner steps (Lin, Mairal &
+    Harchaoui 2018). On the q-route an exact proximal step z+ has
+    (1/eta + m)|z+ - z*| <= (1/eta + delta)|z_t - z*| at any eta (H
+    m-strongly monotone, grad g delta-Lipschitz): the distance contracts
+    by q = (1/eta + delta)/(1/eta + m), so
+    T = ceil(ln(4 D^2/eps)/(-2 ln q)) steps at the tolerances of
+    IclSchedule.tolerance bring IclSchedule.reported_bound to eps. eta is
+    the 2^k/m (k >= 0) of least predicted cost up to (m - 2 delta)/delta^2,
+    the cap under which (1/eta + m) q^2 <= 1/eta, so the paper's descent
+    inequality holds at theta = m/(1/eta + m).
+    """
+    sched = schedule_params(game.mu, game.nu, game.delta, game.L, eps,
+                            game.X.diameter(), game.Y.diameter())
+    m, delta = min(game.mu, game.nu), game.delta
+    if sched is None or not 0 < delta ** 2 <= m * (m - 2.0 * delta):
+        return sched
+    D_sq = sched.diameter_sq
+    least, best = sched.T / _inner_rate(game, sched.eta), None
+    for k in range(int(math.log2(m * (m - 2.0 * delta) / delta ** 2)) + 1):
+        eta = 2.0 ** k / m
+        q = (1.0 / eta + delta) / (1.0 / eta + m)
+        T = max(1, math.ceil(math.log(4.0 * D_sq / eps)
+                             / (-2.0 * math.log(q))))
+        cost = T / _inner_rate(game, eta)
+        if cost < least:
+            least, best = cost, (eta, q, T)
+    if best is None:
+        return sched
+    eta, q, T = best
+    mu_sub = 1.0 / eta + m
+    eps_t = mu_sub * eps * (1.0 - math.sqrt(q)) ** 2 / 4.0
+    return IclSchedule(eta, m / mu_sub, eps_t, T,
+                       eps_t ** 2 / (8.0 * game.L ** 2 * D_sq), D_sq, q)
+
+
+def _inner_rate(game, eta):
+    """Per-step contraction rate of the inner solver on a subproblem at
+    eta: pdhg_rate of the shifted h_structure, else the operator
+    extragradient's mu_sub/(sqrt(2) L_sub), at least 1e-8."""
+    hs = game.h_structure
+    if hs is not None:
+        hs.w_norm()  # prime the cache so shifted copies do not recompute it
+        return pdhg_rate(hs.shifted(d_ax=1.0 / eta, d_ay=1.0 / eta))
+    return max((1.0 / eta + min(game.mu, game.nu))
+               / (np.sqrt(2.0) * (game.L + 1.0 / eta)), 1e-8)
 
 
 def build_subproblem(game, z_t, eta, ledger=None):
@@ -213,7 +298,8 @@ class SecantStart:
 def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     """Outer loop of iterative coupling linearization.
 
-    The game picks the inner solver: solve_apd_bilinear on the flattened
+    The schedule is game_schedule(game, eps), extras["schedule"]. The
+    game picks the inner solver: solve_apd_bilinear on the flattened
     subproblem when game.h_structure is set, else solve_operator_eg on its
     h_operator oracle. Every subproblem is solved until an extracted candidate
     passes the inexactness check, its one stop rule, polled on drive's
@@ -236,7 +322,8 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
 
     - "schedule" runs the full worst-case schedule (sched.T iterations,
       capped by max_outer), whose contraction alone bounds the squared
-      distance by (1 - theta)^K D^2 + eps/2, at most eps uncapped;
+      distance by eps uncapped: on the theta-route by
+      (1 - theta)^K D^2 + eps/2;
     - "certificate" evaluates the whole-game displacement certificate
       (stepsize 1/(2L), modulus game.monotone_modulus, the one the
       baselines stop on) on drive's schedule, at least one outer
@@ -253,9 +340,9 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     no query, certified_sq_distance 0 and schedule None.
 
     max_outer (at least 1) caps the outer iterations, and so K. The
-    reported certified_sq_distance is the smaller of the contraction
-    bound after the n proximal iterations run,
-    sched.contraction_bound(n, K, eps), and the whole-game certificate
+    reported certified_sq_distance is the smaller of the schedule's bound
+    after the proximal iterations run, sched.reported_bound of their
+    accepted gaps, and the whole-game certificate
     of the returned point, which drive polls last (none when the
     modulus is 0); status is "converged" only when it is at most eps,
     else "max_iter". iterations counts the outer iterations run, the
@@ -265,8 +352,7 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         raise ValueError("stop must be 'schedule' or 'certificate'")
     if max_outer is not None and max_outer < 1:
         raise ValueError("max_outer must be at least 1")
-    sched = schedule_params(game.mu, game.nu, game.delta, game.L, eps,
-                            game.X.diameter(), game.Y.diameter())
+    sched = game_schedule(game, eps)
     ledger = QueryLedger()
     z = JointPoint(game.X.canonical_point(), game.Y.canonical_point())
     if sched is None:  # the one feasible point is the equilibrium
@@ -315,7 +401,7 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         def stop_check(x, y):
             """The inner solve's one stop rule: extract a candidate by one
             projected step; (candidate, gap) if its gap is at most tol,
-            else a Pending at the inner solver's rate, set below. The
+            else a Pending at the inner solver's rate (_inner_rate). The
             first poll, at the start, sets tol from its own gap."""
             nonlocal least_gap, tol
             gx, gy = sub.operator(x, y, ledger, "cert")
@@ -329,11 +415,9 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
             return (cand, gap) if gap <= tol else Pending(gap, tol, rate)
 
         if sub.phi_form is not None:
-            rate = pdhg_rate(sub.phi_form)
             rep = solve_apd_bilinear(sub, _inner_budget(sched, rate), ledger,
                                      stop_check=stop_check, start=start)
         else:
-            rate = max(sub.mu_sub / (np.sqrt(2.0) * sub.L_sub), 1e-8)
             rep = solve_operator_eg(
                 sub.operator, sub.X, sub.Y, start.x, start.y,
                 gamma=gamma_ex, budget=_inner_budget(sched, rate),
@@ -354,6 +438,7 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     K = T - outer  # the proximal steps this run may take
     tau_last = sched.tolerance(K - 1, K)
     if bound is None:
+        rate = _inner_rate(game, sched.eta)
         # under stop="schedule" the one poll is drive's final one
         run = drive(outer_step, lambda: z, ledger, K,
                     None if certificate is None
@@ -362,8 +447,8 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         outer += run.iterations
         bound = run.certified_sq_distance
 
-    # the contraction bound covers the proximal iterations only
-    certified = sched.contraction_bound(len(history), K, eps)
+    # the schedule's bound covers the proximal iterations only
+    certified = sched.reported_bound([gap for _, gap in history], K, eps)
     if bound is not None:
         certified = min(certified, bound)
 

@@ -41,6 +41,16 @@ reformulate-general (h 2700 -> 1517) and MONOTONE_GOLDEN["fee-game"]
 (h 21051 -> 15196), certificates and hashes with them. No outer step
 count, no baseline pin and no single-outer-step ICL pin moved, nor
 MONOTONE_GOLDEN["matching-pennies"], whose gaps reach 0.
+ICL's q-route (icl.game_schedule: on games with
+0 < delta <= (sqrt(2) - 1) min(mu, nu), a larger eta chosen by predicted
+cost, with T, the tolerances and the reported bound from the distance
+contraction q) is an algorithm change too. The golden quadratic game has
+delta/min(mu, nu) = 0.2, so it moved QUAD_GOLDEN's icl (h 1371 -> 982,
+g 53 -> 11, cert 422 -> 134) and QUAD_ICL_ROUTES' inner-eg
+(h 7962 -> 5486, g 53 -> 11, cert 924 -> 276) and stop-certificate
+(h 753 -> 648, g 12 -> 4, cert 178 -> 72), certificates and hashes with
+them. reformulate-general (delta/min(mu, nu) far above sqrt(2) - 1), the
+baselines and every fee pin held.
 A change to when solvers poll their stop tests moves the stop pins but
 not TRAJECTORY_GOLDEN, which pins the iterates of runs that never stop.
 ICL runs longer than SECANT_DEPTH + 1 proximal outer steps start their
@@ -88,8 +98,8 @@ FEE_GOLDEN = {
 
 # dense W and ball sets; ICL with its default full schedule
 QUAD_GOLDEN = {
-    "icl": (0, 1371, 53, 422, 53, "1.079905098470739e-20",
-            "71cef8b3bb04d668f204a488a7ee160e815b8dd53ea2ea6854c8d68f75d298d0"),
+    "icl": (0, 982, 11, 134, 11, "4.298216620771915e-20",
+            "3c5d616cbb112408ced011f3be814445f7b907cd46d64e020752a23b1b4a9836"),
     "ogda": (374, 0, 0, 20, 374, "9.752899565476753e-08",
              "5ed93246000d88dc9a4c3f4c160cf8ec4c21ececaf9ada05fb0a0a12f86a8934"),
     "eg": (534, 0, 0, 20, 267, "6.427738878613156e-08",
@@ -100,10 +110,10 @@ QUAD_GOLDEN = {
 # solves on the h_operator oracle (the game without h_structure), the
 # whole-game certificate stop, and a general reformulation
 QUAD_ICL_ROUTES = {
-    "inner-eg": (0, 7962, 53, 924, 53, "2.602953058980543e-20",
-                 "47945eda2e722ad508a4dd2da3e955ad1413021d000f14ddb91cd75f97367f80"),
-    "stop-certificate": (0, 753, 12, 178, 12, "2.9472065294470284e-08",
-                         "72c51cd4e5554e8235ee509f3ced7fb363dafa4e3caf669f1ab9005aed9cc2f8"),
+    "inner-eg": (0, 5486, 11, 276, 11, "5.820018513623244e-20",
+                 "85aa747dc1321a146ddd08dd5f4fcd969fabe7f9292dfa29fc3146e25727b5a6"),
+    "stop-certificate": (0, 648, 4, 72, 4, "3.2416248014514254e-09",
+                         "25115399f4e75bad2b668e47def3efbc39e620a782a3e496b5d43fa53af8b3f2"),
     "reformulate-general": (0, 1517, 61, 440, 61, "8.422846932730595e-20",
                             "885b4674d45997fca8c8d28b9d258c1e2188a6d7a6deeab4d195ef9466f60afe"),
 }

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +9,12 @@ from nzs.games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
                        grad_g)
 from nzs.icl import (SECANT_DEPTH, START_CUT, IclError, IclSchedule,
                      SecantStart, build_subproblem, check_inexactness,
-                     schedule_params, solve_icl, solve_monotone)
-from nzs.instances import (fee_game, gen_quadratic_known_ne, matching_pennies,
-                           stackelberg_example, stackelberg_reference_points)
+                     game_schedule, schedule_params, solve_icl,
+                     solve_monotone)
+from nzs.instances import (fee_game, gen_quadratic_known_ne,
+                           gen_sparse_experiment, matching_pennies,
+                           reformulate_bilinear, stackelberg_example,
+                           stackelberg_reference_points)
 from nzs.sets import Ball
 from nzs.solvers import SolverConfig, solve_eg
 from nzs.vecmat import SparseMatrix
@@ -189,6 +193,132 @@ class TestSchedule:
         with pytest.raises(ValueError):
             IclSchedule(eta=1.0, theta=1.5, eps_t=1e-8, T=10,
                         inner_target=1e-12, diameter_sq=4.0)
+        with pytest.raises(ValueError, match="q must"):
+            IclSchedule(eta=1.0, theta=0.5, eps_t=1e-8, T=10,
+                        inner_target=1e-12, diameter_sq=4.0, q=1.0)
+
+
+def theta_route(game, eps):
+    return schedule_params(game.mu, game.nu, game.delta, game.L, eps,
+                           game.X.diameter(), game.Y.diameter())
+
+
+class TestScheduleRoutes:
+    @pytest.fixture()
+    def no_cost_model(self, monkeypatch):
+        import nzs.icl
+
+        def forbidden(game, eta):
+            raise AssertionError("the cost model was evaluated")
+
+        monkeypatch.setattr(nzs.icl, "_inner_rate", forbidden)
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        _, meta = gen_sparse_experiment(1000, 1000, 10_000, 0, 1e-4, 1.0)
+        return meta
+
+    @pytest.mark.parametrize("rho", [0.0, 0.0003, 0.0018])
+    def test_desk_fee_specs_keep_the_theta_route(self, no_cost_model, desk,
+                                                rho):
+        # run_method's ICL spec: delta' = 0 at rho = 0, else far above
+        # min(mu, nu)' = 5e-5 (1.06e-3 at rho = 0.0003)
+        game = fee_game(desk["M"], rho, desk["mu"], desk["nu"],
+                        (desk["norm"], desk["norm_abs"]))
+        spec = reformulate_bilinear(game, game.coupling_norm())
+        assert game_schedule(spec, 1e-7) == theta_route(spec, 1e-7)
+
+    @pytest.mark.parametrize("game", [
+        # delta = 0
+        gen_quadratic_known_ne(6, 5, 0.5, 0.8, 0.0, 1.0, seed=3),
+        # delta/min(mu, nu) = 0.5, above sqrt(2) - 1
+        quad_game(),
+        # item 5's probe (1e-3, 0.1, 1e-3): delta/min(mu, nu) = 1
+        gen_quadratic_known_ne(100, 100, 1e-3, 0.1, 1e-3, 1.0, seed=0),
+        # just above sqrt(2) - 1
+        quad_game(mu=1.0, delta=0.415),
+    ])
+    def test_games_outside_the_q_route_keep_the_theta_route(
+            self, no_cost_model, game):
+        for eps in (1e-3, 1e-7):
+            assert game_schedule(game, eps) == theta_route(game, eps)
+
+    def test_q_route_up_to_sqrt2_minus_1(self):
+        # at delta/m = 0.414 only eta = 1/m is under the cap, where
+        # q^2 = 0.49985 beats the theta-route's 1 - theta = 1/2
+        game = quad_game(mu=1.0, delta=0.414)
+        s, base = game_schedule(game, 1e-7), theta_route(game, 1e-7)
+        assert s.q == pytest.approx(0.707) and s.eta == base.eta == 1.0
+        assert s.T < base.T
+
+    def test_quad_coupled_picks_the_cheapest_eta(self):
+        # the quad-coupled benchmark's game 0 (delta/m = 0.1): T/rate is
+        # least at eta = 64/m among 2^k/m up to the cap 80/m, and 58
+        # theta-route steps fall to 7
+        game = gen_quadratic_known_ne(200, 200, 0.01, 0.01, 0.001, 1.0,
+                                      seed=0)
+        s = game_schedule(game, 1e-7)
+        assert (s.eta, s.T, theta_route(game, 1e-7).T) == (6400.0, 7, 58)
+        assert s.q == pytest.approx(7.4 / 65, rel=1e-14)
+        assert s.theta == pytest.approx(64 / 65, rel=1e-14)
+
+    def test_reported_bound_hand_value(self):
+        # mu_sub = 1/(eta (1 - theta)) = 1, D = 2: b_1 = 0.5 * 2 +
+        # sqrt(0.25) = 1.5, b_2 = 0.5 * 1.5 + 0 = 0.75
+        s = IclSchedule(eta=2.0, theta=0.5, eps_t=1e-8, T=3,
+                        inner_target=1e-12, diameter_sq=4.0, q=0.5)
+        assert s.reported_bound([], 3, 1e-3) == 4.0
+        assert s.reported_bound([0.25], 3, 1e-3) == 1.5 ** 2
+        assert s.reported_bound([0.25, 0.0], 3, 1e-3) == 0.75 ** 2
+
+    @pytest.mark.parametrize("delta", [0.001, 0.01, 0.1])
+    def test_scheduled_tolerances_reach_eps(self, delta):
+        # gaps at the scheduled tolerances of K steps leave b_K^2 <=
+        # (q^K D + sqrt(eps)/2)^2, which is at most eps at K = T
+        game = quad_game(mu=1.0, delta=delta)
+        eps = 1e-7
+        s = game_schedule(game, eps)
+        assert s.q is not None
+        for K in (1, 2, s.T):
+            taus = [s.tolerance(t, K) for t in range(K)]
+            assert taus == sorted(taus, reverse=True)
+            worst = math.sqrt(s.reported_bound(taus, K, eps))
+            assert worst <= (s.q ** K * math.sqrt(s.diameter_sq)
+                             + 0.5 * math.sqrt(eps)) * (1 + 1e-12)
+        assert s.reported_bound(taus, s.T, eps) <= eps
+
+    @pytest.mark.parametrize("mu,nu", [(0.05, 0.05), (0.02, 0.3)])
+    def test_bound_audit(self, mu, nu):
+        # every prefix n of every run: |z_n - z*|^2 <= b_n^2, the bound a
+        # run stopped there reports; each step keeps
+        # d_(t+1) <= q d_t + sqrt(gap_t/mu_sub), and eta is under the cap
+        # (m - 2 delta)/delta^2 of the paper's descent inequality
+        m = min(mu, nu)
+        for seed, r in enumerate((0.01, 0.1, 0.2, 0.4)):
+            game = gen_quadratic_known_ne(30, 25, mu, nu, r * m, 1.0, seed)
+            delta = game.delta
+            for eps, max_outer, stop in itertools.product(
+                    (1e-3, 1e-6, 1e-9), (None, 2, 6),
+                    ("schedule", "certificate")):
+                rep = solve_icl(game, eps, keep_trace=True,
+                                max_outer=max_outer, stop=stop)
+                s = rep.extras["schedule"]
+                assert s.q is not None
+                assert s.eta <= (m - 2.0 * delta) / delta ** 2
+                K = s.T if max_outer is None else min(s.T, max_outer)
+                gaps = [gap for _, gap in rep.residual_history]
+                d = [z.distance_to(game.known_ne)
+                     for z in rep.extras["trace"]]
+                for n in range(len(d)):
+                    assert (d[n] ** 2
+                            <= s.reported_bound(gaps[:n], K, eps) + 1e-24)
+                for t, gap in enumerate(gaps):
+                    assert d[t + 1] <= (s.q * d[t]
+                                        + math.sqrt(gap / (1 / s.eta + m))
+                                        + 1e-12)
+                assert d[-1] ** 2 <= rep.certified_sq_distance + 1e-24
+                if stop == "schedule" and max_outer is None:
+                    assert rep.status == "converged"
 
 
 class TestBuildSubproblem:
@@ -449,9 +579,10 @@ class TestSolveIcl:
             solve_icl(quad_game(seed=1), 1e-7)
 
     def test_stalled_inner_solve_names_the_smallest_gap(self, monkeypatch):
-        # the 20x20 golden game: 80 inner steps poll the first outer
-        # step's check three times, and none of its gaps reaches the
-        # tolerance in force, tau_0 = 1.308e-3 (g0/START_CUT is larger)
+        # the 20x20 golden game, on the q-route: 200 inner steps poll the
+        # first outer step's check six times, and none of its gaps
+        # reaches the tolerance in force, tau_0 = 7.430e-5 (g0/START_CUT
+        # is larger)
         import nzs.icl
 
         gaps = []
@@ -461,21 +592,21 @@ class TestSolveIcl:
             return gaps[-1]
 
         monkeypatch.setattr(nzs.icl, "check_inexactness", recorded)
-        monkeypatch.setattr(nzs.icl, "_inner_budget", lambda sched, rate: 80)
+        monkeypatch.setattr(nzs.icl, "_inner_budget", lambda sched, rate: 200)
         game = quad_game(seed=1, n_x=20, n_y=20, mu=0.05, nu=0.05,
                          delta=0.01, coupling_norm=1.0)
         with pytest.raises(IclError) as err:
             solve_icl(game, 1e-7)
-        s = schedule_params(game.mu, game.nu, game.delta, game.L, 1e-7,
-                            game.X.diameter(), game.Y.diameter())
+        s = game_schedule(game, 1e-7)  # the schedule the run used
+        assert s.q is not None
         tol = min(s.tolerance(0, s.T),
                   max(gaps[0] / START_CUT, s.tolerance(s.T - 1, s.T)))
-        assert len(gaps) == 3 and min(gaps) < gaps[0] and min(gaps) > tol
+        assert len(gaps) == 6 and min(gaps) < gaps[0] and min(gaps) > tol
         assert str(err.value) == (
             f"inner solve of outer step 0 stalled: gap did not reach "
-            f"{tol:.3e} within 80 iterations; the smallest gap checked was "
+            f"{tol:.3e} within 200 iterations; the smallest gap checked was "
             f"{min(gaps):.3e}")
-        assert f"{tol:.3e}" == "1.308e-03"
+        assert f"{tol:.3e}" == "7.430e-05"
 
     def test_stalled_inner_solve_names_its_outer_step(self, monkeypatch):
         import nzs.icl
