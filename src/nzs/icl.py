@@ -55,7 +55,8 @@ class IclSchedule:
     solve's iteration cap (_inner_budget). q is None on the theta-route
     (schedule_params) and on the q-route (game_schedule) the factor
     (1/eta + delta)/(1/eta + m) by which an exact proximal step contracts
-    the distance to the equilibrium.
+    the distance to the equilibrium. Either route's reported_bound folds
+    the gaps a run's steps accepted into the bound it reports.
     """
 
     eta: float
@@ -74,41 +75,35 @@ class IclSchedule:
         if self.eps_t <= 0 or self.T < 1:
             raise ValueError("schedule requires eps_t > 0 and T >= 1")
 
-    def growth(self, steps):
-        """r^steps with r = 2/(2 - theta), or 1/q on the q-route. At
-        theta <= 1/2, r^T is below r (2 D^2/eps)^0.58, and on the q-route
-        below r (4 D^2/eps)^0.5, so no step count up to T overflows."""
-        r = 2.0 / (2.0 - self.theta) if self.q is None else 1.0 / self.q
-        return r ** steps
-
     def tolerance(self, t, K):
         """tau_t of proximal step t (from 0) of at most K. On the
-        theta-route eps_t r^(K-1-t)/(2 - theta): weighted by
-        (1 - theta)^(K-1-t) they sum to at most eps_t/theta, the budget of
-        a constant eps_t. On the q-route eps_t q^-(K-1-t), with eps_t =
-        mu_sub eps (1 - sqrt(q))^2/4: the distance errors
+        theta-route eps_t r^(K-1-t)/(2 - theta), r = 2/(2 - theta):
+        weighted by (1 - theta)^(K-1-t) they sum to at most eps_t/theta,
+        the budget of a constant eps_t. On the q-route eps_t q^-(K-1-t),
+        with eps_t = mu_sub eps (1 - sqrt(q))^2/4: the distance errors
         sqrt(tau_t/mu_sub), weighted by q^(K-1-t), sum to at most
-        sqrt(eps)/2."""
+        sqrt(eps)/2. At theta <= 1/2, r^T is below r (2 D^2/eps)^0.58,
+        and on the q-route (1/q)^T below (4 D^2/eps)^0.5/q, so no step
+        count up to T overflows."""
         if self.q is not None:
-            return self.eps_t * self.growth(K - 1 - t)
-        return self.eps_t * self.growth(K - 1 - t) / (2.0 - self.theta)
+            return self.eps_t * (1.0 / self.q) ** (K - 1 - t)
+        return (self.eps_t * (2.0 / (2.0 - self.theta)) ** (K - 1 - t)
+                / (2.0 - self.theta))
 
-    def contraction_bound(self, n, K, eps):
-        """Theta-route squared-distance bound after n of a run's at most K
-        proximal steps at these tolerances: (1 - theta)^n D^2
-        + (eps/2) r^(K-n)."""
-        return ((1.0 - self.theta) ** n * self.diameter_sq
-                + eps / 2.0 * self.growth(K - n))
-
-    def reported_bound(self, gaps, K, eps):
-        """Squared-distance bound after the proximal steps of a run of at
-        most K that accepted gaps: contraction_bound(len(gaps), K, eps) on
-        the theta-route. On the q-route b^2, with b_0 = D and
+    def reported_bound(self, gaps):
+        """Squared-distance bound after the proximal steps that accepted
+        gaps, from B_0 = D^2. On the theta-route
+        B_(t+1) = (1 - theta)(B_t + 2 eta gap_t), the paper's descent
+        inequality (1/(2 eta) + m/2) d_(t+1)^2 <= d_t^2/(2 eta) + gap_t.
+        On the q-route b^2, with b_0 = D and
         b_(t+1) = q b_t + sqrt(gap_t/mu_sub): the exact step z+ contracts
         the distance by q, and the mu_sub-strongly monotone subproblem's
         gap bounds |z_(t+1) - z+|^2 by gap_t/mu_sub, mu_sub = 1/eta + m."""
         if self.q is None:
-            return self.contraction_bound(len(gaps), K, eps)
+            bound = self.diameter_sq
+            for gap in gaps:
+                bound = (1.0 - self.theta) * (bound + 2.0 * self.eta * gap)
+            return bound
         b = math.sqrt(self.diameter_sq)
         for gap in gaps:  # 1/mu_sub = eta (1 - theta)
             b = self.q * b + math.sqrt(gap * self.eta * (1.0 - self.theta))
@@ -145,18 +140,18 @@ def game_schedule(game, eps):
 
     It is schedule_params' (the theta-route) unless 0 < delta and
     delta^2 <= m (m - 2 delta), m = min(mu, nu), that is
-    delta <= (sqrt(2) - 1) m, and the q-route then predicts a lower cost
-    T/rate, rate the inner solver's per-step rate at eta (_inner_rate):
-    Catalyst's trade of outer against inner steps (Lin, Mairal &
-    Harchaoui 2018). On the q-route an exact proximal step z+ has
-    (1/eta + m)|z+ - z*| <= (1/eta + delta)|z_t - z*| at any eta (H
-    m-strongly monotone, grad g delta-Lipschitz): the distance contracts
-    by q = (1/eta + delta)/(1/eta + m), so
+    delta <= (sqrt(2) - 1) m, where it is the q-route. There an exact
+    proximal step z+ has (1/eta + m)|z+ - z*| <= (1/eta + delta)|z_t - z*|
+    at any eta (H m-strongly monotone, grad g delta-Lipschitz): the
+    distance contracts by q = (1/eta + delta)/(1/eta + m), so
     T = ceil(ln(4 D^2/eps)/(-2 ln q)) steps at the tolerances of
     IclSchedule.tolerance bring IclSchedule.reported_bound to eps. eta is
-    the 2^k/m (k >= 0) of least predicted cost up to (m - 2 delta)/delta^2,
-    the cap under which (1/eta + m) q^2 <= 1/eta, so the paper's descent
-    inequality holds at theta = m/(1/eta + m).
+    the 2^k/m (k >= 0) of least predicted cost T/rate, rate the inner
+    solver's per-step rate at eta (_inner_rate): Catalyst's trade of outer
+    against inner steps (Lin, Mairal & Harchaoui 2018). k runs up to
+    (m - 2 delta)/delta^2, the cap under which (1/eta + m) q^2 <= 1/eta,
+    so the paper's descent inequality holds at theta = m/(1/eta + m). At
+    k = 0 it has the theta-route's eta = 1/m, and q^2 < 1 - theta.
     """
     sched = schedule_params(game.mu, game.nu, game.delta, game.L, eps,
                             game.X.diameter(), game.Y.diameter())
@@ -164,18 +159,14 @@ def game_schedule(game, eps):
     if sched is None or not 0 < delta ** 2 <= m * (m - 2.0 * delta):
         return sched
     D_sq = sched.diameter_sq
-    least, best = sched.T / _inner_rate(game, sched.eta), None
+    routes = []
     for k in range(int(math.log2(m * (m - 2.0 * delta) / delta ** 2)) + 1):
         eta = 2.0 ** k / m
         q = (1.0 / eta + delta) / (1.0 / eta + m)
         T = max(1, math.ceil(math.log(4.0 * D_sq / eps)
                              / (-2.0 * math.log(q))))
-        cost = T / _inner_rate(game, eta)
-        if cost < least:
-            least, best = cost, (eta, q, T)
-    if best is None:
-        return sched
-    eta, q, T = best
+        routes.append((T / _inner_rate(game, eta), eta, q, T))
+    _, eta, q, T = min(routes)
     mu_sub = 1.0 / eta + m
     eps_t = mu_sub * eps * (1.0 - math.sqrt(q)) ** 2 / 4.0
     return IclSchedule(eta, m / mu_sub, eps_t, T,
@@ -321,8 +312,8 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     stop selects when the outer loop ends:
 
     - "schedule" runs the full worst-case schedule (sched.T iterations,
-      capped by max_outer), whose contraction alone bounds the squared
-      distance by eps uncapped: on the theta-route by
+      capped by max_outer), at whose tolerances sched.reported_bound
+      alone reaches eps uncapped: on the theta-route it is at most
       (1 - theta)^K D^2 + eps/2;
     - "certificate" evaluates the whole-game displacement certificate
       (stepsize 1/(2L), modulus game.monotone_modulus, the one the
@@ -340,13 +331,12 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     no query, certified_sq_distance 0 and schedule None.
 
     max_outer (at least 1) caps the outer iterations, and so K. The
-    reported certified_sq_distance is the smaller of the schedule's bound
-    after the proximal iterations run, sched.reported_bound of their
-    accepted gaps, and the whole-game certificate
-    of the returned point, which drive polls last (none when the
-    modulus is 0); status is "converged" only when it is at most eps,
-    else "max_iter". iterations counts the outer iterations run, the
-    step at eta = inf included.
+    reported certified_sq_distance is the smaller of
+    sched.reported_bound of the gaps the proximal iterations accepted and
+    the whole-game certificate of the returned point, which drive polls
+    last (none when the modulus is 0); status is "converged" only when
+    it is at most eps, else "max_iter". iterations counts the outer
+    iterations run, the step at eta = inf included.
     """
     if stop not in ("schedule", "certificate"):
         raise ValueError("stop must be 'schedule' or 'certificate'")
@@ -447,8 +437,8 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
         outer += run.iterations
         bound = run.certified_sq_distance
 
-    # the schedule's bound covers the proximal iterations only
-    certified = sched.reported_bound([gap for _, gap in history], K, eps)
+    # the gaps' bound covers the proximal iterations only
+    certified = sched.reported_bound([gap for _, gap in history])
     if bound is not None:
         certified = min(certified, bound)
 

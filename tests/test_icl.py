@@ -130,28 +130,27 @@ class TestSchedule:
         assert weighted == pytest.approx(budget, rel=1e-12)
 
     @pytest.mark.parametrize("mu,delta", [(0.2, 0.0), (1e-4, 6e-4)])
-    def test_contraction_bound_covers_the_scheduled_errors(self, mu, delta):
-        # the worst case the bound must cover: each step contracts by
-        # 1 - theta and adds 2 eta tau_t, the error of a gap tau_t (the
-        # constant eps_t's budget eps/2 is 2 eta eps_t/theta); a run
-        # stopped after n < K steps has not yet spent the loose early
-        # tolerances' excess, so eps/2 alone would not cover it
+    def test_reported_bound_at_the_scheduled_tolerances(self, mu, delta):
+        # gaps at the scheduled tolerances are the worst case:
+        # B_n = (1 - theta)^n D^2 + sum_t (1 - theta)^(n-t) 2 eta tau_t
+        # (the constant eps_t's budget eps/2 is 2 eta eps_t/theta). Every
+        # prefix stays within (1 - theta)^n D^2 + (eps/2) r^(K-n), and a
+        # full run of the schedule within eps
         eps = 1e-7
         s = schedule_params(mu=mu, nu=1.0, delta=delta, L=2.0, eps=eps,
                             D_X=1.0, D_Y=1.0)
+        r, c = 2.0 / (2.0 - s.theta), 1.0 - s.theta
         for K in (1, 5, s.T):
-            worst, beyond_half_eps = s.diameter_sq, False
+            taus = np.array([s.tolerance(t, K) for t in range(K)])
             for n in range(K + 1):
-                bound = s.contraction_bound(n, K, eps)
-                assert worst <= bound * (1 + 1e-12)
-                beyond_half_eps |= worst > ((1.0 - s.theta) ** n
-                                            * s.diameter_sq + eps / 2.0)
-                if n < K:
-                    worst = ((1.0 - s.theta) * worst
-                             + 2.0 * s.eta * s.tolerance(n, K))
-            assert bound == ((1.0 - s.theta) ** K * s.diameter_sq
-                             + eps / 2.0)
-        assert beyond_half_eps
+                bound = s.reported_bound(taus[:n])
+                worst = c ** n * s.diameter_sq + np.sum(
+                    c ** (n - np.arange(n)) * 2.0 * s.eta * taus[:n])
+                assert bound == pytest.approx(worst, rel=1e-12)
+                assert bound <= (c ** n * s.diameter_sq
+                                 + eps / 2.0 * r ** (K - n))
+            assert bound <= c ** K * s.diameter_sq + eps / 2.0
+        assert bound <= eps
 
     def test_tolerance_grows_with_the_steps_left(self):
         s = schedule_params(mu=0.3, nu=0.7, delta=0.1, L=2.0, eps=1e-5,
@@ -163,20 +162,19 @@ class TestSchedule:
         # one more step left multiplies the tolerance by r
         assert s.tolerance(0, K + 1) == pytest.approx(
             taus[0] * 2.0 / (2.0 - s.theta), rel=1e-14)
-        assert s.growth(0) == 1.0
 
     @pytest.mark.parametrize("mu,delta,eps", [(1e-5, 1.0, 1e-7),
                                               (0.2, 0.0, 1e-300)])
     def test_nothing_overflows_up_to_the_outer_budget(self, mu, delta, eps):
         # theta = 1e-5 makes T about 1.75e6; theta = 1/2 with eps = 1e-300
-        # gives r^T its largest factor, about 1e173
+        # gives r^T its largest factor, about 1e173, in tau_0
         s = schedule_params(mu=mu, nu=1.0, delta=delta, L=2.0, eps=eps,
                             D_X=1.0, D_Y=1.0)
         K = s.T
         assert K > 10 ** 6 or s.theta == 0.5
         for t in (0, K // 2, K - 1):
             assert 0 < s.tolerance(t, K) < math.inf
-        assert s.contraction_bound(0, K, eps) < math.inf
+        assert s.reported_bound([s.tolerance(0, K)]) < math.inf
 
     def test_rejects_zero_modulus(self):
         with pytest.raises(ValueError, match="solve_monotone"):
@@ -267,9 +265,15 @@ class TestScheduleRoutes:
         # sqrt(0.25) = 1.5, b_2 = 0.5 * 1.5 + 0 = 0.75
         s = IclSchedule(eta=2.0, theta=0.5, eps_t=1e-8, T=3,
                         inner_target=1e-12, diameter_sq=4.0, q=0.5)
-        assert s.reported_bound([], 3, 1e-3) == 4.0
-        assert s.reported_bound([0.25], 3, 1e-3) == 1.5 ** 2
-        assert s.reported_bound([0.25, 0.0], 3, 1e-3) == 0.75 ** 2
+        assert s.reported_bound([]) == 4.0
+        assert s.reported_bound([0.25]) == 1.5 ** 2
+        assert s.reported_bound([0.25, 0.0]) == 0.75 ** 2
+        # the theta-route's: B_1 = 0.5 (4 + 2 * 2 * 0.25) = 2.5,
+        # B_2 = 0.5 (2.5 + 0) = 1.25
+        s = dataclasses.replace(s, q=None)
+        assert s.reported_bound([]) == 4.0
+        assert s.reported_bound([0.25]) == 2.5
+        assert s.reported_bound([0.25, 0.0]) == 1.25
 
     @pytest.mark.parametrize("delta", [0.001, 0.01, 0.1])
     def test_scheduled_tolerances_reach_eps(self, delta):
@@ -282,10 +286,10 @@ class TestScheduleRoutes:
         for K in (1, 2, s.T):
             taus = [s.tolerance(t, K) for t in range(K)]
             assert taus == sorted(taus, reverse=True)
-            worst = math.sqrt(s.reported_bound(taus, K, eps))
+            worst = math.sqrt(s.reported_bound(taus))
             assert worst <= (s.q ** K * math.sqrt(s.diameter_sq)
                              + 0.5 * math.sqrt(eps)) * (1 + 1e-12)
-        assert s.reported_bound(taus, s.T, eps) <= eps
+        assert s.reported_bound(taus) <= eps
 
     @pytest.mark.parametrize("mu,nu", [(0.05, 0.05), (0.02, 0.3)])
     def test_bound_audit(self, mu, nu):
@@ -305,13 +309,11 @@ class TestScheduleRoutes:
                 s = rep.extras["schedule"]
                 assert s.q is not None
                 assert s.eta <= (m - 2.0 * delta) / delta ** 2
-                K = s.T if max_outer is None else min(s.T, max_outer)
                 gaps = [gap for _, gap in rep.residual_history]
                 d = [z.distance_to(game.known_ne)
                      for z in rep.extras["trace"]]
                 for n in range(len(d)):
-                    assert (d[n] ** 2
-                            <= s.reported_bound(gaps[:n], K, eps) + 1e-24)
+                    assert d[n] ** 2 <= s.reported_bound(gaps[:n]) + 1e-24
                 for t, gap in enumerate(gaps):
                     assert d[t + 1] <= (s.q * d[t]
                                         + math.sqrt(gap / (1 / s.eta + m))
@@ -319,6 +321,59 @@ class TestScheduleRoutes:
                 assert d[-1] ** 2 <= rep.certified_sq_distance + 1e-24
                 if stop == "schedule" and max_outer is None:
                     assert rep.status == "converged"
+
+    @pytest.mark.parametrize("mu,nu", [(0.05, 0.05), (0.02, 0.3)])
+    def test_theta_route_bound_audit(self, mu, nu):
+        # the theta-route's twin of test_bound_audit, with r >= 1 the
+        # delta >= m regime of every fee spec: every prefix n has
+        # |z_n - z*|^2 <= B_n, each step keeps the descent inequality
+        # d_(t+1)^2 <= (1 - theta)(d_t^2 + 2 eta gap_t), and B_n never
+        # exceeds the schedule's worst case after n of K steps,
+        # (1 - theta)^n D^2 + (eps/2) (2/(2 - theta))^(K-n)
+        m = min(mu, nu)
+        for seed, r in enumerate((0.5, 1.0, 2.0)):
+            game = gen_quadratic_known_ne(30, 25, mu, nu, r * m, 1.0, seed)
+            for eps, max_outer, stop in itertools.product(
+                    (1e-3, 1e-6, 1e-9), (None, 2, 6),
+                    ("schedule", "certificate")):
+                rep = solve_icl(game, eps, keep_trace=True,
+                                max_outer=max_outer, stop=stop)
+                s = rep.extras["schedule"]
+                assert s.q is None
+                K = s.T if max_outer is None else min(s.T, max_outer)
+                gaps = [gap for _, gap in rep.residual_history]
+                d = [z.distance_to(game.known_ne)
+                     for z in rep.extras["trace"]]
+                for n in range(len(d)):
+                    bound = s.reported_bound(gaps[:n])
+                    assert d[n] ** 2 <= bound + 1e-24
+                    assert bound <= ((1.0 - s.theta) ** n * s.diameter_sq
+                                     + eps / 2.0
+                                     * (2.0 / (2.0 - s.theta)) ** (K - n))
+                for t, gap in enumerate(gaps):
+                    assert d[t + 1] ** 2 <= ((1.0 - s.theta)
+                                             * (d[t] ** 2 + 2.0 * s.eta * gap)
+                                             * (1 + 1e-9) + 1e-24)
+                assert d[-1] ** 2 <= rep.certified_sq_distance <= bound
+                if stop == "schedule" and max_outer is None:
+                    assert rep.status == "converged"
+
+    def test_q_route_wherever_its_guard_holds(self):
+        # delta/m = 0.4 at D^2/eps = 2: both routes take eta = 1/m and 3
+        # steps, and the q-route, whose q^2 = 0.49 is below the
+        # theta-route's 1 - theta = 1/2, is the schedule
+        game = quad_game(mu=1.0, delta=0.4)
+        eps = (game.X.diameter() ** 2 + game.Y.diameter() ** 2) / 2.0
+        s, base = game_schedule(game, eps), theta_route(game, eps)
+        assert s.q == pytest.approx(0.7) and s.eta == base.eta == 1.0
+        assert s.T == base.T == 3
+        rep = solve_icl(game, eps, keep_trace=True)
+        assert rep.status == "converged" and rep.iterations == 3
+        gaps = [gap for _, gap in rep.residual_history]
+        for n, z in enumerate(rep.extras["trace"]):
+            assert (z.distance_to(game.known_ne) ** 2
+                    <= s.reported_bound(gaps[:n]) + 1e-24)
+        assert rep.certified_sq_distance <= eps
 
 
 class TestBuildSubproblem:
@@ -619,12 +674,14 @@ class TestSolveIcl:
             solve_icl(quad_game(seed=1), 1e-7)
 
     def test_plain_icl_stalls_above_eps_t_on_a_valid_game(self):
-        # mu = 1e-4 against nu = 1 (eta = 1e4, eps_t = 1.25e-12): PDHG's
-        # gap bottoms out at a rounding floor (4.609e-12 when recorded)
-        # above the tolerance of the full schedule's outer step 16
-        # (4.166e-12; the last step's is eps_t/(2 - theta) = 6.3e-13). ogda
-        # solves the game, and so does stop="certificate" (below), so the
-        # failure is the schedule's absolute inner target
+        # mu = 1e-4 against nu = 1, delta/m = 0.1: the q-route at
+        # eta = 3.2e5, T = 7 (1.25e-12 below is the theta-route's eps_t).
+        # PDHG's gap bottoms out at a rounding floor (1.013e-11 when
+        # recorded) above the tolerance in force at outer step 4,
+        # 3.333e-12 (its first gap over START_CUT), after 636,987 inner
+        # iterations. ogda solves the game, and so does
+        # stop="certificate" (below), so the failure is the schedule's
+        # absolute inner target
         game = gen_quadratic_known_ne(100, 100, 1e-4, 1.0, 1e-5, 1.0, seed=0)
         with pytest.raises(IclError) as err:
             solve_icl(game, 1e-7)
@@ -733,9 +790,8 @@ class TestSolveIcl:
     @pytest.mark.parametrize("stop", ["schedule", "certificate"])
     @pytest.mark.parametrize("max_outer", [None, 2, 6, 20])
     def test_reported_bound_holds(self, stop, max_outer):
-        # the report, and the contraction bound after each proximal step
-        # of the run, which a run stopped there would report; a run of
-        # n < K steps counts the tolerances of the K - n steps left
+        # the report, and the bound of the gaps accepted up to each
+        # proximal step of the run, which a run stopped there would report
         for seed, eps in ((20, 1e-3), (21, 1e-6), (22, 1e-9)):
             game = quad_game(seed=seed, delta=0.6)
             rep = solve_icl(game, eps, keep_trace=True, max_outer=max_outer,
@@ -743,15 +799,15 @@ class TestSolveIcl:
             sched = rep.extras["schedule"]
             K = sched.T if max_outer is None else min(sched.T, max_outer)
             trace = rep.extras["trace"]
+            gaps = [gap for _, gap in rep.residual_history]
             assert len(trace) == rep.iterations + 1 <= K + 1
             for n, z in enumerate(trace):
                 assert (z.distance_to(game.known_ne) ** 2
-                        <= sched.contraction_bound(n, K, eps))
+                        <= sched.reported_bound(gaps[:n]))
             assert (rep.point.distance_to(game.known_ne) ** 2
                     <= rep.certified_sq_distance)
-            # a full run's contraction bound is the constant eps_t's
+            # a full run stays within the constant eps_t's bound
             full = (1.0 - sched.theta) ** K * sched.diameter_sq + eps / 2.0
-            assert sched.contraction_bound(K, K, eps) == full
             if stop == "schedule":
                 assert rep.iterations == K
                 assert rep.certified_sq_distance <= full
@@ -760,8 +816,8 @@ class TestSolveIcl:
             self, monkeypatch):
         # no whole-game certificate exists at monotone_modulus 0, so
         # stop="certificate" runs the full schedule, as stop="schedule"
-        # does, and reports its contraction bound; its only cert queries
-        # are the two of each inexactness check
+        # does, and reports the bound of its accepted gaps; its only cert
+        # queries are the two of each inexactness check
         import nzs.icl
 
         checks = []
@@ -779,8 +835,9 @@ class TestSolveIcl:
         for rep in reps:
             assert rep.status == "converged"
             assert rep.iterations == len(rep.residual_history) == sched.T
-            assert (rep.certified_sq_distance
-                    == sched.contraction_bound(sched.T, sched.T, eps) <= eps)
+            gaps = [gap for _, gap in rep.residual_history]
+            assert rep.certified_sq_distance == sched.reported_bound(gaps)
+            assert rep.certified_sq_distance <= eps
             assert (rep.point.distance_to(game.known_ne) ** 2
                     <= rep.certified_sq_distance)
         assert (reps[0].point.concat().tolist()
