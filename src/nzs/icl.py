@@ -56,7 +56,9 @@ class IclSchedule:
     (schedule_params) and on the q-route (game_schedule) the factor
     (1/eta + delta)/(1/eta + m) by which an exact proximal step contracts
     the distance to the equilibrium. Either route's reported_bound folds
-    the gaps a run's steps accepted into the bound it reports.
+    the gaps a run's steps accepted into the bound it reports; on the
+    q-route a "gap" is check_inexactness' residual bound mu_sub e^2, and
+    a step also keeps it under descent_cap.
     """
 
     eta: float
@@ -97,8 +99,8 @@ class IclSchedule:
         inequality (1/(2 eta) + m/2) d_(t+1)^2 <= d_t^2/(2 eta) + gap_t.
         On the q-route b^2, with b_0 = D and
         b_(t+1) = q b_t + sqrt(gap_t/mu_sub): the exact step z+ contracts
-        the distance by q, and the mu_sub-strongly monotone subproblem's
-        gap bounds |z_(t+1) - z+|^2 by gap_t/mu_sub, mu_sub = 1/eta + m."""
+        the distance by q, and gap_t/mu_sub bounds |z_(t+1) - z+|^2,
+        mu_sub = 1/eta + m (check_inexactness)."""
         if self.q is None:
             bound = self.diameter_sq
             for gap in gaps:
@@ -108,6 +110,21 @@ class IclSchedule:
         for gap in gaps:  # 1/mu_sub = eta (1 - theta)
             b = self.q * b + math.sqrt(gap * self.eta * (1.0 - self.theta))
         return b * b
+
+    def descent_cap(self, moved):
+        """Largest gap mu_sub e^2 (e >= |z_(t+1) - z+|) at which a q-route
+        step that moved its iterate by moved = |z_(t+1) - z_t| keeps the
+        paper's descent inequality at the constant eps_t,
+        mu_sub d_(t+1)^2 <= d_t^2/eta + 2 eps_t, d_t = |z_t - z*|. As
+        d_(t+1) <= q d_t + e, either suffices: e <= c d_lo, with
+        c = sqrt(1 - theta) - q and d_lo = (moved - e)/(1 + q) <= d_t,
+        that is e <= c moved/(1 + q + c); or, whatever d_t,
+        gap (1 + mu_sub q^2/s) <= 2 eps_t, s = 1/eta - mu_sub q^2 > 0."""
+        mu_sub = 1.0 / (self.eta * (1.0 - self.theta))
+        c = math.sqrt(1.0 - self.theta) - self.q
+        s = 1.0 / self.eta - mu_sub * self.q ** 2
+        return max(mu_sub * (c * moved / (1.0 + self.q + c)) ** 2,
+                   2.0 * self.eps_t / (1.0 + mu_sub * self.q ** 2 / s))
 
 
 def schedule_params(mu, nu, delta, L, eps, D_X, D_Y):
@@ -138,9 +155,9 @@ def schedule_params(mu, nu, delta, L, eps, D_X, D_Y):
 def game_schedule(game, eps):
     """The outer schedule solve_icl runs on game.
 
-    It is schedule_params' (the theta-route) unless 0 < delta and
-    delta^2 <= m (m - 2 delta), m = min(mu, nu), that is
-    delta <= (sqrt(2) - 1) m, where it is the q-route. There an exact
+    It is schedule_params' (the theta-route) unless
+    0 < delta < (sqrt(2) - 1) m, m = min(mu, nu), where it is the
+    q-route. There an exact
     proximal step z+ has (1/eta + m)|z+ - z*| <= (1/eta + delta)|z_t - z*|
     at any eta (H m-strongly monotone, grad g delta-Lipschitz): the
     distance contracts by q = (1/eta + delta)/(1/eta + m), so
@@ -148,24 +165,29 @@ def game_schedule(game, eps):
     IclSchedule.tolerance bring IclSchedule.reported_bound to eps. eta is
     the 2^k/m (k >= 0) of least predicted cost T/rate, rate the inner
     solver's per-step rate at eta (_inner_rate): Catalyst's trade of outer
-    against inner steps (Lin, Mairal & Harchaoui 2018). k runs up to
-    (m - 2 delta)/delta^2, the cap under which (1/eta + m) q^2 <= 1/eta,
-    so the paper's descent inequality holds at theta = m/(1/eta + m). At
-    k = 0 it has the theta-route's eta = 1/m, and q^2 < 1 - theta.
+    against inner steps (Lin, Mairal & Harchaoui 2018). 2^k stays below
+    (m - 2 delta)/delta^2, the cap where s = 1/eta - (1/eta + m) q^2
+    reaches 0: IclSchedule.descent_cap needs s > 0 to keep the paper's
+    descent inequality at theta = m/(1/eta + m). At k = 0 it has the
+    theta-route's eta = 1/m, and q^2 < 1 - theta.
     """
     sched = schedule_params(game.mu, game.nu, game.delta, game.L, eps,
                             game.X.diameter(), game.Y.diameter())
     m, delta = min(game.mu, game.nu), game.delta
-    if sched is None or not 0 < delta ** 2 <= m * (m - 2.0 * delta):
+    if sched is None or delta ** 2 == 0:
         return sched
     D_sq = sched.diameter_sq
     routes = []
-    for k in range(int(math.log2(m * (m - 2.0 * delta) / delta ** 2)) + 1):
+    for k in range(1023):  # 2^k stays finite
         eta = 2.0 ** k / m
         q = (1.0 / eta + delta) / (1.0 / eta + m)
+        if 1.0 / eta <= (1.0 / eta + m) * q ** 2:  # s <= 0: at the cap
+            break  # at once where delta >= (sqrt(2) - 1) m
         T = max(1, math.ceil(math.log(4.0 * D_sq / eps)
                              / (-2.0 * math.log(q))))
         routes.append((T / _inner_rate(game, eta), eta, q, T))
+    if not routes:
+        return sched
     _, eta, q, T = min(routes)
     mu_sub = 1.0 / eta + m
     eps_t = mu_sub * eps * (1.0 - math.sqrt(q)) ** 2 / 4.0
@@ -209,19 +231,32 @@ def build_subproblem(game, z_t, eta, ledger=None):
     )
 
 
-def check_inexactness(sub, candidate, ledger=None):
-    """Exact variational gap of a candidate for the subproblem.
+def check_inexactness(sub, candidate, ledger=None, step=None):
+    """Inexactness of a candidate z~ = (x_c, y_c) for the subproblem,
+    whose solution is z+, with one operator query at z~; either value
+    bounds |z~ - z+|^2 by value/mu_sub.
 
-    With z = (x_c, y_c) the candidate, returns the maximum over feasible
-    (x, y) of <grad_x phi(z), x_c - x> - <grad_y phi(z), y_c - y>,
-    evaluated with one operator query plus one linear-minimization oracle
-    per player. A gap at most the outer step's scheduled tolerance
-    certifies the iterate for the outer loop.
+    Without step, the exact variational gap: the maximum over feasible
+    (x, y) of <grad_x phi(z~), x_c - x> - <grad_y phi(z~), y_c - y>, with
+    one linear-minimization oracle per player. It scales with the sets'
+    diameter, not with |z~ - z+|.
+
+    With step = (x, y, gx, gy, gamma), z~ = P(z - gamma g) for
+    z = (x, y) and g = (gx, gy) = F_sub(z), the subproblem's operator:
+    v = (z - z~)/gamma - g + F_sub(z~) lies in F_sub(z~) + N_Z(z~), so
+    |z~ - z+| <= e = |v|/mu_sub at any gamma > 0 (hybrid proximal
+    extragradient's residual; Solodov & Svaiter 1999), and the value is
+    mu_sub e^2.
     """
     gx, gy = sub.operator(candidate.x, candidate.y, ledger, "cert")
-    gap_x = float(gx @ candidate.x - gx @ sub.X.lmo(gx))
-    gap_y = float(gy @ candidate.y - gy @ sub.Y.lmo(gy))
-    return gap_x + gap_y
+    if step is None:
+        gap_x = float(gx @ candidate.x - gx @ sub.X.lmo(gx))
+        gap_y = float(gy @ candidate.y - gy @ sub.Y.lmo(gy))
+        return gap_x + gap_y
+    x, y, g_x, g_y, gamma = step
+    vx = (x - candidate.x) / gamma - g_x + gx
+    vy = (y - candidate.y) / gamma - g_y + gy
+    return float(vx @ vx + vy @ vy) / sub.mu_sub
 
 
 def _inner_budget(sched, per_iter):
@@ -299,13 +334,16 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     the step at eta = inf if one ran) accepts a gap of at most
     min(tau_t, max(g0/START_CUT, tau_(K-1))), with tau_t =
     sched.tolerance(t, K) and g0 the gap of the solve's first poll, at
-    its start. An inner solve that exhausts _inner_budget without passing
-    raises IclError, whose message gives the outer step, that tolerance,
-    the steps run and the smallest gap checked. It starts at the
-    subproblem's center z_t until SECANT_DEPTH + 1 proximal outer steps
-    are done, and from then on at SecantStart's prediction of its prox
-    point (at z_t again when the prediction fails). Only the start moves:
-    the subproblem, the tolerance and the check are the same.
+    its start. The check is check_inexactness: the variational gap on the
+    theta-route; on the q-route the residual bound of the extraction step,
+    which a step also keeps at most sched.descent_cap of its move. An
+    inner solve that exhausts _inner_budget without passing raises
+    IclError, whose message names the check, the outer step, that
+    tolerance, the steps run and the smallest value checked. It starts at
+    the subproblem's center z_t until SECANT_DEPTH + 1 proximal outer
+    steps are done, and from then on at SecantStart's prediction of its
+    prox point (at z_t again when the prediction fails). Only the start
+    moves: the subproblem, the tolerance and the check are the same.
     extras["secant_starts"] counts the outer steps that started at a
     prediction.
 
@@ -397,12 +435,16 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
             gx, gy = sub.operator(x, y, ledger, "cert")
             cx, cy = x - gamma_ex * gx, y - gamma_ex * gy
             cand = JointPoint(cand_X.project(cx, cx), cand_Y.project(cy, cy))
-            gap = check_inexactness(sub, cand, ledger)
+            step = None if sched.q is None else (x, y, gx, gy, gamma_ex)
+            gap = check_inexactness(sub, cand, ledger, step)
             if tol is None:
                 tol = min(sched.tolerance(t, K),
                           max(gap / START_CUT, tau_last))
             least_gap = min(least_gap, gap)
-            return (cand, gap) if gap <= tol else Pending(gap, tol, rate)
+            if gap <= tol and (step is None or gap <= sched.descent_cap(
+                    cand.distance_to(z))):
+                return cand, gap
+            return Pending(gap, tol, rate)
 
         if sub.phi_form is not None:
             rep = solve_apd_bilinear(sub, _inner_budget(sched, rate), ledger,
@@ -414,10 +456,12 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
                 ledger=ledger, stop_check=stop_check)
 
         if "accepted" not in rep.extras:
+            check, guard = (("gap", "") if sched.q is None else
+                            ("residual bound", " under the descent guard"))
             raise IclError(
-                f"inner solve of outer step {t} stalled: gap did not reach "
-                f"{tol:.3e} within {rep.iterations} iterations; the smallest "
-                f"gap checked was {least_gap:.3e}")
+                f"inner solve of outer step {t} stalled: {check} did not "
+                f"reach {tol:.3e}{guard} within {rep.iterations} iterations; "
+                f"the smallest {check} checked was {least_gap:.3e}")
         z_next, gap = rep.extras["accepted"]
         secant.record(z.concat(), z_next.concat())
         z = z_next

@@ -139,7 +139,9 @@ class TestSolve:
 
     def test_stalled_icl_exit_1(self, instance_file, tmp_path, monkeypatch,
                                 capsys):
-        # an inner budget of one step cannot pass the inexactness check
+        # an inner budget of one step cannot pass the inexactness check;
+        # this small fee spec at rho = 0.001 (delta'/m' = 0.047) takes
+        # ICL's q-route, whose check is the residual bound
         import nzs.icl
 
         monkeypatch.setattr(nzs.icl, "_inner_budget", lambda sched, rate: 1)
@@ -150,8 +152,10 @@ class TestSolve:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(
-            "error: inner solve of outer step 0 stalled: gap did not reach")
-        assert "within 1 iterations; the smallest gap checked was" in err
+            "error: inner solve of outer step 0 stalled: residual bound did "
+            "not reach")
+        assert ("under the descent guard within 1 iterations; the smallest "
+                "residual bound checked was") in err
 
     @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1e-7"])
     @pytest.mark.parametrize("method", ["eg", "ogda", "icl"])

@@ -17,9 +17,14 @@ its convex reformulations. Its coupling gradient must equal
 apart to rounding. A curvature shift of a fee or quadratic game must
 move F by -2 (u1_x x, u2_y y) and the coupling gradient by
 -((u1_x + u2_x) x, (u1_y + u2_y) y), bit for bit.
+
+ICL's residual check bounds the distance to a strongly monotone
+subproblem's solution: for affine operators on balls, boxes and
+simplices, |P(z - gamma F(z)) - z*| <= |v|/mu, with z* solved to 1e-13.
 """
 
 import dataclasses
+import math
 
 import contextlib
 import io
@@ -35,8 +40,10 @@ import nzs.icl as icl
 from nzs.instances import (MatrixGame, _curvature_split, fee_game,
                            gen_quadratic_known_ne, reformulate_bilinear,
                            reformulate_general)
+from nzs.games import JointPoint
 from nzs.serialize import MAGIC, read_instance, read_point
-from nzs.sets import Simplex, project_simplex
+from nzs.sets import Ball, Box, Simplex, project_simplex
+from nzs.solvers import SaddleSubproblem
 from nzs.vecmat import SparseMatrix, spmv, spmv_transpose
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
@@ -309,3 +316,62 @@ def test_quadratic_game_operator(n_x, n_y, moduli, seed, share, data):
     spec = gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling, seed)
     assert_variants_keep_bits(data, spec)
     assert reformulate_general(spec, share * min(mu, nu) / 2).F is spec.F
+
+
+def drawn_set(kind, n, rng):
+    if kind == "ball":
+        return Ball(rng.standard_normal(n), rng.uniform(0.1, 2.0))
+    if kind == "box":
+        lo = rng.standard_normal(n)
+        return Box(lo, lo + rng.uniform(0.0, 2.0, n))
+    return Simplex(n)
+
+
+@FUZZ
+@given(kinds=st.tuples(*[st.sampled_from(["ball", "box", "simplex"])] * 2),
+       n_x=st.integers(1, 6), n_y=st.integers(1, 6),
+       mu=st.floats(0.5, 2.0), step=st.floats(0.05, 4.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_residual_bounds_the_distance_to_the_solution(kinds, n_x, n_y, mu,
+                                                      step, seed):
+    # F(z) = A z + b with A's symmetric part diag(d), d >= mu, as a
+    # subproblem at eta = inf: icl.check_inexactness with the extraction
+    # step from a feasible z returns mu e^2, e = |v|/mu; z* is the fixed
+    # point of z -> P(z - (mu/L^2) F(z)), a contraction by
+    # rho = sqrt(1 - mu^2/L^2), iterated until |z - z*| <= 1e-13
+    rng = np.random.default_rng(seed)
+    n = n_x + n_y
+    K = rng.standard_normal((n, n))
+    K *= 0.5 / np.linalg.norm(K, 2)
+    A = K - K.T + np.diag(mu + rng.uniform(0.0, 1.0, n))
+    b = 3.0 * rng.standard_normal(n)
+    X, Y = drawn_set(kinds[0], n_x, rng), drawn_set(kinds[1], n_y, rng)
+    L = np.linalg.norm(A, 2)
+    sub = SaddleSubproblem(
+        c_x=np.zeros(n_x), c_y=np.zeros(n_y), x_center=np.zeros(n_x),
+        y_center=np.zeros(n_y), eta=math.inf, X=X, Y=Y, L_sub=L, mu_sub=mu,
+        h_operator=lambda x, y: JointPoint.split(
+            A @ np.concatenate([x, y]) + b, n_x))
+
+    def project(z):
+        return np.concatenate([X.project(z[:n_x]), Y.project(z[n_x:])])
+
+    gamma, rho = mu / L ** 2, math.sqrt(1.0 - mu ** 2 / L ** 2)
+    z_star = project(np.zeros(n))
+    for _ in range(100_000):
+        z_next = project(z_star - gamma * (A @ z_star + b))
+        moved = np.linalg.norm(z_next - z_star)
+        z_star = z_next
+        if moved * rho / (1.0 - rho) <= 1e-13:
+            break
+    else:
+        raise AssertionError("the reference solve did not converge")
+
+    z = project(3.0 * rng.standard_normal(n))
+    x, y = z[:n_x], z[n_x:]
+    gx, gy = sub.operator(x, y)
+    gamma = step / L
+    cand = JointPoint(X.project(x - gamma * gx), Y.project(y - gamma * gy))
+    bound = icl.check_inexactness(sub, cand, None, (x, y, gx, gy, gamma))
+    dist = np.linalg.norm(cand.concat() - z_star)
+    assert dist <= math.sqrt(bound / mu) * (1 + 1e-9) + 1e-12

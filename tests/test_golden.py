@@ -51,6 +51,17 @@ g 53 -> 11, cert 422 -> 134) and QUAD_ICL_ROUTES' inner-eg
 (h 753 -> 648, g 12 -> 4, cert 178 -> 72), certificates and hashes with
 them. reformulate-general (delta/min(mu, nu) far above sqrt(2) - 1), the
 baselines and every fee pin held.
+The q-route's inner check by a residual distance bound
+(icl.check_inexactness with the extraction step: mu_sub e^2, e bounding
+the distance to the subproblem's solution, instead of the variational
+gap over the whole ball, together with the descent guard
+IclSchedule.descent_cap) moved the same three q-route pins: QUAD_GOLDEN's
+icl (h 982 -> 302, cert 134 -> 56), QUAD_ICL_ROUTES' inner-eg
+(h 5486 -> 1460, cert 276 -> 162) and stop-certificate (h 648 -> 298,
+cert 72 -> 46), certificates and hashes with them. The reported
+certificates rose from rounding level to 6.9e-09, 1.1e-08 and 1.9e-08,
+still below eps = 1e-7: the inner solves no longer overshoot. The outer
+step counts, reformulate-general, the baselines and every fee pin held.
 A change to when solvers poll their stop tests moves the stop pins but
 not TRAJECTORY_GOLDEN, which pins the iterates of runs that never stop.
 ICL runs longer than SECANT_DEPTH + 1 proximal outer steps start their
@@ -98,8 +109,8 @@ FEE_GOLDEN = {
 
 # dense W and ball sets; ICL with its default full schedule
 QUAD_GOLDEN = {
-    "icl": (0, 982, 11, 134, 11, "4.298216620771915e-20",
-            "3c5d616cbb112408ced011f3be814445f7b907cd46d64e020752a23b1b4a9836"),
+    "icl": (0, 302, 11, 56, 11, "6.916365039333333e-09",
+            "e9f54c63b9759f96dd59af1ffb00300a9ced4354574d4bb2a92a1cd989d552e1"),
     "ogda": (374, 0, 0, 20, 374, "9.752899565476753e-08",
              "5ed93246000d88dc9a4c3f4c160cf8ec4c21ececaf9ada05fb0a0a12f86a8934"),
     "eg": (534, 0, 0, 20, 267, "6.427738878613156e-08",
@@ -110,10 +121,10 @@ QUAD_GOLDEN = {
 # solves on the h_operator oracle (the game without h_structure), the
 # whole-game certificate stop, and a general reformulation
 QUAD_ICL_ROUTES = {
-    "inner-eg": (0, 5486, 11, 276, 11, "5.820018513623244e-20",
-                 "85aa747dc1321a146ddd08dd5f4fcd969fabe7f9292dfa29fc3146e25727b5a6"),
-    "stop-certificate": (0, 648, 4, 72, 4, "3.2416248014514254e-09",
-                         "25115399f4e75bad2b668e47def3efbc39e620a782a3e496b5d43fa53af8b3f2"),
+    "inner-eg": (0, 1460, 11, 162, 11, "1.1451524193869046e-08",
+                 "04edbc5a93c57d4fe4f69c7c4830ce161c9ea7acb157dd3bcb5a1f8bc6324688"),
+    "stop-certificate": (0, 298, 4, 46, 4, "1.9032270372549166e-08",
+                         "c183df7bfa7c1a928167c51c68ca84058fe1ac60a9519ff4e576c9bc71755f4a"),
     "reformulate-general": (0, 1517, 61, 440, 61, "8.422846932730595e-20",
                             "885b4674d45997fca8c8d28b9d258c1e2188a6d7a6deeab4d195ef9466f60afe"),
 }

@@ -260,6 +260,13 @@ class TestScheduleRoutes:
         assert s.q == pytest.approx(7.4 / 65, rel=1e-14)
         assert s.theta == pytest.approx(64 / 65, rel=1e-14)
 
+    def test_tiny_delta_keeps_eta_finite(self):
+        # delta = 1e-160 puts the cap m (m - 2 delta)/delta^2 near 1e320,
+        # past the largest float 2^k: the search for eta stops at a finite
+        # one, where a single step reaches eps
+        s = game_schedule(quad_game(mu=1.0, delta=1e-160), 1e-7)
+        assert s.q is not None and math.isfinite(s.eta) and s.T == 1
+
     def test_reported_bound_hand_value(self):
         # mu_sub = 1/(eta (1 - theta)) = 1, D = 2: b_1 = 0.5 * 2 +
         # sqrt(0.25) = 1.5, b_2 = 0.5 * 1.5 + 0 = 0.75
@@ -295,8 +302,11 @@ class TestScheduleRoutes:
     def test_bound_audit(self, mu, nu):
         # every prefix n of every run: |z_n - z*|^2 <= b_n^2, the bound a
         # run stopped there reports; each step keeps
-        # d_(t+1) <= q d_t + sqrt(gap_t/mu_sub), and eta is under the cap
-        # (m - 2 delta)/delta^2 of the paper's descent inequality
+        # d_(t+1) <= q d_t + e_t, e_t = sqrt(gap_t/mu_sub), and the paper's
+        # descent inequality (criterion 3's) at the constant eps_t,
+        # (1/(2 eta) + m/2) d_(t+1)^2 <= d_t^2/(2 eta) + eps_t, and eta is
+        # below the cap (m - 2 delta)/delta^2 where that inequality's room
+        # s = 1/eta - mu_sub q^2 reaches 0
         m = min(mu, nu)
         for seed, r in enumerate((0.01, 0.1, 0.2, 0.4)):
             game = gen_quadratic_known_ne(30, 25, mu, nu, r * m, 1.0, seed)
@@ -308,7 +318,7 @@ class TestScheduleRoutes:
                                 max_outer=max_outer, stop=stop)
                 s = rep.extras["schedule"]
                 assert s.q is not None
-                assert s.eta <= (m - 2.0 * delta) / delta ** 2
+                assert s.eta < (m - 2.0 * delta) / delta ** 2
                 gaps = [gap for _, gap in rep.residual_history]
                 d = [z.distance_to(game.known_ne)
                      for z in rep.extras["trace"]]
@@ -318,6 +328,9 @@ class TestScheduleRoutes:
                     assert d[t + 1] <= (s.q * d[t]
                                         + math.sqrt(gap / (1 / s.eta + m))
                                         + 1e-12)
+                    lhs = (1 / (2 * s.eta) + m / 2) * d[t + 1] ** 2
+                    rhs = d[t] ** 2 / (2 * s.eta) + s.eps_t
+                    assert lhs <= rhs * (1 + 1e-9) + 1e-18
                 assert d[-1] ** 2 <= rep.certified_sq_distance + 1e-24
                 if stop == "schedule" and max_outer is None:
                     assert rep.status == "converged"
@@ -634,34 +647,37 @@ class TestSolveIcl:
             solve_icl(quad_game(seed=1), 1e-7)
 
     def test_stalled_inner_solve_names_the_smallest_gap(self, monkeypatch):
-        # the 20x20 golden game, on the q-route: 200 inner steps poll the
-        # first outer step's check six times, and none of its gaps
-        # reaches the tolerance in force, tau_0 = 7.430e-5 (g0/START_CUT
-        # is larger)
+        # the 20x20 golden game, on the q-route: with 60 inner steps its
+        # second outer step polls the check three times. The last two
+        # residual bounds lie below the tolerance in force,
+        # tau_1 = 2.147e-5, but fail the descent guard, so the solve stalls
         import nzs.icl
 
-        gaps = []
-
-        def recorded(*args):
-            gaps.append(check_inexactness(*args))
-            return gaps[-1]
-
-        monkeypatch.setattr(nzs.icl, "check_inexactness", recorded)
-        monkeypatch.setattr(nzs.icl, "_inner_budget", lambda sched, rate: 200)
+        polls = []
+        monkeypatch.setattr(nzs.icl, "build_subproblem",
+                            lambda *args: polls.append([])
+                            or build_subproblem(*args))
+        monkeypatch.setattr(nzs.icl, "check_inexactness",
+                            lambda *args: polls[-1].append(
+                                check_inexactness(*args)) or polls[-1][-1])
+        budgets = iter([10 ** 6, 60])
+        monkeypatch.setattr(nzs.icl, "_inner_budget",
+                            lambda sched, rate: next(budgets))
         game = quad_game(seed=1, n_x=20, n_y=20, mu=0.05, nu=0.05,
                          delta=0.01, coupling_norm=1.0)
         with pytest.raises(IclError) as err:
             solve_icl(game, 1e-7)
         s = game_schedule(game, 1e-7)  # the schedule the run used
-        assert s.q is not None
-        tol = min(s.tolerance(0, s.T),
+        assert s.q is not None and len(polls) == 2
+        gaps = polls[1]
+        tol = min(s.tolerance(1, s.T),
                   max(gaps[0] / START_CUT, s.tolerance(s.T - 1, s.T)))
-        assert len(gaps) == 6 and min(gaps) < gaps[0] and min(gaps) > tol
+        assert len(gaps) == 3 and gaps[0] > tol > max(gaps[1:])
         assert str(err.value) == (
-            f"inner solve of outer step 0 stalled: gap did not reach "
-            f"{tol:.3e} within 200 iterations; the smallest gap checked was "
-            f"{min(gaps):.3e}")
-        assert f"{tol:.3e}" == "7.430e-05"
+            f"inner solve of outer step 1 stalled: residual bound did not "
+            f"reach {tol:.3e} under the descent guard within 60 iterations; "
+            f"the smallest residual bound checked was {min(gaps):.3e}")
+        assert f"{tol:.3e}" == "2.147e-05"
 
     def test_stalled_inner_solve_names_its_outer_step(self, monkeypatch):
         import nzs.icl
@@ -673,31 +689,21 @@ class TestSolveIcl:
                            match="^inner solve of outer step 3 stalled"):
             solve_icl(quad_game(seed=1), 1e-7)
 
-    def test_plain_icl_stalls_above_eps_t_on_a_valid_game(self):
+    @pytest.mark.parametrize("stop", ["schedule", "certificate"])
+    def test_a_game_whose_gap_floor_lies_above_eps_t_converges(self, stop):
         # mu = 1e-4 against nu = 1, delta/m = 0.1: the q-route at
-        # eta = 3.2e5, T = 7 (1.25e-12 below is the theta-route's eps_t).
-        # PDHG's gap bottoms out at a rounding floor (1.013e-11 when
-        # recorded) above the tolerance in force at outer step 4,
-        # 3.333e-12 (its first gap over START_CUT), after 636,987 inner
-        # iterations. ogda solves the game, and so does
-        # stop="certificate" (below), so the failure is the schedule's
-        # absolute inner target
-        game = gen_quadratic_known_ne(100, 100, 1e-4, 1.0, 1e-5, 1.0, seed=0)
-        with pytest.raises(IclError) as err:
-            solve_icl(game, 1e-7)
-        message = str(err.value)
-        tol = float(message.split(" did not reach ")[1].split(" ")[0])
-        least = float(message.rsplit(" ", 1)[1])
-        assert least > tol > 1.25e-12
-
-    def test_certificate_stop_solves_the_game_plain_icl_stalls_on(self):
+        # eta = 3.2e5, T = 7. PDHG's variational gap over the whole ball
+        # bottoms out at a rounding floor (1.013e-11) above the tolerance of
+        # outer step 4 (3.333e-12), so a gap check never passes there; the
+        # residual bound does not scale with the ball's diameter
         game = gen_quadratic_known_ne(100, 100, 1e-4, 1.0, 1e-5, 1.0, seed=0)
         eps = 1e-7
-        rep = solve_icl(game, eps, stop="certificate")
+        rep = solve_icl(game, eps, stop=stop)
+        s = rep.extras["schedule"]
+        assert (s.q, s.eta, s.T) == (pytest.approx(7 / 55), 3.2e5, 7)
         assert rep.status == "converged"
-        assert rep.certified_sq_distance <= eps
         assert (rep.point.distance_to(game.known_ne) ** 2
-                <= rep.certified_sq_distance)
+                <= rep.certified_sq_distance <= eps)
 
     def test_ledger_separates_query_kinds(self):
         game = quad_game(seed=12)
