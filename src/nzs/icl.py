@@ -196,9 +196,9 @@ def game_schedule(game, eps):
 
 
 def _inner_rate(game, eta):
-    """Per-step contraction rate of the inner solver on a subproblem at
-    eta: pdhg_rate of the shifted h_structure, else the operator
-    extragradient's mu_sub/(sqrt(2) L_sub), at least 1e-8."""
+    """Per-step contraction rate of a distance (twice it of a squared one)
+    under the inner solver at eta: pdhg_rate of the shifted h_structure,
+    else operator extragradient's mu_sub/(sqrt(2) L_sub), at least 1e-8."""
     hs = game.h_structure
     if hs is not None:
         hs.w_norm()  # prime the cache so shifted copies do not recompute it
@@ -329,23 +329,23 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
     subproblem when game.h_structure is set, else solve_operator_eg on its
     h_operator oracle. Every subproblem is solved until an extracted candidate
     passes the inexactness check, its one stop rule, polled on drive's
-    schedule at the inner solver's contraction rate. Proximal step t (from
-    0) of a run that may take K of them (sched.T capped by max_outer, less
-    the step at eta = inf if one ran) accepts a gap of at most
-    min(tau_t, max(g0/START_CUT, tau_(K-1))), with tau_t =
-    sched.tolerance(t, K) and g0 the gap of the solve's first poll, at
+    schedule at the inner solver's contraction rate; on the q-route at twice
+    it, as the value is squared, and aimed at the smaller of the tolerance and
+    the guard below. Proximal step t (from 0) of a run that may take K of them
+    (sched.T capped by max_outer, less the step at eta = inf if one ran)
+    accepts a gap of at most min(tau_t, max(g0/START_CUT, tau_(K-1))), with
+    tau_t = sched.tolerance(t, K) and g0 the gap of the solve's first poll, at
     its start. The check is check_inexactness: the variational gap on the
     theta-route; on the q-route the residual bound of the extraction step,
-    which a step also keeps at most sched.descent_cap of its move. An
-    inner solve that exhausts _inner_budget without passing raises
-    IclError, whose message names the check, the outer step, that
-    tolerance, the steps run and the smallest value checked. It starts at
-    the subproblem's center z_t until SECANT_DEPTH + 1 proximal outer
-    steps are done, and from then on at SecantStart's prediction of its
-    prox point (at z_t again when the prediction fails). Only the start
-    moves: the subproblem, the tolerance and the check are the same.
-    extras["secant_starts"] counts the outer steps that started at a
-    prediction.
+    which a step also keeps at most sched.descent_cap of its move. An inner
+    solve that exhausts _inner_budget without passing raises IclError, whose
+    message names the check, the outer step, that tolerance, the steps run and
+    the smallest value checked. It starts at the subproblem's center z_t until
+    SECANT_DEPTH + 1 proximal outer steps are done, and from then on at
+    SecantStart's prediction of its prox point (at z_t again when the
+    prediction fails). Only the start moves: the subproblem, the tolerance and
+    the check are the same. extras["secant_starts"] counts the outer steps
+    that started at a prediction.
 
     stop selects when the outer loop ends:
 
@@ -428,9 +428,8 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
 
         def stop_check(x, y):
             """The inner solve's one stop rule: extract a candidate by one
-            projected step; (candidate, gap) if its gap is at most tol,
-            else a Pending at the inner solver's rate (_inner_rate). The
-            first poll, at the start, sets tol from its own gap."""
+            projected step; (candidate, gap) if gap <= target, else a
+            Pending. The first poll, at the start, sets tol from its gap."""
             nonlocal least_gap, tol
             gx, gy = sub.operator(x, y, ledger, "cert")
             cx, cy = x - gamma_ex * gx, y - gamma_ex * gy
@@ -441,10 +440,11 @@ def solve_icl(game, eps, keep_trace=False, max_outer=None, stop="schedule"):
                 tol = min(sched.tolerance(t, K),
                           max(gap / START_CUT, tau_last))
             least_gap = min(least_gap, gap)
-            if gap <= tol and (step is None or gap <= sched.descent_cap(
-                    cand.distance_to(z))):
+            target = tol if step is None else min(tol, sched.descent_cap(
+                cand.distance_to(z)))
+            if gap <= target:
                 return cand, gap
-            return Pending(gap, tol, rate)
+            return Pending(gap, target, rate if step is None else 2 * rate)
 
         if sub.phi_form is not None:
             rep = solve_apd_bilinear(sub, _inner_budget(sched, rate), ledger,

@@ -62,6 +62,16 @@ cert 72 -> 46), certificates and hashes with them. The reported
 certificates rose from rounding level to 6.9e-09, 1.1e-08 and 1.9e-08,
 still below eps = 1e-7: the inner solves no longer overshoot. The outer
 step counts, reformulate-general, the baselines and every fee pin held.
+The q-route's polls moved them again, as an algorithm change: a failed
+poll's Pending now aims at the smaller of the tolerance and the descent
+guard, and carries twice the inner solver's rate, since mu_sub e^2 is a
+squared distance and falls at twice the distance rate. Only the steps
+at which the inner solves poll moved, not what they accept: QUAD_GOLDEN's
+icl (h 302 -> 254), QUAD_ICL_ROUTES' inner-eg (h 1460 -> 1462,
+cert 162 -> 124) and stop-certificate (h 298 -> 250), certificates
+(5.6e-09, 1.1e-08 and 1.4e-08) and hashes with them. The g counts, the
+outer step counts, reformulate-general, the baselines and every fee pin
+held.
 A change to when solvers poll their stop tests moves the stop pins but
 not TRAJECTORY_GOLDEN, which pins the iterates of runs that never stop.
 ICL runs longer than SECANT_DEPTH + 1 proximal outer steps start their
@@ -109,8 +119,8 @@ FEE_GOLDEN = {
 
 # dense W and ball sets; ICL with its default full schedule
 QUAD_GOLDEN = {
-    "icl": (0, 302, 11, 56, 11, "6.916365039333333e-09",
-            "e9f54c63b9759f96dd59af1ffb00300a9ced4354574d4bb2a92a1cd989d552e1"),
+    "icl": (0, 254, 11, 56, 11, "5.55542436567905e-09",
+            "9c2308880040a99073502b41a505ace41205a478e255c362d427b21b21ee47f4"),
     "ogda": (374, 0, 0, 20, 374, "9.752899565476753e-08",
              "5ed93246000d88dc9a4c3f4c160cf8ec4c21ececaf9ada05fb0a0a12f86a8934"),
     "eg": (534, 0, 0, 20, 267, "6.427738878613156e-08",
@@ -121,10 +131,10 @@ QUAD_GOLDEN = {
 # solves on the h_operator oracle (the game without h_structure), the
 # whole-game certificate stop, and a general reformulation
 QUAD_ICL_ROUTES = {
-    "inner-eg": (0, 1460, 11, 162, 11, "1.1451524193869046e-08",
-                 "04edbc5a93c57d4fe4f69c7c4830ce161c9ea7acb157dd3bcb5a1f8bc6324688"),
-    "stop-certificate": (0, 298, 4, 46, 4, "1.9032270372549166e-08",
-                         "c183df7bfa7c1a928167c51c68ca84058fe1ac60a9519ff4e576c9bc71755f4a"),
+    "inner-eg": (0, 1462, 11, 124, 11, "1.121213678442368e-08",
+                 "dee87a765c4b74c3b42ff75d5a0454602f7ccdb2cf46b6860c4cfa6323df419e"),
+    "stop-certificate": (0, 250, 4, 46, 4, "1.4020311210400128e-08",
+                         "95f7e838d7690ba4a041701c7f7e31e0ea89de0ad2ad448e0c12321bcdc6d5bf"),
     "reformulate-general": (0, 1517, 61, 440, 61, "8.422846932730595e-20",
                             "885b4674d45997fca8c8d28b9d258c1e2188a6d7a6deeab4d195ef9466f60afe"),
 }

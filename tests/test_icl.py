@@ -8,15 +8,15 @@ import pytest
 from nzs.games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
                        grad_g)
 from nzs.icl import (SECANT_DEPTH, START_CUT, IclError, IclSchedule,
-                     SecantStart, build_subproblem, check_inexactness,
-                     game_schedule, schedule_params, solve_icl,
-                     solve_monotone)
+                     SecantStart, _inner_rate, build_subproblem,
+                     check_inexactness, game_schedule, schedule_params,
+                     solve_icl, solve_monotone)
 from nzs.instances import (fee_game, gen_quadratic_known_ne,
                            gen_sparse_experiment, matching_pennies,
                            reformulate_bilinear, stackelberg_example,
                            stackelberg_reference_points)
 from nzs.sets import Ball
-from nzs.solvers import SolverConfig, solve_eg
+from nzs.solvers import Pending, SolverConfig, solve_eg
 from nzs.vecmat import SparseMatrix
 from nzs.diagnostics import deviation_gain
 
@@ -30,6 +30,35 @@ def quad_game(seed=0, **kw):
     args = dict(n_x=5, n_y=4, mu=0.8, nu=1.2, delta=0.4, coupling_norm=0.9)
     args.update(kw)
     return gen_quadratic_known_ne(seed=seed, **args)
+
+
+def record_polls(monkeypatch):
+    """The polls of solve_icl's inner solves from here on: one list per
+    outer step of [gap, cap, pending], cap the poll's descent_cap (None
+    when not asked) and pending its Pending (None when it accepted)."""
+    import nzs.icl
+
+    steps = []
+    monkeypatch.setattr(nzs.icl, "build_subproblem",
+                        lambda *args: steps.append([])
+                        or build_subproblem(*args))
+    monkeypatch.setattr(nzs.icl, "check_inexactness",
+                        lambda *args: steps[-1].append(
+                            [check_inexactness(*args), None, None])
+                        or steps[-1][-1][0])
+    descent_cap = IclSchedule.descent_cap
+
+    def recorded_cap(sched, moved):
+        steps[-1][-1][1] = descent_cap(sched, moved)
+        return steps[-1][-1][1]
+
+    def recorded_pending(*args):
+        steps[-1][-1][2] = Pending(*args)
+        return steps[-1][-1][2]
+
+    monkeypatch.setattr(IclSchedule, "descent_cap", recorded_cap)
+    monkeypatch.setattr(nzs.icl, "Pending", recorded_pending)
+    return steps
 
 
 def linear_coupling_pair(seed=0, n=4, mu=1.0, nu=1.0, radius=1.0, lin=0.1):
@@ -577,28 +606,28 @@ class TestSolveIcl:
                                                                monkeypatch):
         # step t accepts its first gap at most min(tau_t, max(g0/START_CUT,
         # tau_(K-1))), g0 its first poll's; the start-relative cut binds in
-        # the later steps
-        import nzs.icl
-
-        polls = []
-        monkeypatch.setattr(nzs.icl, "build_subproblem",
-                            lambda *args: polls.append([])
-                            or build_subproblem(*args))
-        monkeypatch.setattr(nzs.icl, "check_inexactness",
-                            lambda *args: polls[-1].append(
-                                check_inexactness(*args)) or polls[-1][-1])
+        # the later steps. On this theta-route game no poll asks the descent
+        # guard, and a failed one aims at tol at the inner solver's rate
+        steps = record_polls(monkeypatch)
         game = quad_game(seed=11)
         rep = solve_icl(game, 1e-9)
         sched = rep.extras["schedule"]
         K = sched.T
-        assert len(polls) == len(rep.residual_history) == K
+        assert sched.q is None
+        assert len(steps) == len(rep.residual_history) == K
+        rate = _inner_rate(game, sched.eta)
         cut_binds = 0
-        for t, (gaps, (_, accepted)) in enumerate(
-                zip(polls, rep.residual_history)):
+        for t, (polls, (_, accepted)) in enumerate(
+                zip(steps, rep.residual_history)):
+            gaps = [gap for gap, _, _ in polls]
             tol = min(sched.tolerance(t, K),
                       max(gaps[0] / START_CUT, sched.tolerance(K - 1, K)))
             assert accepted == gaps[-1] <= tol
             assert all(gap > tol for gap in gaps[:-1])
+            assert all(cap is None for _, cap, _ in polls)
+            assert polls[-1][2] is None
+            assert all(pending == (gap, tol, rate)
+                       for gap, _, pending in polls[:-1])
             assert accepted <= sched.tolerance(t, K)
             cut_binds += tol < sched.tolerance(t, K)
         assert 0 < cut_binds < K
@@ -648,19 +677,13 @@ class TestSolveIcl:
 
     def test_stalled_inner_solve_names_the_smallest_gap(self, monkeypatch):
         # the 20x20 golden game, on the q-route: with 60 inner steps its
-        # second outer step polls the check three times. The last two
+        # third outer step polls the check three times. The last two
         # residual bounds lie below the tolerance in force,
-        # tau_1 = 2.147e-5, but fail the descent guard, so the solve stalls
+        # tau_2 = 4.416e-8, but fail the descent guard, so the solve stalls
         import nzs.icl
 
-        polls = []
-        monkeypatch.setattr(nzs.icl, "build_subproblem",
-                            lambda *args: polls.append([])
-                            or build_subproblem(*args))
-        monkeypatch.setattr(nzs.icl, "check_inexactness",
-                            lambda *args: polls[-1].append(
-                                check_inexactness(*args)) or polls[-1][-1])
-        budgets = iter([10 ** 6, 60])
+        steps = record_polls(monkeypatch)
+        budgets = iter([10 ** 6, 10 ** 6, 60])
         monkeypatch.setattr(nzs.icl, "_inner_budget",
                             lambda sched, rate: next(budgets))
         game = quad_game(seed=1, n_x=20, n_y=20, mu=0.05, nu=0.05,
@@ -668,16 +691,40 @@ class TestSolveIcl:
         with pytest.raises(IclError) as err:
             solve_icl(game, 1e-7)
         s = game_schedule(game, 1e-7)  # the schedule the run used
-        assert s.q is not None and len(polls) == 2
-        gaps = polls[1]
-        tol = min(s.tolerance(1, s.T),
+        assert s.q is not None and len(steps) == 3
+        gaps = [gap for gap, _, _ in steps[2]]
+        tol = min(s.tolerance(2, s.T),
                   max(gaps[0] / START_CUT, s.tolerance(s.T - 1, s.T)))
         assert len(gaps) == 3 and gaps[0] > tol > max(gaps[1:])
         assert str(err.value) == (
-            f"inner solve of outer step 1 stalled: residual bound did not "
+            f"inner solve of outer step 2 stalled: residual bound did not "
             f"reach {tol:.3e} under the descent guard within 60 iterations; "
             f"the smallest residual bound checked was {min(gaps):.3e}")
-        assert f"{tol:.3e}" == "2.147e-05"
+        assert f"{tol:.3e}" == "4.416e-08"
+
+    def test_q_route_polls_aim_at_the_guard_at_twice_the_rate(self,
+                                                             monkeypatch):
+        # the residual bound mu_sub e^2 is a squared distance, so it falls
+        # at twice _inner_rate, a distance rate; a poll that passes the
+        # tolerance but not the descent guard waits for the guard
+        game = quad_game(seed=1, n_x=20, n_y=20, mu=0.05, nu=0.05,
+                         delta=0.01, coupling_norm=1.0)
+        steps = record_polls(monkeypatch)
+        rep = solve_icl(game, 1e-7)
+        s = rep.extras["schedule"]
+        assert s.q is not None and len(steps) == rep.iterations
+        rate = 2 * _inner_rate(game, s.eta)
+        waited = 0
+        for t, polls in enumerate(steps):
+            tol = min(s.tolerance(t, s.T),
+                      max(polls[0][0] / START_CUT, s.tolerance(s.T - 1, s.T)))
+            *failed, (gap, cap, pending) = polls
+            assert pending is None and gap <= tol and gap <= cap
+            assert gap == rep.residual_history[t][1]
+            for gap, cap, pending in failed:
+                assert pending == (gap, min(tol, cap), rate)
+                waited += cap < gap <= tol
+        assert waited > 0
 
     def test_stalled_inner_solve_names_its_outer_step(self, monkeypatch):
         import nzs.icl
