@@ -24,9 +24,6 @@ class GapEstimate:
     value: float        # certified lower bound on the maximum
     residual: float     # linear-minimization optimality residual (>= 0)
 
-    def upper(self):
-        return self.value + self.residual
-
 
 @dataclass
 class GapReport:
@@ -135,7 +132,3 @@ def gap_report(game, z, inner_budget=500):
                               and game.best_response_y is not None)
               else "projected-ascent")
     return GapReport(pg.value, pg.residual, dg.value, dg.residual, method)
-
-
-__all__ = ["GapEstimate", "GapReport", "potential_gap", "deviation_gain",
-           "gap_report"]

@@ -30,12 +30,11 @@ SECANT_RIDGE = 1e-10
 
 # an inner solve also stops at its first poll's gap over START_CUT (not
 # below the last step's tolerance), so each outer step stays useful where
-# the schedule is loose. On the 70 criterion-5 desk cells (nu = 1), the
-# schedule alone took three cells to 16, 63 and 125 outer steps (from 5,
-# 8 and 8); at 100 every cell fell and two took one more outer step; 1000
-# took 8% more queries than 100, and 10 took 7% fewer but seven cells
-# took one more outer step
-START_CUT = 100.0
+# the schedule is loose. On the 70 criterion-5 desk cells (nu = 1), 20
+# takes 5% fewer queries than 100, the fewest of the values that keep
+# criterion 5a; 3, 4 and 6-19 fail it, and 2 and 5 pass it only as one
+# cell's outer steps rise from 8 to 32 and from 9 to 29
+START_CUT = 20.0
 
 
 class IclError(RuntimeError):

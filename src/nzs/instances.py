@@ -345,11 +345,9 @@ def gen_quadratic_known_ne(n_x, n_y, mu, nu, delta, coupling_norm, seed):
     else:
         K = np.zeros((n_y, n_x))
 
-    x_star = rng.standard_normal(n_x) if (delta > 0 or coupling_norm > 0) \
-        else np.zeros(n_x)
-    y_star = rng.standard_normal(n_y) if (delta > 0 or coupling_norm > 0) \
-        else np.zeros(n_y)
-    z_star = np.concatenate([x_star, y_star])
+    z_star = rng.standard_normal(n) if (delta > 0 or coupling_norm > 0) \
+        else np.zeros(n)
+    x_star, y_star = z_star[:n_x], z_star[n_x:]
 
     gz = G @ z_star + c
     kx = -(gz[:n_x] + mu * x_star + K.T @ y_star)
@@ -453,9 +451,8 @@ def stackelberg_example():
 
 def stackelberg_reference_points():
     """(nash, leader_follower_limit) for the closed-form example."""
-    nash = JointPoint(np.array([5 / 8, 1.0]), np.array([-3 / 4]))
-    stack = JointPoint(np.array([40 / 63, 68 / 63]), np.array([-46 / 63]))
-    return nash, stack
+    return stackelberg_example().known_ne, JointPoint(
+        np.array([40 / 63, 68 / 63]), np.array([-46 / 63]))
 
 
 def stackelberg_demo():

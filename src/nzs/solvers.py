@@ -22,6 +22,7 @@ from .games import BilinearSaddleForm, JointPoint, QueryLedger
 # certificate
 CHECK_PERIOD = 4
 CERTIFICATE_PERIOD = 8
+RATE_CONFIRMED = 0.1  # the share of a Pending's rate a measured decay may miss
 
 # PDLP's restart rule and primal weight update (Applegate et al., NeurIPS
 # 2021), which restart_pdhg runs: an epoch ends once its residual falls to
@@ -164,13 +165,20 @@ class Pending(NamedTuple):
     rate: float
 
 
-def next_poll(it, pending, floor):
-    """Step of the poll after a failed one at step it: half the steps
-    pending (or None) predicts are left, and at least floor."""
+def decay(polls):  # rate per step between the last two (step, value) polls
+    (i0, v0), (i1, v1) = ([(-1, math.inf)] * 2 + polls)[-2:]
+    return math.log(v0 / v1) / (i1 - i0) if 0 < v1 < v0 else 0.0
+
+
+def next_poll(it, pending, floor, measured=0.0):
+    """Step of the poll after a failed one at step it: the steps pending
+    (or None) predicts are left, all of them once the measured decay rate
+    is within RATE_CONFIRMED of pending's, else half; at least floor."""
     value, target, rate = pending or (0.0, 0.0, 0.0)
     wait = 0.0
     if rate > 0 and 0 < target < value < math.inf:
-        wait = 0.5 * (math.log(value) - math.log(target)) / rate
+        share = 1.0 if abs(measured - rate) <= RATE_CONFIRMED * rate else 0.5
+        wait = share * (math.log(value) - math.log(target)) / rate
     return it + max(floor, int(wait))
 
 
@@ -180,16 +188,17 @@ def drive(step, point, ledger, max_iter, certificate, target, period,
     step(). stop_check(), if given, is polled before the first step; a
     result other than None or a Pending stops the run as
     extras["accepted"], else the next poll is due at next_poll, floor
-    CHECK_PERIOD. certificate(), if given, is polled after step period
-    into residual_history as (steps, value); a value at most target stops
-    the run, else the next poll is due at next_poll, floor period, at the
-    decay rate between the last two polls, and at most max_iter: a run
-    that uses up max_iter polls its last point, so the report's
-    certificate is always of point(). Returns the SolveReport of point()
-    with the last certificate, "converged" if a poll stopped the run,
-    else "max_iter".
+    CHECK_PERIOD, measured by the decay of the last two Pendings' values.
+    certificate(), if given, is polled after step period into
+    residual_history as (steps, value); a value at most target stops the
+    run, else the next poll is due at next_poll, floor period, at the
+    decay rate between the last two polls (inf after a lone one: the next
+    is period on), and at most max_iter: a run that uses up max_iter polls
+    its last point, so the report's certificate is always of point().
+    Returns the SolveReport of point() with the last certificate,
+    "converged" if a poll stopped the run, else "max_iter".
     """
-    history = []
+    history, pending = [], []
     status, extras = "max_iter", {}
     it, check_at, cert_at = 0, 0, min(period, max_iter)
     while True:
@@ -198,10 +207,8 @@ def drive(step, point, ledger, max_iter, certificate, target, period,
             if history[-1][1] <= target:
                 status = "converged"
                 break
-            # a lone poll's rate is inf (at step 0 too): the next is period on
-            (i0, v0), (i1, v1) = ([(-1, math.inf)] + history[-2:])[-2:]
-            rate = math.log(v0 / v1) / (i1 - i0) if 0 < v1 < v0 else 0.0
-            cert_at = min(next_poll(it, Pending(v1, target, rate), period),
+            cert_at = min(next_poll(it, Pending(history[-1][1], target,
+                                                decay(history)), period),
                           max_iter)
         if it >= max_iter:
             break
@@ -210,7 +217,9 @@ def drive(step, point, ledger, max_iter, certificate, target, period,
             if result is not None and not isinstance(result, Pending):
                 status, extras = "converged", {"accepted": result}
                 break
-            check_at = next_poll(it, result, CHECK_PERIOD)
+            if result is not None:
+                pending.append((it, result.value))
+            check_at = next_poll(it, result, CHECK_PERIOD, decay(pending))
         step()
         it += 1
     return SolveReport(point(), ledger, it,

@@ -72,6 +72,20 @@ cert 162 -> 124) and stop-certificate (h 298 -> 250), certificates
 (5.6e-09, 1.1e-08 and 1.4e-08) and hashes with them. The g counts, the
 outer step counts, reformulate-general, the baselines and every fee pin
 held.
+drive's stop-check polls then moved them, with the fee pins, as an
+algorithm change: a poll now waits all the steps its Pending predicts once
+the decay measured between the solve's last two polls is within
+solvers.RATE_CONFIRMED (10%) of the Pending's rate, else half, and
+icl.START_CUT fell from 100 to 20, re-measured under that rule. Moved:
+FEE_GOLDEN's icl row at rho = 0.0009 (h 797 -> 737, cert 148 -> 112),
+QUAD_GOLDEN's icl (h 254 -> 253, cert 56 -> 48), QUAD_ICL_ROUTES'
+inner-eg (h 1462 -> 1460, cert 124 -> 120), stop-certificate
+(h 250 -> 249, cert 46 -> 38) and reformulate-general (h 1517 -> 1515,
+cert 440 -> 376), and MONOTONE_GOLDEN["fee-game"] (h 15196 -> 13244,
+cert 402 -> 348), certificates and hashes with them. Certificate polls
+keep their half wait, so the baselines, FEE_GOLDEN's icl row at rho = 0
+(a restarted PDHG pass stopped by its certificate), the g and outer step
+counts, MONOTONE_GOLDEN["matching-pennies"] and TRAJECTORY_GOLDEN held.
 A change to when solvers poll their stop tests moves the stop pins but
 not TRAJECTORY_GOLDEN, which pins the iterates of runs that never stop.
 ICL runs longer than SECANT_DEPTH + 1 proximal outer steps start their
@@ -109,8 +123,8 @@ FEE_GOLDEN = {
                     "d148f20cf05033623eb2cb543b9b8f20974b45fab37fd645da3505305685a7aa"),
     ("eg", 0.0): (2496, 0, 0, 26, 1248, "9.373542831731328e-08",
                   "a28fa1142914436707a8016d5855f990e604557c91e49ccb5f30f3c896cc404b"),
-    ("icl", 0.0009): (0, 797, 9, 148, 9, "1.3557768675948237e-08",
-                      "ea28042a89050176a84d4284ec91dd733289523deb9f715bbec3c64d2b9e4072"),
+    ("icl", 0.0009): (0, 737, 9, 112, 9, "1.6514510061113538e-08",
+                      "83ae35a23ecf015ebfb91f823e500adb76d7643affe3f06095ca7ae4f81c7ce3"),
     ("ogda", 0.0009): (1767, 0, 0, 28, 1767, "9.375346370292284e-08",
                        "056c97dfe56ab9c653214c4cb3806a3eb8ae11881561cfdf49489725cdf6e646"),
     ("eg", 0.0009): (2502, 0, 0, 26, 1251, "9.376202107077738e-08",
@@ -119,8 +133,8 @@ FEE_GOLDEN = {
 
 # dense W and ball sets; ICL with its default full schedule
 QUAD_GOLDEN = {
-    "icl": (0, 254, 11, 56, 11, "5.55542436567905e-09",
-            "9c2308880040a99073502b41a505ace41205a478e255c362d427b21b21ee47f4"),
+    "icl": (0, 253, 11, 48, 11, "5.345660197625247e-09",
+            "ae136a0ce227260e85c72a32f397b6e80b3dc996f6632561b97b844b7506df27"),
     "ogda": (374, 0, 0, 20, 374, "9.752899565476753e-08",
              "5ed93246000d88dc9a4c3f4c160cf8ec4c21ececaf9ada05fb0a0a12f86a8934"),
     "eg": (534, 0, 0, 20, 267, "6.427738878613156e-08",
@@ -131,18 +145,18 @@ QUAD_GOLDEN = {
 # solves on the h_operator oracle (the game without h_structure), the
 # whole-game certificate stop, and a general reformulation
 QUAD_ICL_ROUTES = {
-    "inner-eg": (0, 1462, 11, 124, 11, "1.121213678442368e-08",
-                 "dee87a765c4b74c3b42ff75d5a0454602f7ccdb2cf46b6860c4cfa6323df419e"),
-    "stop-certificate": (0, 250, 4, 46, 4, "1.4020311210400128e-08",
-                         "95f7e838d7690ba4a041701c7f7e31e0ea89de0ad2ad448e0c12321bcdc6d5bf"),
-    "reformulate-general": (0, 1517, 61, 440, 61, "8.422846932730595e-20",
-                            "885b4674d45997fca8c8d28b9d258c1e2188a6d7a6deeab4d195ef9466f60afe"),
+    "inner-eg": (0, 1460, 11, 120, 11, "1.1220939674733564e-08",
+                 "e91c232dfe9de3818ed0d6d01a651d7e9bd2eed0932eaab2562767e373f25c50"),
+    "stop-certificate": (0, 249, 4, 38, 4, "1.3437306562348815e-08",
+                         "484881a1daedeff7f139e29f8f377aca3e88d302958b644331318cac7c19d462"),
+    "reformulate-general": (0, 1515, 61, 376, 61, "7.026711296263685e-20",
+                            "1909b3382f7b0a11430d8ef56894f89cd823ddb700e52675438052a6e7bfa0b7"),
 }
 
 # solve_monotone: (fingerprint of the report, repr(gap_bound))
 MONOTONE_GOLDEN = {
-    "fee-game": ((1, 15196, 33, 402, 33, "np.float64(6.894070350887613e-14)",
-                  "14e9c58daa7656416cc33e0012399306867498bdb9afe4034cadeedac24a15c7"),
+    "fee-game": ((1, 13244, 33, 348, 33, "np.float64(8.727523983465455e-14)",
+                  "108292ffd9b53ad91d4831d96b6a919a0f3dc0b58fa76a44bfcbf929f1604414"),
                  "np.float64(0.0050125)"),
     "matching-pennies": ((1, 0, 45, 92, 45, "np.float64(0.0)",
                           "5e5c794534608bdcc5f3c19fd8d94ad66ab3aedaeb79694b00adab9d1df8e25f"),

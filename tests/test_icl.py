@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nzs.cli import run_method
 from nzs.games import (BilinearSaddleForm, GameSpec, JointPoint, QueryLedger,
                        grad_g)
 from nzs.icl import (SECANT_DEPTH, START_CUT, IclError, IclSchedule,
@@ -676,14 +677,15 @@ class TestSolveIcl:
             solve_icl(quad_game(seed=1), 1e-7)
 
     def test_stalled_inner_solve_names_the_smallest_gap(self, monkeypatch):
-        # the 20x20 golden game, on the q-route: with 60 inner steps its
-        # third outer step polls the check three times. The last two
-        # residual bounds lie below the tolerance in force,
-        # tau_2 = 4.416e-8, but fail the descent guard, so the solve stalls
+        # the 20x20 golden game, on the q-route: with 66 inner steps its
+        # third outer step polls the check three times, at steps 0, 45 and
+        # 65. The last two residual bounds lie below the tolerance in
+        # force, 2.205e-7 (the first over START_CUT), but fail the descent
+        # guard, so the solve stalls
         import nzs.icl
 
         steps = record_polls(monkeypatch)
-        budgets = iter([10 ** 6, 10 ** 6, 60])
+        budgets = iter([10 ** 6, 10 ** 6, 66])
         monkeypatch.setattr(nzs.icl, "_inner_budget",
                             lambda sched, rate: next(budgets))
         game = quad_game(seed=1, n_x=20, n_y=20, mu=0.05, nu=0.05,
@@ -698,9 +700,9 @@ class TestSolveIcl:
         assert len(gaps) == 3 and gaps[0] > tol > max(gaps[1:])
         assert str(err.value) == (
             f"inner solve of outer step 2 stalled: residual bound did not "
-            f"reach {tol:.3e} under the descent guard within 60 iterations; "
+            f"reach {tol:.3e} under the descent guard within 66 iterations; "
             f"the smallest residual bound checked was {min(gaps):.3e}")
-        assert f"{tol:.3e}" == "4.416e-08"
+        assert f"{tol:.3e}" == "2.205e-07"
 
     def test_q_route_polls_aim_at_the_guard_at_twice_the_rate(self,
                                                              monkeypatch):
@@ -725,6 +727,19 @@ class TestSolveIcl:
                 assert pending == (gap, min(tol, cap), rate)
                 waited += cap < gap <= tol
         assert waited > 0
+
+    def test_inner_solves_on_a_desk_fee_cell_poll_few_times(self,
+                                                           monkeypatch):
+        # desk rho = 0.0018, seed 0, as run_method runs it: 28 theta-route
+        # outer steps. Their gaps fall at 0.15-0.19 per step against the
+        # stated 0.179, so once two polls confirm the rate a poll waits
+        # all the steps it predicts: 4.5 polls per outer step, where half
+        # waits alone took 5.6
+        steps = record_polls(monkeypatch)
+        _, meta = gen_sparse_experiment(1000, 1000, 10_000, 0, 1e-4, 1.0)
+        rep, _ = run_method(meta.pop("M"), meta, 0.0018, "icl", 1e-7)
+        assert rep.status == "converged" and len(steps) == rep.iterations
+        assert sum(map(len, steps)) / len(steps) <= 4.5
 
     def test_stalled_inner_solve_names_its_outer_step(self, monkeypatch):
         import nzs.icl

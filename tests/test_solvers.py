@@ -8,9 +8,9 @@ from nzs.icl import build_subproblem
 from nzs.instances import (fee_game, gen_quadratic_known_ne,
                            stackelberg_example)
 from nzs.sets import Ball, Box
-from nzs.solvers import (CHECK_PERIOD, JointProblem, OperatorProblem,
-                         PdhgKernel, Pending, SaddleSubproblem, SolverConfig,
-                         StructureError,
+from nzs.solvers import (CHECK_PERIOD, RATE_CONFIRMED, JointProblem,
+                         OperatorProblem, PdhgKernel, Pending,
+                         SaddleSubproblem, SolverConfig, StructureError,
                          certificate_coefficient, displacement_certificate,
                          drive, extract_approx_ne, game_certificate,
                          pdhg_rate, primal_weight, solve_apd_bilinear,
@@ -195,6 +195,44 @@ class TestDrive:
         drive(lambda: steps.append(1), lambda: None, None, 100, None, None,
               8, stop_check=stop_check)
         assert checks == list(range(0, 100, spacing))
+
+    @staticmethod
+    def falling_checks(stated):
+        """The steps at which drive polls a stop check whose value falls
+        by exp(0.05) per step, to reach 1 at step 200.5, while its Pending
+        states the rate stated; a poll from step 201 on accepts."""
+        steps, checks = [], []
+
+        def stop_check():
+            checks.append(len(steps))
+            value = math.exp(0.05 * (200.5 - len(steps)))
+            return "done" if value <= 1.0 else Pending(value, 1.0, stated)
+
+        rep = drive(lambda: steps.append(1), lambda: None, None, 1000, None,
+                    None, 8, stop_check=stop_check)
+        assert rep.extras == {"accepted": "done"}
+        return checks
+
+    def test_a_confirmed_rate_gets_half_then_the_full_wait(self):
+        # a lone poll waits half the 200.5 steps predicted; the next one
+        # measures the stated rate and waits all the 100.5 steps left, and
+        # the one after that, 0.5 steps short, waits the floor
+        assert self.falling_checks(0.05) == [0, 100, 200, 200 + CHECK_PERIOD]
+
+    @pytest.mark.parametrize("stated,confirmed", [
+        (0.046, True), (0.055, True),    # within RATE_CONFIRMED of 0.05
+        (0.044, False), (0.056, False),  # outside it
+        (0.04, False), (0.1, False),
+    ])
+    def test_only_a_rate_measured_within_the_share_waits_in_full(
+            self, stated, confirmed):
+        assert (abs(0.05 - stated) <= RATE_CONFIRMED * stated) == confirmed
+        checks = self.falling_checks(stated)
+        for i, (k, k_next) in enumerate(zip(checks, checks[1:])):
+            predicted = 0.05 * (200.5 - k) / stated
+            share = 1.0 if confirmed and i > 0 else 0.5
+            assert k_next == k + max(CHECK_PERIOD,
+                                     int(share * predicted)), i
 
 
 class TestExtractApproxNe:
